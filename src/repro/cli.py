@@ -1430,7 +1430,6 @@ def _cmd_cache(args) -> int:
 def _cmd_obs_watch(args) -> int:
     import json
     import time
-    import urllib.error
 
     from .serve import ServeClient, ServeError
 
@@ -1446,7 +1445,7 @@ def _cmd_obs_watch(args) -> int:
             except ServeError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 1
-            except (urllib.error.URLError, OSError) as error:
+            except OSError as error:
                 print(
                     f"error: cannot reach {args.trace}: {error}",
                     file=sys.stderr,
@@ -1478,6 +1477,8 @@ def _cmd_obs_watch(args) -> int:
     except KeyboardInterrupt:
         print("stopped", file=sys.stderr)
         return 0
+    finally:
+        client.close()
 
 
 def _cmd_obs(args) -> int:

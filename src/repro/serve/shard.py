@@ -41,6 +41,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
@@ -59,6 +60,10 @@ __all__ = [
     "StreamCluster",
     "default_watch_rules",
 ]
+
+# how often a caller blocked on a control op checks that the worker thread
+# is still alive to answer it
+_LIVENESS_POLL_S = 0.1
 
 
 def default_watch_rules(
@@ -211,6 +216,7 @@ class ShardWorker:
         self.retry_after = retry_after
         self._queue: "queue.Queue[_Op | None]" = queue.Queue(queue_size)
         self._streams: dict[str, _Stream] = {}
+        self._closed = False
         self._thread = threading.Thread(
             target=self._run, name=f"shard-{name}", daemon=True
         )
@@ -222,7 +228,12 @@ class ShardWorker:
     def queue_depth(self) -> int:
         return self._queue.qsize()
 
+    def _not_running(self) -> RuntimeError:
+        return RuntimeError(f"shard {self.name} is not running")
+
     def submit(self, op: _Op, *, tenant: str) -> None:
+        if self._closed:
+            raise self._not_running()
         try:
             self._queue.put_nowait(op)
         except queue.Full:
@@ -241,12 +252,22 @@ class ShardWorker:
         :class:`Backpressure`: they are rare, synchronous, and
         self-limiting (the caller waits on the Future anyway), so
         rejecting them would only make reads flaky under load.
+        Raises :class:`RuntimeError` once the worker is closed, and for
+        an op the worker thread stopped before reaching.
         """
+        if self._closed:
+            raise self._not_running()
         future: Future = Future()
         self._queue.put(_Op(kind, key, payload, future))
-        return future.result()
+        while True:
+            try:
+                return future.result(timeout=_LIVENESS_POLL_S)
+            except FutureTimeout:
+                if not self._thread.is_alive() and not future.done():
+                    raise self._not_running() from None
 
     def close(self) -> None:
+        self._closed = True
         self._queue.put(None)
         self._thread.join()
 
@@ -254,20 +275,16 @@ class ShardWorker:
 
     def _run(self) -> None:
         while True:
-            op = self._queue.get()
-            if op is None:
-                return
-            batch = [op]
+            batch = [self._queue.get()]
             # drain whatever queued up behind it: consecutive appends to
             # one stream coalesce into a single detector call below
-            while True:
+            while batch[-1] is not None:
                 try:
                     batch.append(self._queue.get_nowait())
                 except queue.Empty:
                     break
-            if batch[-1] is None:
-                batch.pop()
-                self._execute(batch)
+            if batch[-1] is None:  # close(): nothing after it runs
+                self._execute(batch[:-1])
                 return
             self._execute(batch)
 
@@ -311,7 +328,7 @@ class ShardWorker:
                 )
                 scored = time.monotonic()
                 state.points_seen += int(values.size)
-                state.scores.extend(float(s) for s in scores)
+                state.scores.extend(scores.tolist())
                 enqueued = min(op.enqueued for op in group)
                 self.metrics.tenant(state.tenant).record_append(
                     int(values.size),
@@ -466,6 +483,9 @@ class StreamCluster:
         }
         self.started = time.monotonic()
         self._closed = False
+        # keys of created/restored streams: appends never wait for the
+        # worker, so this is where an unknown stream is caught
+        self._streams: set[str] = set()
         # the watch layer: ring-buffer sampling + alert rules over the
         # same obs registry /metrics serves.  Always constructed (the
         # idle cost is two small objects); the background heartbeat
@@ -522,7 +542,7 @@ class StreamCluster:
         validate_stream_options(
             window=window, refit_every=refit_every, refit_policy=refit_policy
         )
-        return self.worker_for(tenant).call(
+        created = self.worker_for(tenant).call(
             "create",
             key,
             {
@@ -536,10 +556,14 @@ class StreamCluster:
             },
             tenant=tenant,
         )
+        self._streams.add(key)
+        return created
 
     def append(self, tenant: str, stream: str, values) -> dict:
         """Fire-and-forget ingest; raises :class:`Backpressure` if full."""
         key = self.stream_key(tenant, stream)
+        if key not in self._streams:
+            raise KeyError(f"unknown stream {key!r}")
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ValueError("append needs at least one value")
@@ -564,12 +588,12 @@ class StreamCluster:
         tenant = payload["tenant"]
         key = payload["stream"]
         stream = key.split("/", 1)[1] if "/" in key else key
-        return self.worker_for(tenant).call(
-            "restore",
-            self.stream_key(tenant, stream),
-            payload,
-            tenant=tenant,
+        key = self.stream_key(tenant, stream)
+        restored = self.worker_for(tenant).call(
+            "restore", key, payload, tenant=tenant
         )
+        self._streams.add(key)
+        return restored
 
     def stream_stats(self, tenant: str, stream: str) -> dict:
         key = self.stream_key(tenant, stream)

@@ -364,7 +364,8 @@ class TestServeBoundaryValidation:
 @pytest.fixture()
 def served():
     with ServeServer(StreamCluster(num_shards=2)) as server:
-        yield ServeClient(server.address)
+        with ServeClient(server.address) as client:
+            yield client
 
 
 class TestServeHttp:

@@ -1,9 +1,12 @@
 """Sharded workers: routing, ordering, backpressure, snapshot barriers."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.serve import Backpressure, HashRing, StreamCluster
+from repro.serve import Backpressure, HashRing, ShardWorker, StreamCluster
+from repro.serve.metrics import MetricsRegistry
 from repro.stream import replay
 from repro.types import LabeledSeries, Labels
 
@@ -103,6 +106,21 @@ class TestClusterLifecycle:
         with StreamCluster(num_shards=1) as cluster:
             with pytest.raises(KeyError, match="ghost"):
                 cluster.scores("acme", "ghost")
+
+    def test_append_to_unknown_stream_is_keyerror_not_dropped(self):
+        with StreamCluster(num_shards=1) as cluster:
+            with pytest.raises(KeyError, match="ghost"):
+                cluster.append("acme", "ghost", [1.0])
+            assert cluster.metrics_json()["totals"]["points_ingested"] == 0
+
+    def test_restored_stream_accepts_appends(self):
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", "diff", np.arange(20.0))
+            snap = cluster.snapshot_stream("acme", "s1")
+            snap["stream"] = "acme/s2"
+            cluster.restore_stream(snap)
+            cluster.append("acme", "s2", [1.0, 2.0])
+            assert cluster.scores("acme", "s2")["total"] == 2
 
     def test_bad_names_rejected(self):
         with StreamCluster(num_shards=1) as cluster:
@@ -240,3 +258,69 @@ class TestMetrics:
     def test_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             StreamCluster(num_shards=0)
+
+
+def finishes(call, *, timeout=2.0):
+    """Run ``call`` in a thread; the exception it raised (None if none).
+
+    Fails instead of hanging the suite when ``call`` never returns.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            call()
+            outcome["error"] = None
+        except Exception as error:  # handed to the caller
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{call} still blocked after {timeout}s"
+    return outcome["error"]
+
+
+class TestClosedCluster:
+    def test_append_after_close_raises(self):
+        cluster = StreamCluster(num_shards=2)
+        cluster.create_stream("acme", "s1", "diff", np.arange(20.0))
+        cluster.close()
+        error = finishes(lambda: cluster.append("acme", "s1", [1.0]))
+        assert isinstance(error, RuntimeError)
+        assert "not running" in str(error)
+
+    @pytest.mark.parametrize("op", ["scores", "stream_stats", "snapshot_stream"])
+    def test_control_op_after_close_raises_instead_of_blocking(self, op):
+        cluster = StreamCluster(num_shards=2)
+        cluster.create_stream("acme", "s1", "diff", np.arange(20.0))
+        cluster.close()
+        error = finishes(lambda: getattr(cluster, op)("acme", "s1"))
+        assert isinstance(error, RuntimeError)
+
+    def test_create_after_close_raises(self):
+        cluster = StreamCluster(num_shards=1)
+        cluster.close()
+        error = finishes(
+            lambda: cluster.create_stream("acme", "s1", "diff", [1.0])
+        )
+        assert isinstance(error, RuntimeError)
+
+    def test_op_the_stopped_worker_never_reached_raises(self):
+        # the worker thread stops (as when close() races a caller that
+        # already passed the closed check): its waiting caller must fail
+        worker = ShardWorker("w", MetricsRegistry())
+        worker._queue.put(None)
+        worker._thread.join(timeout=2)
+        error = finishes(
+            lambda: worker.call("stats", "acme/s1", None, tenant="acme")
+        )
+        assert isinstance(error, RuntimeError)
+
+    def test_ops_before_close_still_complete(self):
+        with StreamCluster(num_shards=1, queue_size=512) as cluster:
+            cluster.create_stream("acme", "s1", "diff", np.arange(20.0))
+            for start in range(0, 200, 10):
+                cluster.append("acme", "s1", np.arange(start, start + 10.0))
+        totals = cluster.metrics_json()["totals"]
+        assert totals["points_ingested"] == 200

@@ -183,7 +183,8 @@ class TestHttpSurface:
     def served(self):
         server = ServeServer(make_cluster()).start()
         try:
-            yield server, ServeClient(server.address)
+            with ServeClient(server.address) as client:
+                yield server, client
         finally:
             server.close()
 
