@@ -315,6 +315,15 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._series.items(), key=lambda item: item[0])
 
+    def family(self, name: str) -> dict:
+        """Every series of metric ``name``, keyed by its sorted label pairs."""
+        with self._lock:
+            return {
+                labels: series
+                for (series_name, labels), series in self._series.items()
+                if series_name == name
+            }
+
     def snapshot(self, *, histogram_values: bool = True) -> dict:
         """Deterministic-order mapping of every series.
 

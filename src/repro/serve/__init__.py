@@ -33,7 +33,6 @@ from .loadgen import (
     format_load,
     run_load,
 )
-from .metrics import MetricsRegistry, TenantMetrics, quantile
 from .server import ServeClient, ServeError, ServeServer
 from .shard import Backpressure, HashRing, ShardWorker, StreamCluster
 from .state import SNAPSHOT_VERSION, restore, snapshot
@@ -49,9 +48,6 @@ __all__ = [
     "ServeServer",
     "ServeClient",
     "ServeError",
-    "MetricsRegistry",
-    "TenantMetrics",
-    "quantile",
     "LoadConfig",
     "LoadResult",
     "default_archive",

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datasets.ucr import UcrSimConfig, make_ucr
-from ..obs import get_registry, get_tracer
+from ..obs import MetricsRegistry, get_registry, get_tracer, quantile
 from ..stream.replay import ReplayTrace, trace_from_scores
 from ..stream.scoreboard import delay_summary, nab_windowed_score
-from .metrics import quantile
-from .shard import Backpressure, StreamCluster
+from .shard import Backpressure, StreamCluster, _ms
 
 __all__ = [
     "LoadConfig",
@@ -279,16 +278,13 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
         ]
         seconds = time.perf_counter() - started
 
-        samples = cluster.metrics.latency_samples()
-        latency_min, latency_max = cluster.metrics.latency_extremes()
-        queue_waits = cluster.metrics.queue_wait_samples()
-        score_times = cluster.metrics.score_samples()
+        latencies = _latencies(cluster.registry)
         rejections = cluster.metrics_json()["totals"]["rejected"]
 
         snapshot_parity = _verify_snapshots(plans, served, mid_checks)
         # fold the cluster's serve_* series into the session registry so
         # a --trace run's metrics record covers the service tier too
-        get_registry().merge_state(cluster.metrics.obs.export_state())
+        get_registry().merge_state(cluster.registry.export_state())
     if load_span is not None:
         tracer.end_span(load_span)
 
@@ -297,32 +293,43 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
         plan.series.values.size - plan.series.train_len for plan in plans
     )
 
-    def _q_ms(values, q):
-        value = quantile(values, q)
-        return None if value is None else round(value * 1e3, 4)
-
     return LoadResult(
         config=config,
         points_streamed=points,
         seconds=seconds,
         points_per_second=points / seconds if seconds > 0 else 0.0,
-        append_p50_ms=_q_ms(samples, 0.50),
-        append_p99_ms=_q_ms(samples, 0.99),
-        append_min_ms=(
-            None if latency_min is None else round(latency_min * 1e3, 4)
-        ),
-        append_max_ms=(
-            None if latency_max is None else round(latency_max * 1e3, 4)
-        ),
-        queue_wait_p50_ms=_q_ms(queue_waits, 0.50),
-        queue_wait_p99_ms=_q_ms(queue_waits, 0.99),
-        score_p50_ms=_q_ms(score_times, 0.50),
-        score_p99_ms=_q_ms(score_times, 0.99),
         rejections=rejections,
         retries=counters["retries"],
         snapshot_parity=snapshot_parity,
         traces=traces,
+        **latencies,
     )
+
+
+def _latencies(registry: MetricsRegistry) -> dict:
+    """The result's latency fields (ms), pooled over every tenant.
+
+    A per-tenant p99 hides the worst tenant exactly when multi-tenant
+    fairness is the question.  The extremes are the histograms' exact
+    lifetime ones, so they cover every append ever scored, not just
+    the reservoir window the quantiles see.
+    """
+    fields = {}
+    for series, prefix in (
+        ("serve_append_seconds", "append"),
+        ("serve_queue_wait_seconds", "queue_wait"),
+        ("serve_score_seconds", "score"),
+    ):
+        histograms = registry.family(series).values()
+        samples = [value for h in histograms for value in h.samples()]
+        fields[f"{prefix}_p50_ms"] = _ms(quantile(samples, 0.50))
+        fields[f"{prefix}_p99_ms"] = _ms(quantile(samples, 0.99))
+    appends = registry.family("serve_append_seconds").values()
+    minima = [h.minimum for h in appends if h.count]
+    maxima = [h.maximum for h in appends if h.count]
+    fields["append_min_ms"] = _ms(min(minima, default=None))
+    fields["append_max_ms"] = _ms(max(maxima, default=None))
+    return fields
 
 
 def _verify_snapshots(plans, served, mid_checks) -> bool | None:

@@ -22,7 +22,8 @@ Routes (all JSON bodies/responses)::
 Backpressure maps to ``429`` with a ``Retry-After`` header (fractional
 seconds) — the one HTTP status whose retry semantics every off-the-
 shelf client already implements.  Unknown streams are ``404``, bad
-payloads ``400``; error bodies are ``{"error": ...}``.
+payloads ``400``, a stopped shard worker ``503`` and any other failure
+``500``; error bodies are ``{"error": ...}``.
 
 Connections are persistent HTTP/1.1.  A request body is always read in
 full before its route runs, so leftover bytes can never be parsed as
@@ -178,6 +179,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": str(error.args[0])})
         except (ValueError, TypeError) as error:
             self._reply(400, {"error": str(error)})
+        except RuntimeError as error:  # a stopped shard worker
+            self._reply(503, {"error": str(error)})
+        except Exception as error:
+            # a bug: its traceback goes to stderr, and the answer keeps
+            # the connection usable
+            self.server.handle_error(self.request, self.client_address)
+            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
 
     def _dispatch(self, method, parts, query) -> None:
         if method == "GET" and parts == ["healthz"]:
@@ -278,11 +286,11 @@ class _Httpd(ThreadingHTTPServer):
     def __init__(self, address, cluster: StreamCluster) -> None:
         super().__init__(address, _Handler)
         self.cluster = cluster
-        obs = cluster.metrics.obs
+        registry = cluster.registry
         for name, text in _DESCRIPTIONS.items():
-            obs.describe(name, text)
-        self.connections_total = obs.counter("serve_http_connections_total")
-        self.requests_total = obs.counter("serve_http_requests_total")
+            registry.describe(name, text)
+        self.connections_total = registry.counter("serve_http_connections_total")
+        self.requests_total = registry.counter("serve_http_requests_total")
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
 

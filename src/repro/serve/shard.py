@@ -47,9 +47,9 @@ import numpy as np
 
 from ..drift.policies import validate_stream_options
 from ..obs.alerts import AlertManager, AlertRule, BurnRateRule, ThresholdRule
+from ..obs.registry import MetricsRegistry, quantile
 from ..obs.series import SeriesSampler
 from ..stream.adapters import StreamingDetector, as_streaming
-from .metrics import MetricsRegistry
 from .state import restore as restore_state
 from .state import snapshot as snapshot_state
 
@@ -64,6 +64,44 @@ __all__ = [
 # how often a caller blocked on a control op checks that the worker thread
 # is still alive to answer it
 _LIVENESS_POLL_S = 0.1
+# the pause a rejected producer is told to wait before retrying
+_RETRY_AFTER_S = 0.05
+# virtual nodes per shard on the hash ring
+_RING_REPLICAS = 64
+
+# ``# HELP`` text for every serve series, registered on the cluster's
+# registry so the Prometheus exposition is self-describing
+_DESCRIPTIONS = {
+    "serve_points_ingested": "Points accepted for scoring, per tenant.",
+    "serve_scores_emitted": "Scores produced by detectors, per tenant.",
+    "serve_append_batches": "Scored append groups, per tenant.",
+    "serve_rejected": "Appends rejected by backpressure, per tenant.",
+    "serve_snapshots": "Stream snapshots captured, per tenant.",
+    "serve_restores": "Streams restored from snapshots, per tenant.",
+    "serve_append_seconds": (
+        "Arrival-to-score latency of append groups (seconds)."
+    ),
+    "serve_queue_wait_seconds": (
+        "Time append groups spent queued before worker pickup (seconds)."
+    ),
+    "serve_score_seconds": "Time spent inside the detector call (seconds).",
+    "serve_backpressure_total": "Appends rejected at a full shard queue.",
+    "serve_queue_depth": "Resident operations in each shard queue.",
+    "serve_uptime_seconds": "Seconds since the cluster started.",
+}
+# the per-tenant counters: ``/metrics`` row key -> ``serve_<key>`` series
+_TENANT_COUNTERS = (
+    "points_ingested",
+    "scores_emitted",
+    "append_batches",
+    "rejected",
+    "snapshots",
+    "restores",
+)
+
+
+def _ms(seconds: float | None) -> float | None:
+    return None if seconds is None else round(seconds * 1e3, 4)
 
 
 def default_watch_rules(
@@ -122,18 +160,15 @@ class Backpressure(RuntimeError):
 class HashRing:
     """Consistent tenant→shard map: sha256 positions, virtual nodes."""
 
-    def __init__(self, shards: "list[str]", *, replicas: int = 64) -> None:
+    def __init__(self, shards: "list[str]") -> None:
         if not shards:
             raise ValueError("need at least one shard")
         if len(set(shards)) != len(shards):
             raise ValueError(f"duplicate shard names in {shards}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.shards = tuple(shards)
-        self.replicas = replicas
         points = []
         for shard in shards:
-            for replica in range(replicas):
+            for replica in range(_RING_REPLICAS):
                 points.append((self._position(f"{shard}#{replica}"), shard))
         points.sort()
         self._points = [position for position, _ in points]
@@ -164,6 +199,12 @@ class _Stream:
         "points_seen",
         "score_offset",
         "scores",
+        "points_in",
+        "scores_out",
+        "batches",
+        "queue_wait",
+        "score_time",
+        "latency",
     )
 
     def __init__(
@@ -172,6 +213,7 @@ class _Stream:
         stream: str,
         detector_label: str,
         detector: StreamingDetector,
+        registry: MetricsRegistry,
         *,
         points_seen: int = 0,
         score_offset: int = 0,
@@ -185,6 +227,19 @@ class _Stream:
         # global score indices stable across a migration)
         self.score_offset = score_offset
         self.scores: list[float] = []
+        # the tenant's series, looked up once so an append records
+        # through handles.  All of them exist from the tenant's first
+        # stream on, and serve_append_seconds is created last: a tenant
+        # listed in that family has every other series already.
+        counter, histogram = registry.counter, registry.histogram
+        for name in ("serve_rejected", "serve_snapshots", "serve_restores"):
+            counter(name, tenant=tenant)
+        self.points_in = counter("serve_points_ingested", tenant=tenant)
+        self.scores_out = counter("serve_scores_emitted", tenant=tenant)
+        self.batches = counter("serve_append_batches", tenant=tenant)
+        self.queue_wait = histogram("serve_queue_wait_seconds", tenant=tenant)
+        self.score_time = histogram("serve_score_seconds", tenant=tenant)
+        self.latency = histogram("serve_append_seconds", tenant=tenant)
 
 
 class _Op:
@@ -202,18 +257,12 @@ class ShardWorker:
     """One shard: a bounded op queue drained by a daemon thread."""
 
     def __init__(
-        self,
-        name: str,
-        metrics: MetricsRegistry,
-        *,
-        queue_size: int = 1024,
-        retry_after: float = 0.05,
+        self, name: str, registry: MetricsRegistry, *, queue_size: int = 1024
     ) -> None:
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
         self.name = name
-        self.metrics = metrics
-        self.retry_after = retry_after
+        self.registry = registry
         self._queue: "queue.Queue[_Op | None]" = queue.Queue(queue_size)
         self._streams: dict[str, _Stream] = {}
         self._closed = False
@@ -237,13 +286,13 @@ class ShardWorker:
         try:
             self._queue.put_nowait(op)
         except queue.Full:
-            self.metrics.tenant(tenant).record_rejection()
             # the per-tenant counter says who was rejected; the shard-
             # labeled one says where the hot queue is
-            self.metrics.obs.counter(
+            self.registry.counter("serve_rejected", tenant=tenant).inc()
+            self.registry.counter(
                 "serve_backpressure_total", shard=self.name
             ).inc()
-            raise Backpressure(self.name, self.retry_after) from None
+            raise Backpressure(self.name, _RETRY_AFTER_S) from None
 
     def call(self, kind: str, key: str, payload, *, tenant: str):
         """Submit a control op and wait for its result (barrier).
@@ -303,9 +352,7 @@ class ShardWorker:
 
     def _flush(self, pending: "dict[str, list[_Op]]") -> None:
         for key, ops in pending.items():
-            state = self._streams.get(key)
-            if state is None:
-                continue  # stream deleted mid-flight; drop silently
+            state = self._streams[key]
             if state.detector.batch_invariant:
                 # coalescing is only legal when update([a, b]) equals
                 # update([a]); update([b]) — otherwise merging producer
@@ -330,13 +377,12 @@ class ShardWorker:
                 state.points_seen += int(values.size)
                 state.scores.extend(scores.tolist())
                 enqueued = min(op.enqueued for op in group)
-                self.metrics.tenant(state.tenant).record_append(
-                    int(values.size),
-                    int(scores.size),
-                    scored - enqueued,
-                    queue_wait=picked_up - enqueued,
-                    score_seconds=scored - picked_up,
-                )
+                state.points_in.inc(values.size)
+                state.scores_out.inc(scores.size)
+                state.batches.inc()
+                state.queue_wait.observe(picked_up - enqueued)
+                state.score_time.observe(scored - picked_up)
+                state.latency.observe(scored - enqueued)
 
     def _control(self, op: _Op) -> None:
         try:
@@ -371,10 +417,10 @@ class ShardWorker:
             refit_every=payload.get("refit_every"),
             refit_policy=payload.get("refit_policy"),
         )
-        train = np.asarray(payload.get("train", ()), dtype=float)
+        train = payload["train"]
         detector.fit(train)
         self._streams[key] = _Stream(
-            tenant, stream, payload["detector"], detector,
+            tenant, stream, payload["detector"], detector, self.registry,
             points_seen=int(train.size),
         )
         return {"stream": key, "shard": self.name, "train_len": int(train.size)}
@@ -400,7 +446,7 @@ class ShardWorker:
     def _snapshot(self, key: str) -> dict:
         state = self._require(key)
         blob = snapshot_state(state.detector)
-        self.metrics.tenant(state.tenant).record_snapshot()
+        self.registry.counter("serve_snapshots", tenant=state.tenant).inc()
         return {
             "stream": key,
             "tenant": state.tenant,
@@ -421,11 +467,12 @@ class ShardWorker:
             payload["stream"],
             payload["detector"],
             detector,
+            self.registry,
             points_seen=int(payload["points_seen"]),
             score_offset=int(payload["scores_total"]),
         )
         self._streams[key] = state
-        self.metrics.tenant(state.tenant).record_restore()
+        self.registry.counter("serve_restores", tenant=state.tenant).inc()
         return {
             "stream": key,
             "shard": self.name,
@@ -445,11 +492,13 @@ class ShardWorker:
 
 
 class StreamCluster:
-    """The in-process cluster: ring + workers + metrics, one facade.
+    """The in-process cluster: ring + workers + registry, one facade.
 
     Every public method routes by tenant through the ring and returns
     plain JSON-shaped data, so the HTTP front is a thin translation
-    layer and tests can drive the cluster directly.
+    layer and tests can drive the cluster directly.  ``registry`` is
+    the one :class:`repro.obs.MetricsRegistry` the workers, the HTTP
+    front and the watch layer record into and ``/metrics`` reads.
     """
 
     def __init__(
@@ -457,11 +506,8 @@ class StreamCluster:
         *,
         num_shards: int = 4,
         queue_size: int = 1024,
-        retry_after: float = 0.05,
-        replicas: int = 64,
         watch_interval: float | None = None,
         watch_rules: "list[AlertRule] | None" = None,
-        watch_capacity: int = 512,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -470,15 +516,12 @@ class StreamCluster:
                 f"watch_interval must be > 0, got {watch_interval}"
             )
         names = [f"shard-{index}" for index in range(num_shards)]
-        self.metrics = MetricsRegistry()
-        self.ring = HashRing(names, replicas=replicas)
+        self.registry = MetricsRegistry()
+        for name, text in _DESCRIPTIONS.items():
+            self.registry.describe(name, text)
+        self.ring = HashRing(names)
         self.workers = {
-            name: ShardWorker(
-                name,
-                self.metrics,
-                queue_size=queue_size,
-                retry_after=retry_after,
-            )
+            name: ShardWorker(name, self.registry, queue_size=queue_size)
             for name in names
         }
         self.started = time.monotonic()
@@ -487,13 +530,11 @@ class StreamCluster:
         # worker, so this is where an unknown stream is caught
         self._streams: set[str] = set()
         # the watch layer: ring-buffer sampling + alert rules over the
-        # same obs registry /metrics serves.  Always constructed (the
-        # idle cost is two small objects); the background heartbeat
-        # thread only exists when a watch_interval was requested —
-        # tests and CI drive watch_tick() on a deterministic schedule.
-        self.watch_sampler = SeriesSampler(
-            self.metrics.obs, capacity=watch_capacity
-        )
+        # same registry /metrics serves.  Always constructed (the idle
+        # cost is two small objects); the background heartbeat thread
+        # only exists when a watch_interval was requested — tests and
+        # CI drive watch_tick() on a deterministic schedule.
+        self.watch_sampler = SeriesSampler(self.registry)
         self.watch = AlertManager(
             self.watch_sampler,
             default_watch_rules(queue_size)
@@ -536,12 +577,15 @@ class StreamCluster:
         refit_policy: str | None = None,
     ) -> dict:
         key = self.stream_key(tenant, stream)
-        # Validate here, before the op crosses the queue: a bad cadence
-        # or policy spec should be the caller's 400, not a deferred
-        # shard-worker crash on first append.
+        # Validate here, before the op crosses the queue: a bad cadence,
+        # policy spec or training series should be the caller's 400,
+        # not a deferred shard-worker crash on first append.
         validate_stream_options(
             window=window, refit_every=refit_every, refit_policy=refit_policy
         )
+        train = np.asarray(train, dtype=float)
+        if train.ndim != 1:
+            raise ValueError(f"'train' must be a flat array, got {train.shape}")
         created = self.worker_for(tenant).call(
             "create",
             key,
@@ -549,7 +593,7 @@ class StreamCluster:
                 "tenant": tenant,
                 "stream": stream,
                 "detector": detector,
-                "train": np.asarray(train, dtype=float),
+                "train": train,
                 "window": window,
                 "refit_every": refit_every,
                 "refit_policy": refit_policy,
@@ -602,11 +646,10 @@ class StreamCluster:
     # -- self-monitoring ----------------------------------------------
 
     def _refresh_gauges(self) -> None:
-        """Push the point-in-time readings onto the obs registry."""
-        obs = self.metrics.obs
+        """Push the point-in-time readings onto the registry."""
         for name, depth in self.queue_depths().items():
-            obs.gauge("serve_queue_depth", shard=name).set(depth)
-        obs.gauge("serve_uptime_seconds").set(self.uptime_seconds())
+            self.registry.gauge("serve_queue_depth", shard=name).set(depth)
+        self.registry.gauge("serve_uptime_seconds").set(self.uptime_seconds())
 
     def watch_tick(self, *, now: float | None = None) -> "list[dict]":
         """One watch heartbeat: refresh gauges, sample, evaluate rules.
@@ -640,17 +683,49 @@ class StreamCluster:
         return time.monotonic() - self.started
 
     def metrics_json(self) -> dict:
-        return self.metrics.to_json(queue_depths=self.queue_depths())
+        """Per-tenant rows (sorted), their totals, and the queue depths."""
+        # read first: a tenant in this family has all its series (_Stream)
+        latency = self.registry.family("serve_append_seconds")
+        counters = {
+            key: self.registry.family(f"serve_{key}")
+            for key in _TENANT_COUNTERS
+        }
+        queue_wait = self.registry.family("serve_queue_wait_seconds")
+        score_time = self.registry.family("serve_score_seconds")
+        rows = []
+        for labels, append in sorted(latency.items()):
+            samples = append.samples()
+            rows.append(
+                {
+                    "tenant": dict(labels)["tenant"],
+                    **{key: counters[key][labels].value for key in counters},
+                    "append_p50_ms": _ms(quantile(samples, 0.50)),
+                    "append_p99_ms": _ms(quantile(samples, 0.99)),
+                    # lifetime-exact extremes, not reservoir-windowed: an
+                    # early latency spike stays visible after it ages out
+                    "append_min_ms": _ms(append.minimum),
+                    "append_max_ms": _ms(append.maximum),
+                    "queue_wait_p99_ms": _ms(queue_wait[labels].quantile(0.99)),
+                    "score_p99_ms": _ms(score_time[labels].quantile(0.99)),
+                }
+            )
+        return {
+            "tenants": rows,
+            "totals": {
+                key: sum(row[key] for row in rows) for key in _TENANT_COUNTERS
+            },
+            "queue_depths": dict(sorted(self.queue_depths().items())),
+        }
 
     def metrics_prometheus(self) -> str:
         """Prometheus text view of the same registry ``/metrics`` serves.
 
         The point-in-time series (queue depths, uptime) are refreshed
-        as gauges on the shared obs registry right before rendering, so
-        a scrape sees them next to the tenant counters.
+        as gauges on the registry right before rendering, so a scrape
+        sees them next to the tenant counters.
         """
         self._refresh_gauges()
-        return self.metrics.render_prometheus()
+        return self.registry.render_prometheus()
 
     def healthz_json(self) -> dict:
         """Liveness plus the overload signals CI asserts on."""

@@ -121,6 +121,17 @@ class TestSeries:
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"x{tenant=a}": 1, "x{tenant=b}": 2}
 
+    def test_family_holds_every_labeled_series_of_a_name(self):
+        registry = MetricsRegistry()
+        a = registry.counter("x", tenant="a")
+        b = registry.counter("x", tenant="b")
+        registry.counter("x_total", tenant="a")
+        assert registry.family("x") == {
+            (("tenant", "a"),): a,
+            (("tenant", "b"),): b,
+        }
+        assert registry.family("missing") == {}
+
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("x")
@@ -447,42 +458,49 @@ class TestReplayInstrumentation:
 
 
 class TestServeMetricsRebase:
-    """Regression tests for the serve metrics edge cases (satellite #1)."""
+    """Serve metrics edge cases, read through the cluster's registry."""
 
     def test_fresh_tenant_digests_are_none_not_zero(self):
-        from repro.serve.metrics import MetricsRegistry as ServeRegistry
+        from repro.serve import StreamCluster
 
-        registry = ServeRegistry()
-        row = registry.tenant("acme").to_json()
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", "diff", list(np.arange(20.0)))
+            [row] = cluster.metrics_json()["tenants"]
         assert row["append_p50_ms"] is None
         assert row["append_p99_ms"] is None
         assert row["queue_wait_p99_ms"] is None
         assert row["score_p99_ms"] is None
 
     def test_single_sample_is_every_quantile(self):
-        from repro.serve.metrics import MetricsRegistry as ServeRegistry
+        from repro.serve import StreamCluster
 
-        registry = ServeRegistry()
-        registry.tenant("acme").record_append(
-            10, 10, 0.004, queue_wait=0.003, score_seconds=0.001
-        )
-        row = registry.tenant("acme").to_json()
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", "diff", list(np.arange(20.0)))
+            for name, seconds in (
+                ("serve_append_seconds", 0.004),
+                ("serve_queue_wait_seconds", 0.003),
+                ("serve_score_seconds", 0.001),
+            ):
+                cluster.registry.histogram(name, tenant="acme").observe(seconds)
+            [row] = cluster.metrics_json()["tenants"]
         assert row["append_p50_ms"] == 4.0
         assert row["append_p99_ms"] == 4.0
         assert row["queue_wait_p99_ms"] == 3.0
         assert row["score_p99_ms"] == 1.0
 
     def test_json_and_prometheus_read_the_same_registry(self):
-        from repro.serve.metrics import MetricsRegistry as ServeRegistry
+        from repro.serve import StreamCluster
 
-        registry = ServeRegistry()
-        registry.tenant("acme").record_append(25, 25, 0.002)
-        payload = registry.to_json()
-        text = registry.render_prometheus()
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", "diff", list(np.arange(20.0)))
+            cluster.append("acme", "s1", np.arange(25.0))
+            cluster.scores("acme", "s1")  # barrier: batch scored
+            payload = cluster.metrics_json()
+            text = cluster.metrics_prometheus()
         assert payload["totals"]["points_ingested"] == 25
         assert 'serve_points_ingested{tenant="acme"} 25' in text
         assert 'serve_append_seconds_count{tenant="acme"} 1' in text
-        # the quantile series carries the same value to_json rounds
+        # the quantile series carries the same value metrics_json rounds
         assert 'serve_append_seconds{tenant="acme",quantile="0.99"}' in text
 
     def test_cluster_prometheus_includes_shard_and_uptime_series(self):

@@ -1,6 +1,7 @@
 """HTTP front: routes, status mapping, client retry, restore portability,
 connection reuse, request framing and the input contract."""
 
+import itertools
 import json
 import socket
 import sys
@@ -166,7 +167,7 @@ class TestRestoreOverHttp:
 
 
 def counter(server, name):
-    return server.cluster.metrics.obs.counter(name).value
+    return server.cluster.registry.counter(name).value
 
 
 def raw_exchange(server, data: bytes, *, wait=1.0):
@@ -520,3 +521,65 @@ class TestInputContract:
         # nothing was ingested, and the next request succeeds
         assert client.scores("acme", "s1")["total"] == 3
         assert counter(server, "serve_http_connections_total") == 1
+
+    @pytest.mark.parametrize(
+        "train",
+        [None, 3.0, [[1.0, 2.0], [3.0, 4.0]]],
+        ids=["null-train", "scalar-train", "nested-train"],
+    )
+    def test_malformed_train_is_400_and_its_shard_keeps_scoring(
+        self, served, train
+    ):
+        client, server = served
+        body = {"tenant": "acme", "stream": "bad", "detector": "diff"}
+        status, _, data = client._exchange(
+            "POST", "/v1/streams", json.dumps({**body, "train": train}).encode()
+        )
+        assert status == 400
+        assert "train" in json.loads(data)["error"]
+        # never created, so no append can reach the shard worker with it
+        with pytest.raises(ServeError) as caught:
+            client.append("acme", "bad", [1.0])
+        assert caught.value.status == 404
+        ring = server.cluster.ring
+        neighbour = next(
+            tenant
+            for tenant in (f"t{i}" for i in itertools.count())
+            if ring.route(tenant) == ring.route("acme")
+        )
+        client.create_stream(neighbour, "s1", "diff", np.arange(20.0))
+        client.append(neighbour, "s1", [1.0, 2.0])
+        assert client.scores(neighbour, "s1")["total"] == 2
+
+
+def stop_acme_worker(cluster):
+    cluster.worker_for("acme").close()
+
+
+def break_scores(cluster):
+    def scores(tenant, stream, *, start=0):
+        raise ZeroDivisionError("injected")
+
+    cluster.scores = scores
+
+
+class TestServerErrors:
+    """A route that fails inside the server is answered, never dropped."""
+
+    @pytest.mark.parametrize(
+        "fault, status",
+        [(stop_acme_worker, 503), (break_scores, 500)],
+        ids=["stopped-worker", "unmapped-error"],
+    )
+    def test_answered_on_the_same_connection(self, served, fault, status):
+        client, server = served
+        client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        fault(server.cluster)
+        requests = counter(server, "serve_http_requests_total")
+        with pytest.raises(ServeError) as caught:
+            client.scores("acme", "s1")
+        assert caught.value.status == status
+        # sent once, answered, and the kept-alive connection still open
+        assert counter(server, "serve_http_requests_total") == requests + 1
+        assert counter(server, "serve_http_connections_total") == 1
+        assert client.health()["ok"] is True

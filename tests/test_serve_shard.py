@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.serve import Backpressure, HashRing, ShardWorker, StreamCluster
-from repro.serve.metrics import MetricsRegistry
 from repro.stream import replay
 from repro.types import LabeledSeries, Labels
 
@@ -46,8 +46,6 @@ class TestHashRing:
             HashRing([])
         with pytest.raises(ValueError, match="duplicate"):
             HashRing(["a", "a"])
-        with pytest.raises(ValueError, match="replicas"):
-            HashRing(["a"], replicas=0)
 
 
 class TestClusterLifecycle:
@@ -254,6 +252,34 @@ class TestMetrics:
         assert by_tenant["a"]["points_ingested"] == 40
         assert by_tenant["a"]["append_p99_ms"] is not None
         assert set(payload["queue_depths"]) == {"shard-0", "shard-1"}
+
+    def test_a_tenant_shows_from_its_first_stream(self):
+        # its series are created with its first stream, not its first
+        # append: zero counters and null digests until it appends
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("idle", "s", "diff", np.arange(30.0))
+            payload = cluster.metrics_json()
+            text = cluster.metrics_prometheus()
+        assert payload["tenants"] == [
+            {
+                "tenant": "idle",
+                "points_ingested": 0,
+                "scores_emitted": 0,
+                "append_batches": 0,
+                "rejected": 0,
+                "snapshots": 0,
+                "restores": 0,
+                "append_p50_ms": None,
+                "append_p99_ms": None,
+                "append_min_ms": None,
+                "append_max_ms": None,
+                "queue_wait_p99_ms": None,
+                "score_p99_ms": None,
+            }
+        ]
+        assert 'serve_points_ingested{tenant="idle"} 0' in text
+        assert 'serve_append_seconds_count{tenant="idle"} 0' in text
+        assert "serve_append_seconds_min{" not in text
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_shards"):

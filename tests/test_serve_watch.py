@@ -20,6 +20,7 @@ import pytest
 
 from repro.obs.alerts import FIRING, OK, PENDING
 from repro.serve import ServeClient, ServeServer, StreamCluster
+from repro.serve.loadgen import _latencies
 from repro.serve.shard import default_watch_rules
 
 TRAIN = [float(v % 7) for v in range(120)]
@@ -235,18 +236,24 @@ class TestLatencyExtremes:
             cluster.create_stream("t0", "s", "moving_zscore", TRAIN)
             cluster.append("t0", "s", [1.0, 2.0, 3.0])
             cluster.scores("t0", "s")  # barrier: batch scored
-            row = cluster.metrics.tenant("t0").to_json()
+            [row] = cluster.metrics_json()["tenants"]
             assert row["append_min_ms"] is not None
             assert row["append_max_ms"] >= row["append_min_ms"]
 
     def test_cluster_extremes_pool_tenants(self):
         with make_cluster() as cluster:
-            cluster.metrics.tenant("a")._latency.observe(0.002)
-            cluster.metrics.tenant("b")._latency.observe(0.5)
-            low, high = cluster.metrics.latency_extremes()
-            assert low == pytest.approx(0.002)
-            assert high == pytest.approx(0.5)
+            latency = cluster.registry.histogram
+            latency("serve_append_seconds", tenant="a").observe(0.002)
+            latency("serve_append_seconds", tenant="b").observe(0.5)
+            pooled = _latencies(cluster.registry)
+            assert pooled["append_min_ms"] == pytest.approx(2.0)
+            assert pooled["append_max_ms"] == pytest.approx(500.0)
 
     def test_extremes_on_an_idle_cluster_are_none(self):
         with make_cluster() as cluster:
-            assert cluster.metrics.latency_extremes() == (None, None)
+            assert _latencies(cluster.registry)["append_min_ms"] is None
+            # a tenant whose stream never appended has series, no data
+            cluster.create_stream("t0", "s", "moving_zscore", TRAIN)
+            pooled = _latencies(cluster.registry)
+            assert pooled["append_min_ms"] is None
+            assert pooled["append_max_ms"] is None
