@@ -331,29 +331,19 @@ class EvalEngine:
         # runs export the same tree
         traced = tracer.enabled
         worker = _locate_cell_traced if traced else _locate_cell
+        if self.jobs > 1 and len(pending) > 1:
+            found = self._run_pool(worker, tasks, pending)
+        else:
+            found = {index: worker(tasks[index]) for index in pending}
         exports: dict[int, tuple[list, list]] = {}
-        if pending:
-            batch = [tasks[index] for index in pending]
-            if self.jobs > 1 and len(batch) > 1:
-                chunksize = max(1, len(batch) // (self.jobs * 4))
-                with ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_pool_worker_init
-                ) as pool:
-                    found = list(
-                        pool.map(worker, batch, chunksize=chunksize)
-                    )
-            else:
-                found = [worker(task) for task in batch]
+        for index in pending:
+            location = found[index]
             if traced:
-                unpacked = []
-                for offset, (location, records, state) in enumerate(found):
-                    exports[pending[offset]] = (records, state)
-                    unpacked.append(location)
-                found = unpacked
-            for index, location in zip(pending, found):
-                locations[index] = location
-                if self.cache is not None:
-                    self.cache.put(keys[index], {"location": location})
+                location, records, state = location
+                exports[index] = (records, state)
+            locations[index] = location
+            if self.cache is not None:
+                self.cache.put(keys[index], {"location": location})
 
         executed = set(pending)
         cells = []
@@ -403,3 +393,31 @@ class EvalEngine:
                 cache_hits=len(tasks) - len(pending),
             ),
         )
+
+    def _run_pool(self, worker, tasks, pending: list[int]) -> dict:
+        """Run the ``pending`` cells on a process pool, one cell per task.
+
+        Cells are submitted longest series first (a stable sort, so
+        ties keep grid order): the long cells start at once and the
+        short ones fill in behind them, so the grid ends on short cells
+        instead of one worker finishing a long cell while the rest idle.
+        Results come back keyed by grid index.  If a cell raises, the
+        cells that have not started are cancelled, so the error
+        surfaces once the running cells finish rather than after the
+        whole grid.
+        """
+        order = sorted(pending, key=lambda index: -tasks[index][1].n)
+        with ProcessPoolExecutor(
+            max_workers=self.jobs, initializer=_pool_worker_init
+        ) as pool:
+            futures = {
+                index: pool.submit(worker, tasks[index]) for index in order
+            }
+            try:
+                return {
+                    index: future.result() for index, future in futures.items()
+                }
+            except BaseException:
+                for future in futures.values():
+                    future.cancel()
+                raise

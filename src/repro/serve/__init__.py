@@ -12,8 +12,9 @@ nothing beyond the standard library.  Four layers:
 * :mod:`~repro.serve.shard` — consistent-hash tenant→shard routing
   (:class:`HashRing`), per-shard worker threads with bounded queues and
   append coalescing (:class:`ShardWorker`), backpressure as
-  reject-with-retry-after (:class:`Backpressure`), all behind the
-  :class:`StreamCluster` facade.
+  reject-with-retry-after (:class:`Backpressure`), a stream whose
+  detector raised isolated as failed (:class:`StreamFailed`), all
+  behind the :class:`StreamCluster` facade.
 * :mod:`~repro.serve.server` — a stdlib JSON-over-HTTP front
   (:class:`ServeServer`) and blocking client (:class:`ServeClient`);
   backpressure maps to ``429 Retry-After``.
@@ -34,7 +35,13 @@ from .loadgen import (
     run_load,
 )
 from .server import ServeClient, ServeError, ServeServer
-from .shard import Backpressure, HashRing, ShardWorker, StreamCluster
+from .shard import (
+    Backpressure,
+    HashRing,
+    ShardWorker,
+    StreamCluster,
+    StreamFailed,
+)
 from .state import SNAPSHOT_VERSION, restore, snapshot
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "HashRing",
     "ShardWorker",
     "StreamCluster",
+    "StreamFailed",
     "ServeServer",
     "ServeClient",
     "ServeError",

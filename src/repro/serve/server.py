@@ -22,8 +22,9 @@ Routes (all JSON bodies/responses)::
 Backpressure maps to ``429`` with a ``Retry-After`` header (fractional
 seconds) — the one HTTP status whose retry semantics every off-the-
 shelf client already implements.  Unknown streams are ``404``, bad
-payloads ``400``, a stopped shard worker ``503`` and any other failure
-``500``; error bodies are ``{"error": ...}``.
+payloads ``400``, a stream whose detector raised ``409`` (it stays
+failed), a stopped shard worker ``503`` and any other failure ``500``;
+error bodies are ``{"error": ...}``.
 
 Connections are persistent HTTP/1.1.  A request body is always read in
 full before its route runs, so leftover bytes can never be parsed as
@@ -49,7 +50,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from .shard import Backpressure, StreamCluster
+from .shard import Backpressure, StreamCluster, StreamFailed
 
 __all__ = ["ServeServer", "ServeClient", "ServeError"]
 
@@ -169,6 +170,9 @@ class _Handler(BaseHTTPRequestHandler):
         }
         try:
             self._dispatch(method, parts, query)
+        except StreamFailed as error:
+            # a failed stream stays failed: 409, not a 503 to retry
+            self._reply(409, {"error": str(error)})
         except Backpressure as error:
             self._reply(
                 429,

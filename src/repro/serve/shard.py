@@ -24,6 +24,9 @@ shape, small enough to read in one sitting:
   unboundedly.  The HTTP front turns it into ``429 Retry-After``; the
   load generator treats it as a signal to back off.  Lost work is
   visible (the rejection counter), never silent.
+* **Failure isolation** — a detector that raises fails its own stream
+  (:class:`StreamFailed`, counted per tenant), never the worker: the
+  shard's other streams keep being scored.
 
 Snapshot/restore rides the same barrier mechanism: a snapshot drains
 the stream's pending appends first, then captures the detector through
@@ -40,6 +43,7 @@ import hashlib
 import queue
 import threading
 import time
+import traceback
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -58,6 +62,7 @@ __all__ = [
     "HashRing",
     "ShardWorker",
     "StreamCluster",
+    "StreamFailed",
     "default_watch_rules",
 ]
 
@@ -78,6 +83,9 @@ _DESCRIPTIONS = {
     "serve_rejected": "Appends rejected by backpressure, per tenant.",
     "serve_snapshots": "Stream snapshots captured, per tenant.",
     "serve_restores": "Streams restored from snapshots, per tenant.",
+    "serve_stream_failures_total": (
+        "Streams marked failed because their detector raised, per tenant."
+    ),
     "serve_append_seconds": (
         "Arrival-to-score latency of append groups (seconds)."
     ),
@@ -157,6 +165,15 @@ class Backpressure(RuntimeError):
         self.retry_after = retry_after
 
 
+class StreamFailed(Exception):
+    """A stream's detector raised; the stream stays failed with that error."""
+
+    def __init__(self, stream: str, error: str) -> None:
+        super().__init__(f"stream {stream!r} failed: {error}")
+        self.stream = stream
+        self.error = error
+
+
 class HashRing:
     """Consistent tenant→shard map: sha256 positions, virtual nodes."""
 
@@ -232,7 +249,12 @@ class _Stream:
         # stream on, and serve_append_seconds is created last: a tenant
         # listed in that family has every other series already.
         counter, histogram = registry.counter, registry.histogram
-        for name in ("serve_rejected", "serve_snapshots", "serve_restores"):
+        for name in (
+            "serve_rejected",
+            "serve_snapshots",
+            "serve_restores",
+            "serve_stream_failures_total",
+        ):
             counter(name, tenant=tenant)
         self.points_in = counter("serve_points_ingested", tenant=tenant)
         self.scores_out = counter("serve_scores_emitted", tenant=tenant)
@@ -265,6 +287,9 @@ class ShardWorker:
         self.registry = registry
         self._queue: "queue.Queue[_Op | None]" = queue.Queue(queue_size)
         self._streams: dict[str, _Stream] = {}
+        # key -> error of each stream whose detector raised; written by
+        # the worker thread, read by producers to refuse its appends
+        self._failed: dict[str, str] = {}
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name=f"shard-{name}", daemon=True
@@ -283,6 +308,9 @@ class ShardWorker:
     def submit(self, op: _Op, *, tenant: str) -> None:
         if self._closed:
             raise self._not_running()
+        error = self._failed.get(op.key)
+        if error is not None:
+            raise StreamFailed(op.key, error)
         try:
             self._queue.put_nowait(op)
         except queue.Full:
@@ -352,6 +380,8 @@ class ShardWorker:
 
     def _flush(self, pending: "dict[str, list[_Op]]") -> None:
         for key, ops in pending.items():
+            if key in self._failed:
+                continue  # queued before its stream failed
             state = self._streams[key]
             if state.detector.batch_invariant:
                 # coalescing is only legal when update([a, b]) equals
@@ -370,9 +400,13 @@ class ShardWorker:
                 # detector takes over: queue wait (enqueue → pickup) is
                 # overload, score time is kernel cost — different fixes
                 picked_up = time.monotonic()
-                scores = np.asarray(
-                    state.detector.update(values), dtype=float
-                )
+                try:
+                    scores = np.asarray(
+                        state.detector.update(values), dtype=float
+                    )
+                except Exception as error:
+                    self._fail(key, state, error)
+                    break
                 scored = time.monotonic()
                 state.points_seen += int(values.size)
                 state.scores.extend(scores.tolist())
@@ -383,6 +417,19 @@ class ShardWorker:
                 state.queue_wait.observe(picked_up - enqueued)
                 state.score_time.observe(scored - picked_up)
                 state.latency.observe(scored - enqueued)
+
+    def _fail(self, key: str, state: _Stream, error: Exception) -> None:
+        """Mark a stream failed: one stream's failure stays its own.
+
+        The traceback goes to stderr, the stream answers its stored
+        error from now on, and every other stream on this shard keeps
+        being scored.
+        """
+        traceback.print_exception(error)
+        self._failed[key] = f"{type(error).__name__}: {error}"
+        self.registry.counter(
+            "serve_stream_failures_total", tenant=state.tenant
+        ).inc()
 
     def _control(self, op: _Op) -> None:
         try:
@@ -429,6 +476,9 @@ class ShardWorker:
         state = self._streams.get(key)
         if state is None:
             raise KeyError(f"unknown stream {key!r}")
+        error = self._failed.get(key)
+        if error is not None:
+            raise StreamFailed(key, error)
         return state
 
     def _scores(self, key: str, payload: dict) -> dict:

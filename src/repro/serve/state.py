@@ -196,6 +196,31 @@ def _rebuild_profile(scalars: dict, arrays) -> StreamingMatrixProfile:
     _load_front(profile._best, arrays["best"])
     profile._qt = np.array(arrays["qt"], dtype=float)
     profile._egress = [float(value) for value in arrays["egress"]]
+    # the counters index into 1-D arrays: a blob whose arrays are not
+    # 1-D or disagree with the counters would restore, then fail on its
+    # first append
+    windows = max(profile.count - profile.w + 1, 0) - profile._win_base
+    if not (
+        all(np.ndim(array) == 1 for array in arrays.values())
+        and profile._point_base == profile._win_base
+        and len(profile._x) == profile.count - profile._point_base
+        and windows >= 0
+        and profile._qt.size == windows
+        and all(
+            len(front) == windows
+            for front in (
+                profile._mean,
+                profile._inv,
+                profile._const,
+                profile._best,
+            )
+        )
+        and profile._egress_base + len(profile._egress) == profile._win_base
+    ):
+        raise ValueError(
+            "corrupt snapshot: the profile's arrays are not 1-D or "
+            "disagree with its counters"
+        )
     return profile
 
 
@@ -314,8 +339,23 @@ def snapshot(obj) -> bytes:
 
 
 def restore(blob: bytes):
-    """Rebuild the object a :func:`snapshot` captured, field-for-field."""
-    kind, scalars, arrays = _unpack(blob)
+    """Rebuild the object a :func:`snapshot` captured, field-for-field.
+
+    Every blob this cannot decode raises :class:`ValueError`: bad magic,
+    an unknown version, a truncated or padded payload, a header that is
+    not the one :func:`snapshot` writes, or a matrix profile whose
+    arrays are not 1-D or disagree with its counters.  A corrupt blob is therefore the
+    caller's bad input (HTTP 400), not a crash of the worker restoring it.
+    """
+    try:
+        return _rebuild(*_unpack(blob))
+    except (KeyError, OverflowError, TypeError, struct.error) as error:
+        raise ValueError(
+            f"corrupt snapshot: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _rebuild(kind: str, scalars: dict, arrays: dict):
     if kind == "stream_profile":
         return _rebuild_profile(scalars, arrays)
     if kind == "mpx_detector":

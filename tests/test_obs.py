@@ -406,9 +406,14 @@ class TestEngineTraceParity:
     ]
 
     def archive(self):
+        # mixed lengths, longest not first: the pool submits cells in a
+        # different order than the grid, and the adoption must undo it
         return Archive(
             "toy",
-            [ucr_series(f"d{i}", start=320 + 90 * i) for i in range(3)],
+            [
+                ucr_series(f"d{i}", n=n, start=320 + 90 * i)
+                for i, n in enumerate((700, 1500, 1200))
+            ],
         )
 
     def run_traced(self, jobs):

@@ -2,8 +2,12 @@
 
 Covers the subsystem's two contracts: ``--jobs N`` output is
 byte-identical to serial, and a warm cache re-run executes *zero*
-detector calls while reproducing the same artifacts.
+detector calls while reproducing the same artifacts.  The pool's
+dispatch policy (one cell per task, longest series first) is pinned
+through an in-process stand-in for the process pool.
 """
+
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -28,11 +32,19 @@ def ucr_series(name, n=900, start=500, length=40, train=200):
     )
 
 
+# mixed lengths with the longest series not first, so the pool's
+# longest-first submission order is a real permutation of grid order
+LENGTHS = (700, 1500, 900, 1200, 1000)
+
+
 @pytest.fixture()
 def archive():
     return Archive(
         "toy",
-        [ucr_series(f"d{index}", start=320 + 90 * index) for index in range(5)],
+        [
+            ucr_series(f"d{index}", n=n, start=320 + 90 * index)
+            for index, n in enumerate(LENGTHS)
+        ],
     )
 
 
@@ -124,6 +136,156 @@ class TestExecution:
         cell = report.cells[0]
         assert cell.correct
         assert (cell.region_start, cell.region_end) == (890, 910)
+
+
+class LazyFuture(Future):
+    """A future whose cell runs only when its result is first asked for."""
+
+    def __init__(self, call):
+        super().__init__()
+        self._call = call
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self._call())
+            except BaseException as error:
+                self.set_exception(error)
+        return super().result(timeout)
+
+
+class RecordingPool:
+    """In-process stand-in for the engine's ``ProcessPoolExecutor``.
+
+    Records each submission; a cell the engine cancels never runs.
+    """
+
+    def __init__(self, max_workers=None, initializer=None):
+        self.max_workers = max_workers
+        self.initializer = initializer
+        self.submitted = []
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = LazyFuture(lambda: fn(*args))
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    made = []
+
+    def factory(**kwargs):
+        made.append(RecordingPool(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", factory)
+    return made
+
+
+def longest_first(archive):
+    """(detector, series) of every SPECS cell, in dispatch order."""
+    grid = [(spec, series) for spec in SPECS for series in archive.series]
+    return [
+        (spec.label, series.name)
+        for spec, series in sorted(grid, key=lambda task: -task[1].n)
+    ]
+
+
+class TestPoolDispatch:
+    def test_one_cell_per_task_longest_first(self, archive, pools):
+        report = EvalEngine(SPECS, jobs=2).run(archive)
+        [pool] = pools
+        assert pool.max_workers == 2
+        assert pool.initializer is engine_module._pool_worker_init
+        assert all(len(args) == 1 for args in pool.submitted)
+        submitted = [
+            (spec.label, series.name) for (spec, series), in pool.submitted
+        ]
+        assert submitted == longest_first(archive)
+        assert submitted[:3] == [
+            ("diff", "d1"),
+            ("moving_zscore(k=50)", "d1"),
+            ("last_point", "d1"),
+        ]
+        serial = EvalEngine(SPECS, jobs=1).run(archive)
+        assert report.manifest().to_json() == serial.manifest().to_json()
+
+    def test_ties_keep_grid_order(self, pools):
+        equal = Archive(
+            "equal", [ucr_series(f"e{index}") for index in range(3)]
+        )
+        EvalEngine(SPECS, jobs=2).run(equal)
+        [pool] = pools
+        assert [
+            (spec.label, series.name) for (spec, series), in pool.submitted
+        ] == [(spec.label, s.name) for spec in SPECS for s in equal.series]
+
+    def test_only_uncached_cells_are_submitted(self, archive, tmp_path, pools):
+        cache = ResultCache(tmp_path)
+        EvalEngine(SPECS[:1], cache=cache).run(archive)
+        report = EvalEngine(SPECS, cache=cache, jobs=2).run(archive)
+        [pool] = pools
+        assert len(pool.submitted) == (len(SPECS) - 1) * len(archive)
+        assert report.stats.cache_hits == len(archive)
+
+    def test_raising_cell_cancels_unstarted_cells(
+        self, archive, pools, monkeypatch
+    ):
+        ran = []
+        real = engine_module._locate_cell
+
+        def locate(task):
+            spec, series = task
+            ran.append((spec.label, series.name))
+            if series.name == "d3":
+                raise RuntimeError("cell failed")
+            return real(task)
+
+        monkeypatch.setattr(engine_module, "_locate_cell", locate)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            EvalEngine(SPECS, jobs=2).run(archive)
+        [pool] = pools
+        order = longest_first(archive)
+        # d1 (1500 points) runs first, then the first d3 (1200) cell fails
+        assert ran == order[:4]
+        assert [future.cancelled() for future in pool.futures] == (
+            [False] * 4 + [True] * (len(order) - 4)
+        )
+
+    @pytest.mark.parametrize(
+        "jobs, specs, size", [(1, SPECS, 5), (2, SPECS[:1], 1)]
+    )
+    def test_serial_path_without_a_pool(self, pools, jobs, specs, size):
+        small = Archive(
+            "small", [ucr_series(f"s{index}") for index in range(size)]
+        )
+        report = EvalEngine(specs, jobs=jobs).run(small)
+        assert pools == []
+        assert report.stats.executed == len(specs) * size
+
+    def test_worker_error_matches_serial(self):
+        # a real pool: the worker's exception crosses the process
+        # boundary with its type
+        mixed = Archive(
+            "mixed",
+            [
+                ucr_series("long", n=1500),
+                ucr_series("short", n=150, start=100, length=10, train=50),
+            ],
+        )
+        spec = [DetectorSpec.create("matrix_profile", w=100)]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="too short"):
+                EvalEngine(spec, jobs=jobs).run(mixed)
 
 
 class TestCacheIntegration:

@@ -1,6 +1,7 @@
 """HTTP front: routes, status mapping, client retry, restore portability,
 connection reuse, request framing and the input contract."""
 
+import base64
 import itertools
 import json
 import socket
@@ -19,6 +20,8 @@ from repro.serve import (
     ServeServer,
     StreamCluster,
 )
+
+from test_serve_shard import relabelled
 
 
 @pytest.fixture()
@@ -550,6 +553,70 @@ class TestInputContract:
         client.create_stream(neighbour, "s1", "diff", np.arange(20.0))
         client.append(neighbour, "s1", [1.0, 2.0])
         assert client.scores(neighbour, "s1")["total"] == 2
+
+
+class TestStreamFailureOverHttp:
+    def test_restored_stream_whose_detector_raises_is_409_not_a_dead_shard(
+        self, capsys
+    ):
+        # a diff snapshot relabelled as matrix_profile(w=100) with a
+        # 150-point window restores, then raises on its first append;
+        # that used to kill shard-0, and the other tenant's reads got 503
+        with ServeServer(StreamCluster(num_shards=1)) as server, ServeClient(
+            server.address
+        ) as client:
+            client.create_stream("acme", "s1", "diff", np.arange(40.0))
+            client.create_stream("other", "s1", "diff", np.arange(40.0))
+            snap = relabelled(
+                client.snapshot("acme", "s1"),
+                "matrix_profile(w=100)",
+                150,
+                "acme/s2",
+            )
+            status, _, _ = client._exchange(
+                "POST", "/v1/restore", json.dumps(snap).encode()
+            )
+            assert status == 201
+            client.append("acme", "s2", [1.0, 2.0, 3.0])
+            for call in (
+                lambda: client.scores("acme", "s2"),
+                lambda: client.append("acme", "s2", [4.0]),
+                lambda: client.snapshot("acme", "s2"),
+            ):
+                with pytest.raises(ServeError) as caught:
+                    call()
+                assert caught.value.status == 409
+                assert "too short" in str(caught.value)
+            assert client.health()["ok"] is True
+            text = client.metrics_text()
+            client.append("other", "s1", [1.0, 2.0])
+            assert client.scores("other", "s1")["total"] == 2
+        assert 'serve_stream_failures_total{tenant="acme"} 1' in text
+        assert "ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda blob: blob[:5],
+            # byte 16 is the "a" of the header's first key, "arrays"
+            lambda blob: blob[:16] + b"`" + blob[17:],
+        ],
+        ids=["truncated-prefix", "renamed-header-key"],
+    )
+    def test_corrupt_snapshot_is_400(self, served, corrupt):
+        # these were a 500 (struct.error) and a 404 naming a header key
+        client, _ = served
+        client.create_stream("acme", "s1", "diff", np.arange(40.0))
+        snap = client.snapshot("acme", "s1")
+        blob = corrupt(base64.b64decode(snap["state"]))
+        snap.update(stream="acme/s2", state=base64.b64encode(blob).decode())
+        with pytest.raises(ServeError) as caught:
+            client.restore(snap)
+        assert caught.value.status == 400
+        assert "corrupt snapshot" in str(caught.value)
+        with pytest.raises(ServeError) as caught:
+            client.scores("acme", "s2")
+        assert caught.value.status == 404
 
 
 def stop_acme_worker(cluster):

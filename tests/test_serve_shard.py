@@ -1,12 +1,22 @@
-"""Sharded workers: routing, ordering, backpressure, snapshot barriers."""
+"""Sharded workers: routing, ordering, backpressure, snapshot barriers,
+and per-stream isolation of a detector that raises."""
 
+import base64
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve import Backpressure, HashRing, ShardWorker, StreamCluster
+from repro.serve import (
+    Backpressure,
+    HashRing,
+    ShardWorker,
+    StreamCluster,
+    StreamFailed,
+)
+from repro.serve.state import _pack, _unpack
 from repro.stream import replay
 from repro.types import LabeledSeries, Labels
 
@@ -232,6 +242,120 @@ class TestSnapshotBarrier:
             assert stats["points_seen"] == 42
             assert stats["scores_total"] == 12
             assert stats["detector"] == "diff"
+
+
+def relabelled(snapshot, spec, window, stream):
+    """A ``diff`` stream's snapshot payload, its blob relabelled as
+    ``spec`` with ``window``: a well-formed blob whose detector raises
+    on the first append (a window too short for the detector)."""
+    kind, scalars, arrays = _unpack(base64.b64decode(snapshot["state"]))
+    blob = _pack(kind, {**scalars, "spec": spec, "window": window}, arrays)
+    return {
+        **snapshot,
+        "stream": stream,
+        "detector": spec,
+        "state": base64.b64encode(blob).decode("ascii"),
+    }
+
+
+def failures(cluster, tenant):
+    return cluster.registry.counter(
+        "serve_stream_failures_total", tenant=tenant
+    ).value
+
+
+class TestStreamFailure:
+    """A detector that raises fails its own stream, never its shard."""
+
+    def broken_cluster(self):
+        cluster = StreamCluster(num_shards=1)
+        cluster.create_stream("a", "ok", "diff", np.arange(40.0))
+        cluster.create_stream("b", "ok", "diff", np.arange(40.0))
+        snap = cluster.snapshot_stream("a", "ok")
+        cluster.restore_stream(
+            relabelled(snap, "matrix_profile(w=100)", 150, "a/bad")
+        )
+        return cluster
+
+    def test_failed_stream_answers_its_error(self, capsys):
+        with self.broken_cluster() as cluster:
+            cluster.append("a", "bad", np.arange(10.0))
+            with pytest.raises(StreamFailed, match="too short") as caught:
+                cluster.scores("a", "bad")
+            assert caught.value.stream == "a/bad"
+            assert caught.value.error.startswith("ValueError: ")
+            for op in (
+                lambda: cluster.append("a", "bad", [1.0]),
+                lambda: cluster.snapshot_stream("a", "bad"),
+                lambda: cluster.stream_stats("a", "bad"),
+            ):
+                with pytest.raises(StreamFailed, match="too short"):
+                    op()
+            # a failed stream stays failed: its name is not free again
+            with pytest.raises(ValueError, match="already exists"):
+                cluster.create_stream("a", "bad", "diff", np.arange(40.0))
+            assert failures(cluster, "a") == 1
+            assert failures(cluster, "b") == 0
+        assert "Traceback" in capsys.readouterr().err
+
+    def test_other_streams_on_the_shard_keep_scoring(self):
+        with self.broken_cluster() as cluster:
+            # one queue drain can hold all three streams' appends
+            for _ in range(3):
+                cluster.append("a", "ok", np.arange(5.0))
+                try:
+                    cluster.append("a", "bad", np.arange(5.0))
+                except StreamFailed:  # the worker got to it first
+                    pass
+                cluster.append("b", "ok", np.arange(5.0))
+            assert cluster.scores("a", "ok")["total"] == 15
+            assert cluster.scores("b", "ok")["total"] == 15
+            # appends queued behind the failing one are dropped, and
+            # the stream is counted failed once
+            assert failures(cluster, "a") == 1
+            assert cluster.metrics_json()["totals"]["points_ingested"] == 30
+
+    def test_producers_racing_the_failure(self):
+        # 8 producer threads append to their own healthy streams and to
+        # the failing one while the worker marks it failed: each append
+        # to it is queued or refused with StreamFailed, none is lost
+        # from a healthy stream, and the stream is counted failed once
+        errors = []
+
+        def work(name):
+            try:
+                for _ in range(25):
+                    cluster.append("b", name, [1.0, 2.0])
+                    try:
+                        cluster.append("a", "bad", [1.0])
+                    except StreamFailed:
+                        pass
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        with self.broken_cluster() as cluster:
+            names = [f"p{index}" for index in range(8)]
+            for name in names:
+                cluster.create_stream("b", name, "diff", np.arange(20.0))
+            threads = [
+                threading.Thread(target=work, args=(name,)) for name in names
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for name in names:
+                assert cluster.scores("b", name)["total"] == 50
+            assert failures(cluster, "a") == 1
+            with pytest.raises(StreamFailed):
+                cluster.append("a", "bad", [1.0])
 
 
 class TestMetrics:

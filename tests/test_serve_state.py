@@ -7,10 +7,14 @@ stream's, across the PR 3 kernel input families, odd and even window
 lengths, and snapshot points taken mid-egress.
 """
 
+import base64
+import struct
+
 import numpy as np
 import pytest
 
-from repro.serve import SNAPSHOT_VERSION, restore, snapshot
+from repro.serve import SNAPSHOT_VERSION, StreamCluster, restore, snapshot
+from repro.serve.state import _pack, _unpack
 from repro.stream import (
     BatchStreamingAdapter,
     StreamingMatrixProfile,
@@ -180,6 +184,30 @@ class TestCodecFormat:
         with pytest.raises(TypeError, match="cannot snapshot"):
             snapshot(object())
 
+    @pytest.mark.parametrize(
+        "field", ["count", "point_base", "win_base", "w", "egress_base", "x"]
+    )
+    def test_profile_counters_must_match_1d_arrays(self, field):
+        # unchecked, each of these edits restores, then raises on the
+        # first append (egress_base instead misnumbers drained windows)
+        detector = StreamingMatrixProfileDetector(w=20)
+        detector.fit(make_family("walk", 3, 160))
+        kind, scalars, arrays = _unpack(snapshot(detector))
+        if field == "x":
+            arrays = {**arrays, "x": arrays["x"].reshape(-1, 1)}
+        else:
+            scalars = {**scalars, field: scalars[field] + 1}
+        with pytest.raises(ValueError, match="corrupt snapshot"):
+            restore(_pack(kind, scalars, arrays))
+
+    def test_infinite_scalar_is_value_error(self):
+        # JSON carries Infinity, and int(inf) raises OverflowError
+        detector = StreamingMatrixProfileDetector(w=20)
+        kind, scalars, arrays = _unpack(snapshot(detector))
+        blob = _pack(kind, {**scalars, "count": float("inf")}, arrays)
+        with pytest.raises(ValueError, match="OverflowError"):
+            restore(blob)
+
     def test_non_finite_scalars_survive(self):
         # the header JSON must carry NaN/Infinity scalars (allowed by
         # Python's json) — a fresh profile has -inf running state
@@ -188,3 +216,69 @@ class TestCodecFormat:
         restored = restore(snapshot(profile))
         tail = make_family("constant", 5, 40)
         assert profile.append(tail).tobytes() == restored.append(tail).tobytes()
+
+
+FUZZ_SPECS = (
+    "streaming_zscore",
+    "streaming_range",
+    "diff",
+    "matrix_profile(w=20)",
+)
+
+
+def corruptions(blob, rng, payload_samples=40):
+    """Truncations and single-bit flips (bits 0, 3 and 6) of ``blob``:
+    at every offset of the prefix and header, and at a seeded sample
+    of payload offsets."""
+    header_end = 14 + struct.unpack_from("<Q", blob, 6)[0]
+    payload = rng.choice(
+        np.arange(header_end, len(blob)), payload_samples, replace=False
+    )
+    for offset in [*range(header_end), *sorted(payload)]:
+        yield blob[:offset]
+        for bit in (0, 3, 6):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 1 << bit
+            yield bytes(flipped)
+
+
+class TestCorruptBlobs:
+    """Every corrupt blob restores or raises ValueError, and a blob that
+    restores cannot take its shard down."""
+
+    # corrupt payloads overflow float math, and a flipped dtype code can
+    # name a deprecated numpy alias
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_restore_or_value_error_and_the_neighbour_keeps_scoring(self):
+        rng = np.random.default_rng(2022)
+        values = np.cumsum(rng.standard_normal(160))
+        restored = rejected = 0
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("neighbour", "s", "diff", values[:100])
+            for spec in FUZZ_SPECS:
+                detector = as_streaming(spec)
+                detector.fit(values[:100])
+                detector.update(values[100:])
+                for blob in corruptions(snapshot(detector), rng):
+                    try:
+                        restore(blob)
+                    except ValueError:
+                        rejected += 1
+                        continue
+                    restored += 1
+                    stream = f"s{restored}"
+                    cluster.restore_stream(
+                        {
+                            "tenant": "fuzz",
+                            "stream": stream,
+                            "detector": spec,
+                            "points_seen": 160,
+                            "scores_total": 60,
+                            "state": base64.b64encode(blob).decode("ascii"),
+                        }
+                    )
+                    cluster.append("fuzz", stream, values[:8])
+                    cluster.append("neighbour", "s", values[:1])
+                    assert cluster.scores("neighbour", "s")["total"] == restored
+        assert restored > 100 and rejected > 1000

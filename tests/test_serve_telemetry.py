@@ -110,6 +110,11 @@ FAMILIES = {
         "Stream snapshots captured, per tenant.",
         {"tenant"},
     ),
+    "serve_stream_failures_total": (
+        "counter",
+        "Streams marked failed because their detector raised, per tenant.",
+        {"tenant"},
+    ),
     "serve_uptime_seconds": (
         "gauge",
         "Seconds since the cluster started.",
