@@ -26,7 +26,7 @@ Public surface:
   paired permutation tests, Friedman/Nemenyi rank analysis and the
   one-liner noise floor behind ``repro compare``.
 * :mod:`repro.bench` — the ``repro bench`` perf harness: times the mpx
-  kernel against the retained reference kernels, measures the
+  kernel next to the naive reference kernel, measures the
   bounded-memory scaling envelope, and writes the machine-readable
   ``benchmarks/perf/BENCH_<n>.json`` trajectory point (the name derives
   from :data:`repro.bench.TRAJECTORY`).

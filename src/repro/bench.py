@@ -1,28 +1,22 @@
 """``repro bench`` — performance harness for the numeric core.
 
-Times the production mpx kernel against the retained reference kernels
-(:mod:`repro.detectors.reference`), MERLIN before/after the shared-stats
-rewrite, the kNN detector's cached-vs-legacy scoring, the one-liner
-sliding extrema, a small end-to-end engine grid, the ``scaling``
-section — bounded-memory column-chunked profiles at n up to 10⁶ with
-the peak working set measured via ``tracemalloc`` — and the
-``streaming`` section: incremental matrix-profile append throughput
-(unbounded and bounded-history), batch-vs-stream parity under the
-1e-8 correlation-space contract, and replay engine throughput.  The
-``serve`` section drives the multi-tenant service tier
-(:mod:`repro.serve`) with N interleaved UCR-sim streams and records
-sustained points/sec, p50/p99 arrival-to-score latency, backpressure
-rejections and the mid-drive snapshot/restore parity verdict.
-The ``obs`` section prices the :mod:`repro.obs` instrumentation
-itself: the kernel hot loop bare (no telemetry calls at all) vs
-through :func:`matrix_profile` with the shipped disabled tracer vs
-under an enabled tracing session, plus span and counter
-microbenchmarks — the disabled-path overhead is the number the
-"observability is free until you ask" claim rests on.
-Results are written as machine-readable JSON; the output name derives
-from the trajectory counter (``benchmarks/perf/BENCH_<n>.json``,
-currently ``BENCH_7``) so every recorded point keeps its place in the
-series.
+The harness is one ordered table of sections (``_TABLE``): the mpx
+kernel next to the brute-force oracle, MERLIN exact and with early
+abandon, kNN scoring, the one-liner sliding extrema, a small engine
+grid, bounded-memory ``scaling`` up to n = 10⁶, ``streaming`` appends,
+parity and replay, the ``serve`` load tier, what ``obs`` telemetry and
+the ``watch`` alert layer cost, ``anytime`` convergence, ``parallel``
+bit-identity and the ``drift`` refit-policy ablation.  Each entry runs
+its measurements and returns ``(payload, checks)`` — the section's
+JSON payload and the headline checks it adds to the report — and
+renders its own text lines; ``SECTIONS``, :func:`run_bench` and
+:func:`format_bench` all derive from the table.
+
+Every section reports absolute timings, which ``repro bench compare``
+gates against the committed trajectory.  Results are written as
+machine-readable JSON; the output name derives from the trajectory
+counter (``benchmarks/perf/BENCH_<n>.json``, ``n`` = ``TRAJECTORY``)
+so every recorded point keeps its place in the series.
 
 Methodology
 -----------
@@ -33,8 +27,6 @@ Methodology
   and extrapolated linearly (every row costs the same O(n·w), so the
   scaling is exact in expectation); entries produced that way carry
   ``"naive_estimated": true`` and the row count used;
-* the retained STOMP kernel is timed in full, with fewer repeats at
-  sizes where a single run is already seconds long;
 * the scaling section runs the kernel's public anytime mode
   (``approx=``) and extrapolates by exact pair count
   (``"seconds_estimated": true``) — the O(m²) full sweep at n = 10⁶ is
@@ -58,6 +50,7 @@ import platform
 import time
 import tracemalloc
 from statistics import median
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,27 +70,14 @@ __all__ = [
 TRAJECTORY = 10
 BENCH_LABEL = f"BENCH_{TRAJECTORY}"
 DEFAULT_OUT = os.path.join("benchmarks", "perf", f"{BENCH_LABEL}.json")
-SECTIONS = (
-    "kernel",
-    "merlin",
-    "knn",
-    "oneliner",
-    "engine",
-    "scaling",
-    "streaming",
-    "serve",
-    "obs",
-    "watch",
-    "anytime",
-    "parallel",
-    "drift",
-)
 
 _FULL_SIZES = (2_000, 5_000, 10_000, 20_000)
 _QUICK_SIZES = (2_048, 8_192)
 _FULL_W = 100
 _QUICK_W = 64
 _SEED = 7
+# brute-force rows timed per kernel size before extrapolating
+_NAIVE_ROWS = 256
 
 _SCALING_SIZES = (100_000, 500_000, 1_000_000)
 _SCALING_QUICK_SIZES = (100_000,)
@@ -132,6 +112,10 @@ _ANYTIME_QUICK_FRACTIONS = (0.05, 0.098)
 _PARALLEL_CASES = ((200_000, (2, 4)), (1_000_000, (4,)))
 _PARALLEL_QUICK_CASES = ((50_000, (2,)),)
 _PARALLEL_W = 100
+
+# drift: DriftSimConfig fields of the quick ablation (full runs use the
+# config's defaults)
+_DRIFT_QUICK_CONFIG = {"n": 2400, "per_kind": 1, "stationary": 2}
 
 
 # Every multi-repeat timing feeds its raw runs here; run_bench distils
@@ -196,24 +180,22 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernel: mpx vs the retained references
+# kernel: mpx next to the brute-force oracle
 
 
-def _bench_kernel(sizes, w: int, repeats: int, naive_rows: int) -> dict:
+def _run_kernel(quick, repeats, w, budget, fractions):
     from .detectors import matrix_profile
-    from .detectors.reference import naive_profile, stomp_profile
+    from .detectors.reference import naive_profile
 
     results = []
-    for n in sizes:
+    for n in _QUICK_SIZES if quick else _FULL_SIZES:
         values = _walk(n)
         num_subs = n - w + 1
         mpx, mpx_runs = _timed_runs(
             lambda: matrix_profile(values, w, with_indices=False), repeats
         )
         mpx_indexed = _timed(lambda: matrix_profile(values, w), repeats)
-        stomp_repeats = repeats if n <= 5_000 else 1
-        stomp = _timed(lambda: stomp_profile(values, w), stomp_repeats)
-        rows = min(naive_rows, num_subs)
+        rows = min(_NAIVE_ROWS, num_subs)
         naive_slice = _timed(lambda: naive_profile(values, w, row_limit=rows), 1)
         naive = naive_slice * (num_subs / rows)
         results.append(
@@ -226,41 +208,39 @@ def _bench_kernel(sizes, w: int, repeats: int, naive_rows: int) -> dict:
                 # regression verdict carries a CI, not a point estimate
                 "mpx_seconds_runs": [round(run, 6) for run in mpx_runs],
                 "mpx_indexed_seconds": mpx_indexed,
-                "stomp_seconds": stomp,
                 "naive_seconds": naive,
                 "naive_rows_timed": rows,
                 "naive_estimated": rows < num_subs,
                 "speedup_vs_naive": _ratio(naive, mpx),
-                "speedup_vs_stomp": _ratio(stomp, mpx),
             }
         )
-    return {"w": w, "results": results}
+    checks = {"kernel_speedup_vs_naive": results[-1]["speedup_vs_naive"]}
+    return {"w": w, "results": results}, checks
+
+
+def _render_kernel(kernel):
+    lines = [
+        f"{'kernel (w=%d)' % kernel['w']:<24} {'mpx':>9} "
+        f"{'naive':>10} {'vs naive':>9}"
+    ]
+    for row in kernel["results"]:
+        naive = f"{row['naive_seconds']:.2f}s" + (
+            "*" if row["naive_estimated"] else ""
+        )
+        lines.append(
+            f"  n={row['n']:<20} {row['mpx_seconds']:>8.3f}s "
+            f"{naive:>10} {row['speedup_vs_naive']:>8.1f}x"
+        )
+    if any(row["naive_estimated"] for row in kernel["results"]):
+        lines.append("  (* extrapolated from a timed slice of rows)")
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# MERLIN: legacy per-length STOMP loop vs shared stats + early abandon
+# MERLIN: shared stats, exact and with early abandon
 
 
-def _legacy_merlin(values: np.ndarray, min_w: int, max_w: int, num_lengths: int):
-    """The pre-refactor merlin(): a full STOMP profile per length."""
-    from .detectors.merlin import candidate_lengths
-    from .detectors.reference import stomp_profile
-
-    lengths, locations, distances = [], [], []
-    for w in candidate_lengths(min_w, max_w, num_lengths):
-        if values.size < 2 * w:
-            continue
-        result = stomp_profile(values, w)
-        finite = np.where(np.isfinite(result.profile), result.profile, -np.inf)
-        location = int(np.argmax(finite))
-        lengths.append(w)
-        locations.append(location)
-        distances.append(float(finite[location]) / np.sqrt(w))
-    best = int(np.argmax(distances))
-    return lengths[best], locations[best], float(distances[best])
-
-
-def _bench_merlin(quick: bool, repeats: int) -> dict:
+def _run_merlin(quick, repeats, w, budget, fractions):
     from .datasets import make_taxi
     from .detectors import merlin
 
@@ -268,31 +248,21 @@ def _bench_merlin(quick: bool, repeats: int) -> dict:
     values = taxi.values[:4_000] if quick else taxi.values
     min_w, max_w, num_lengths = 24, 96, 5
 
-    legacy_best = _legacy_merlin(values, min_w, max_w, num_lengths)
     exact = merlin(values, min_w, max_w, num_lengths)
     abandoned = merlin(values, min_w, max_w, num_lengths, early_abandon=True)
-    for candidate in (exact.best, abandoned.best):
-        # lengths and locations must agree exactly; the distance only to
-        # the kernels' 1e-8 correlation-space contract (STOMP and mpx
-        # round their recurrences differently).  normalized² = 2(1 − r),
-        # so the honest comparison is on squares with atol 2·1e-8 — a
-        # flat tolerance on the distance itself is amplified by 1/d and
-        # would abort the bench on contract-compliant divergence
-        if candidate[:2] != legacy_best[:2] or not np.isclose(
-            candidate[2] ** 2, legacy_best[2] ** 2, rtol=0.0, atol=2e-8
-        ):
-            raise AssertionError(
-                f"MERLIN implementations disagree: legacy={legacy_best} "
-                f"exact={exact.best} abandoned={abandoned.best}"
-            )
+    # abandoning only skips lengths that cannot win, so the winner is
+    # the exact search's to the last bit
+    if abandoned.best != exact.best:
+        raise AssertionError(
+            f"MERLIN early abandon changed the winner: exact={exact.best} "
+            f"abandoned={abandoned.best}"
+        )
 
-    before = _timed(
-        lambda: _legacy_merlin(values, min_w, max_w, num_lengths), max(1, repeats // 2)
-    )
     after = _timed(lambda: merlin(values, min_w, max_w, num_lengths), repeats)
     after_abandon = _timed(
         lambda: merlin(values, min_w, max_w, num_lengths, early_abandon=True), repeats
     )
+    length, location, distance = exact.best
     return {
         "series": "fig8-taxi" + ("[:4000]" if quick else ""),
         "n": int(values.size),
@@ -300,45 +270,29 @@ def _bench_merlin(quick: bool, repeats: int) -> dict:
         "max_w": max_w,
         "num_lengths": num_lengths,
         "best": {
-            "length": legacy_best[0],
-            "location": legacy_best[1],
-            "normalized_distance": legacy_best[2],
+            "length": length,
+            "location": location,
+            "normalized_distance": distance,
         },
-        "before_seconds": before,
         "after_seconds": after,
         "after_abandon_seconds": after_abandon,
-        "speedup": _ratio(before, after),
-        "speedup_with_abandon": _ratio(before, after_abandon),
-    }
+    }, {}
+
+
+def _render_merlin(merlin):
+    return [
+        f"MERLIN {merlin['series']} (n={merlin['n']}, "
+        f"w={merlin['min_w']}..{merlin['max_w']}): "
+        f"{merlin['after_seconds']:.2f}s, with early abandon "
+        f"{merlin['after_abandon_seconds']:.2f}s"
+    ]
 
 
 # ---------------------------------------------------------------------------
-# kNN: fit-time caches vs the legacy per-call recompute
+# kNN: full-series and short-segment scoring
 
 
-def _legacy_knn_score(detector, values: np.ndarray) -> np.ndarray:
-    """The pre-refactor score(): reference squared norms per call."""
-    from .detectors.knn import _window_matrix
-    from .detectors.matrix_profile import subsequence_to_point_scores
-
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    reference = detector._train_windows
-    queries = _window_matrix(values, detector.w, detector.znorm)
-    ref_sq = np.einsum("ij,ij->i", reference, reference)
-    kth = min(detector.k, reference.shape[0]) - 1
-    distances = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], detector.chunk):
-        block = queries[start : start + detector.chunk]
-        block_sq = np.einsum("ij,ij->i", block, block)
-        sq = block_sq[:, None] + ref_sq[None, :] - 2.0 * block @ reference.T
-        np.maximum(sq, 0.0, out=sq)
-        sq.partition(kth, axis=1)
-        distances[start : start + detector.chunk] = np.sqrt(sq[:, kth])
-    return subsequence_to_point_scores(distances, detector.w, n)
-
-
-def _bench_knn(quick: bool, repeats: int, w: int) -> dict:
+def _run_knn(quick, repeats, w, budget, fractions):
     from .detectors import KnnDistanceDetector
 
     n = 4_096 if quick else 10_000
@@ -347,67 +301,55 @@ def _bench_knn(quick: bool, repeats: int, w: int) -> dict:
     detector = KnnDistanceDetector(w=w, k=1).fit(train)
 
     full = _timed(lambda: detector.score(values), repeats)
-    full_legacy = _timed(lambda: _legacy_knn_score(detector, values), repeats)
-    # streaming shape: many short score() calls against one fitted model —
-    # here the legacy per-call reference recompute actually dominates
+    # streaming shape: many short score() calls against one fitted model,
+    # where the fit-time reference caches carry the cost
     segment = values[-4 * w :]
     short = _timed(lambda: detector.score(segment), repeats * 3)
-    short_legacy = _timed(lambda: _legacy_knn_score(detector, segment), repeats * 3)
     return {
         "n": n,
         "w": w,
         "k": 1,
         "train_points": int(train.size),
         "full_score_seconds": full,
-        "full_score_legacy_seconds": full_legacy,
-        "full_score_speedup": _ratio(full_legacy, full),
         "short_segment_points": int(segment.size),
         "short_score_seconds": short,
-        "short_score_legacy_seconds": short_legacy,
-        "short_score_speedup": _ratio(short_legacy, short),
-    }
+    }, {}
+
+
+def _render_knn(knn):
+    return [
+        f"kNN (n={knn['n']}, w={knn['w']}): full score "
+        f"{knn['full_score_seconds']:.3f}s; short segment "
+        f"{knn['short_score_seconds'] * 1e3:.1f}ms"
+    ]
 
 
 # ---------------------------------------------------------------------------
-# one-liner primitives: deque-equivalent sliding extrema vs bounded loop
+# one-liner primitives: O(n) sliding extrema
 
 
-def _legacy_mov_extreme(values: np.ndarray, k: int, op) -> np.ndarray:
-    """The pre-refactor O(n·k) bounded loop behind movmax/movmin."""
-    from .oneliner.primitives import window_bounds
-
-    array = np.asarray(values, dtype=float)
-    lo, hi = window_bounds(array.size, k)
-    out = np.empty(array.size)
-    for i in range(array.size):
-        out[i] = op(array[lo[i] : hi[i]])
-    return out
-
-
-def _bench_oneliner(quick: bool, repeats: int) -> dict:
+def _run_oneliner(quick, repeats, w, budget, fractions):
     from .oneliner.primitives import movmax
 
     n = 50_000 if quick else 200_000
     k = 480  # Table-1 sweeps reach windows this long
     values = _walk(n)
-    new = _timed(lambda: movmax(values, k), repeats)
-    legacy = _timed(lambda: _legacy_mov_extreme(values, k, np.max), 1)
-    if not np.array_equal(movmax(values, k), _legacy_mov_extreme(values, k, np.max)):
-        raise AssertionError("movmax rewrite changed results")
-    return {
-        "n": n,
-        "k": k,
-        "movmax_seconds": new,
-        "movmax_legacy_seconds": legacy,
-        "speedup": _ratio(legacy, new),
-    }
+    seconds = _timed(lambda: movmax(values, k), repeats)
+    return {"n": n, "k": k, "movmax_seconds": seconds}, {}
+
+
+def _render_oneliner(oneliner):
+    return [
+        f"movmax (n={oneliner['n']}, k={oneliner['k']}): "
+        f"{oneliner['movmax_seconds']:.3f}s"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # engine: a small end-to-end detector × archive grid
 
 
-def _bench_engine(quick: bool, repeats: int) -> dict:
+def _run_engine(quick, repeats, w, budget, fractions):
     from .datasets import UcrSimConfig, make_ucr
     from .detectors import DetectorSpec
     from .runner import EvalEngine
@@ -425,7 +367,14 @@ def _bench_engine(quick: bool, repeats: int) -> dict:
         "detectors": [spec.label for spec in specs],
         "cells": len(archive) * len(specs),
         "seconds": seconds,
-    }
+    }, {}
+
+
+def _render_engine(engine):
+    return [
+        f"engine grid ({engine['cells']} cells, "
+        f"{engine['total_points']} points): {engine['seconds']:.2f}s"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +510,9 @@ def _scaling_case(
     return row
 
 
-def _bench_scaling(
-    quick: bool,
-    repeats: int,
-    *,
-    max_memory_bytes: int | None = None,
-    sizes: tuple[int, ...] | None = None,
-    pair_cap: int | None = None,
-) -> dict:
-    budget = (
-        _SCALING_KERNEL_BUDGET if max_memory_bytes is None else max_memory_bytes
-    )
-    if sizes is None:
-        sizes = _SCALING_QUICK_SIZES if quick else _SCALING_SIZES
-    if pair_cap is None:
-        pair_cap = _SCALING_QUICK_PAIR_CAP if quick else _SCALING_PAIR_CAP
+def _run_scaling(quick, repeats, w, budget, fractions):
+    sizes = _SCALING_QUICK_SIZES if quick else _SCALING_SIZES
+    pair_cap = _SCALING_QUICK_PAIR_CAP if quick else _SCALING_PAIR_CAP
     try:
         import resource
 
@@ -584,16 +521,49 @@ def _bench_scaling(
         )
     except (ImportError, ValueError):  # pragma: no cover - non-POSIX
         ru_maxrss_kb = None
+    results = [
+        _scaling_case(n, _SCALING_W, budget, pair_cap, repeats) for n in sizes
+    ]
+    top = results[-1]
+    checks = {
+        "scaling_peak_bytes": top["tracemalloc_peak_bytes"],
+        "scaling_within_target": bool(
+            top["tracemalloc_peak_bytes"] + top["series_bytes"]
+            <= _SCALING_TARGET_BYTES
+        ),
+    }
     return {
         "w": _SCALING_W,
         "max_memory_bytes": budget,
         "target_peak_bytes": _SCALING_TARGET_BYTES,
         "ru_maxrss_kb_before": ru_maxrss_kb,
-        "results": [
-            _scaling_case(n, _SCALING_W, budget, pair_cap, repeats)
-            for n in sizes
-        ],
-    }
+        "results": results,
+    }, checks
+
+
+def _render_scaling(scaling):
+    mib = 1 << 20
+    lines = [
+        f"scaling (w={scaling['w']}, kernel budget "
+        f"{scaling['max_memory_bytes'] // mib}MiB, end-to-end target "
+        f"{scaling['target_peak_bytes'] // mib}MiB)"
+    ]
+    for row in scaling["results"]:
+        seconds = f"{row['seconds']:.1f}s" + (
+            "*" if row["seconds_estimated"] else ""
+        )
+        lines.append(
+            f"  n={row['n']:<9} chunk={row['chunk_width']:<7} "
+            f"workspace {row['chunked_workspace_bytes'] // mib}MiB "
+            f"(unchunked {row['unchunked_workspace_bytes'] // mib}MiB)  "
+            f"peak {row['tracemalloc_peak_bytes'] // mib}MiB  {seconds}"
+        )
+    if any(row["seconds_estimated"] for row in scaling["results"]):
+        lines.append(
+            "  (* extrapolated by pair count from a timed slice of "
+            "diagonals)"
+        )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +578,7 @@ def _anytime_fixtures(n: int) -> dict:
     return {"periodic": periodic, "walk": _walk(n)}
 
 
-def _bench_anytime(
-    quick: bool, fractions: tuple[float, ...] | None = None
-) -> dict:
+def _run_anytime(quick, repeats, w, budget, fractions):
     """Measure how fast the ``approx=`` upper bound approaches exact.
 
     The anytime mode guarantees an upper bound on every distance; how
@@ -631,8 +599,6 @@ def _bench_anytime(
 
     n = _ANYTIME_QUICK_N if quick else _ANYTIME_N
     w = _ANYTIME_W
-    if fractions is None:
-        fractions = _ANYTIME_QUICK_FRACTIONS if quick else _ANYTIME_FRACTIONS
     fixtures = []
     for name, values in _anytime_fixtures(n).items():
         stats = SlidingStats(values)
@@ -687,12 +653,49 @@ def _bench_anytime(
                 "results": rows,
             }
         )
+    # the bound/monotonicity properties raised above if they failed on
+    # any fixture, so reaching this line means they held
+    checks = {"anytime_bound_held": True}
+    # the headline claim: on the periodic fixture, the bound is within
+    # 1e-3 mean corr-space deviation inside 10% of the pair budget.
+    # Judged on fraction_swept (what actually ran, after block
+    # rounding), not on the requested fraction.
+    periodic = next(f for f in fixtures if f["fixture"] == "periodic")
+    in_budget = [
+        row for row in periodic["results"] if row["fraction_swept"] <= 0.10
+    ]
+    best = min(in_budget, key=lambda row: row["mean_dev"], default=None)
+    if best is not None:
+        checks["anytime_mean_dev"] = best["mean_dev"]
+        checks["anytime_fraction_swept"] = best["fraction_swept"]
+        checks["anytime_converged"] = bool(best["mean_dev"] <= 1e-3)
     return {
         "n": n,
         "w": w,
         "fractions": [float(f) for f in fractions],
         "fixtures": fixtures,
-    }
+    }, checks
+
+
+def _render_anytime(anytime):
+    lines = [
+        f"anytime (n={anytime['n']}, w={anytime['w']}): corr-space "
+        f"deviation of the approx= upper bound"
+    ]
+    for fixture in anytime["fixtures"]:
+        lines.append(
+            f"  {fixture['fixture']:<9} exact "
+            f"{fixture['exact_seconds']:.1f}s"
+        )
+        for row in fixture["results"]:
+            mark = "=" if row["discord_match"] else " "
+            lines.append(
+                f"    {row['fraction_swept']:>6.1%} of pairs  "
+                f"{row['seconds']:>6.2f}s  mean {row['mean_dev']:.1e}  "
+                f"p99 {row['p99_dev']:.1e}  max {row['max_dev']:.1e}  "
+                f"discord{mark}"
+            )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +718,7 @@ def _parallel_model(shard_pairs, jobs: int) -> float:
     return _ratio(sum(shard_pairs), max(free))
 
 
-def _bench_parallel(
-    quick: bool,
-    cases=None,
-    max_memory_bytes: int | None = None,
-) -> dict:
+def _run_parallel(quick, repeats, w, budget, fractions):
     """Full exact sweeps, serial vs ``jobs=N``, identity asserted.
 
     Every case runs the complete profile with indices — no slices, no
@@ -733,14 +732,9 @@ def _bench_parallel(
     """
     from .detectors import matrix_profile, plan_shards
 
-    if cases is None:
-        cases = _PARALLEL_QUICK_CASES if quick else _PARALLEL_CASES
-    budget = (
-        _SCALING_KERNEL_BUDGET if max_memory_bytes is None else max_memory_bytes
-    )
     w = _PARALLEL_W
     results = []
-    for n, jobs_list in cases:
+    for n, jobs_list in _PARALLEL_QUICK_CASES if quick else _PARALLEL_CASES:
         values = _walk(n)
         m = n - w + 1
         shards = plan_shards(m, w)
@@ -799,7 +793,48 @@ def _bench_parallel(
                 }
             )
         results.append(row)
-    return {"w": w, "cpu_count": os.cpu_count(), "results": results}
+    cores = os.cpu_count()
+    top = results[-1]
+    run = top["runs"][-1]
+    # the headline target is >= 3x at jobs=4, i.e. 75% parallel
+    # efficiency — scaled by jobs so a 2-worker quick run is judged
+    # against 1.5x, not an unreachable 3x.  A host with fewer cores than
+    # jobs cannot measure any speedup; there the modeled critical path
+    # is the honest judgement, and cpu_count says which case this is.
+    target = 0.75 * run["jobs"]
+    checks = {
+        "parallel_identical": True,  # asserted per run above
+        "parallel_n": top["n"],
+        "parallel_jobs": run["jobs"],
+        "parallel_speedup_measured": run["speedup_measured"],
+        "parallel_speedup_modeled": run["speedup_modeled"],
+        "parallel_speedup_target": target,
+        "parallel_speedup_ok": bool(
+            run["speedup_measured"] >= target
+            if (cores or 1) >= run["jobs"]
+            else run["speedup_modeled"] >= target
+        ),
+    }
+    return {"w": w, "cpu_count": cores, "results": results}, checks
+
+
+def _render_parallel(parallel):
+    lines = [
+        f"parallel (w={parallel['w']}, {parallel['cpu_count']} cpu(s)): "
+        f"full exact sweeps, bit-identity asserted"
+    ]
+    for row in parallel["results"]:
+        lines.append(
+            f"  n={row['n']:<9} serial {row['serial_seconds']:.1f}s "
+            f"({row['shards']} shards)"
+        )
+        for run in row["runs"]:
+            lines.append(
+                f"    jobs={run['jobs']}  {run['seconds']:>8.1f}s  "
+                f"{run['speedup_measured']:.2f}x measured, "
+                f"{run['speedup_modeled']:.2f}x critical-path model"
+            )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +844,7 @@ _STREAMING_BOUNDED_HISTORY = 2_048
 _STREAMING_QUICK_BOUNDED_HISTORY = 1_024
 
 
-def _bench_streaming(quick: bool, repeats: int, w: int) -> dict:
+def _run_streaming(quick, repeats, w, budget, fractions):
     from .detectors import matrix_profile
     from .stream import StreamingMatrixProfile, replay
     from .types import LabeledSeries, Labels
@@ -850,8 +885,8 @@ def _bench_streaming(quick: bool, repeats: int, w: int) -> dict:
         # parity: streaming vs batch are two *independently* approximate
         # kernels, each within 1e-8 of truth in correlation space, so
         # their mutual divergence can legitimately reach twice the
-        # single-kernel contract (same margin the MERLIN cross-check
-        # uses); the timed closures already produced both profiles
+        # single-kernel contract; the timed closures already produced
+        # both profiles
         got = streamed["profile"].profile()
         expected = batch["result"].profile
         finite = np.isfinite(expected)
@@ -909,6 +944,21 @@ def _bench_streaming(quick: bool, repeats: int, w: int) -> dict:
     replay_seconds = _timed(run_replay, repeats)
     trace = replayed["trace"]
     points_streamed = n - series.train_len
+    # sub-linear claim: the bounded-history per-append cost must not
+    # track the stream length the way the unbounded cost does
+    size_ratio = results[-1]["n"] / results[0]["n"]
+    cost_ratio = _ratio(
+        results[-1]["bounded_per_append_us"],
+        results[0]["bounded_per_append_us"],
+    )
+    checks = {
+        "streaming_parity_sq_err": max(
+            row["parity_max_sq_err"] for row in results
+        ),
+        "streaming_size_ratio": size_ratio,
+        "streaming_bounded_cost_ratio": cost_ratio,
+        "streaming_bounded_sublinear": bool(cost_ratio < size_ratio),
+    }
     return {
         "w": w,
         "results": results,
@@ -923,14 +973,37 @@ def _bench_streaming(quick: bool, repeats: int, w: int) -> dict:
             "correct": trace.correct,
             "delay": trace.delay,
         },
-    }
+    }, checks
+
+
+def _render_streaming(streaming):
+    lines = [
+        f"{'streaming (w=%d)' % streaming['w']:<24} "
+        f"{'append':>10} {'bounded':>10} {'batch':>9} {'parity':>10}"
+    ]
+    for row in streaming["results"]:
+        lines.append(
+            f"  n={row['n']:<20} {row['per_append_us']:>8.1f}us "
+            f"{row['bounded_per_append_us']:>8.1f}us "
+            f"{row['batch_seconds']:>8.3f}s "
+            f"{row['parity_max_sq_err']:>10.1e}"
+        )
+    replay = streaming.get("replay")
+    if replay:
+        lines.append(
+            f"  replay {replay['detector']} (n={replay['n']}, batch "
+            f"{replay['batch_size']}, window {replay['window']}): "
+            f"{replay['points_per_second']:.0f} points/s, "
+            f"delay {replay['delay']}"
+        )
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # serve: the multi-tenant service under interleaved load
 
 
-def _bench_serve(quick: bool) -> dict:
+def _run_serve(quick, repeats, w, budget, fractions):
     """Drive the serve tier: N interleaved UCR-sim streams, in-process.
 
     Unlike the other sections this is a single load run, not a median of
@@ -957,15 +1030,48 @@ def _bench_serve(quick: bool) -> dict:
             snapshot_checks=5,
         )
     )
-    result = run_load(config)
-    return result.to_json()
+    serve = run_load(config).to_json()
+    return serve, {
+        "serve_streams": serve["streams"],
+        "serve_points_per_second": serve["points_per_second"],
+        "serve_p99_ms": serve["append_p99_ms"],
+        "serve_snapshot_parity": serve["snapshot_parity"],
+        "serve_rejections": serve["rejections"],
+    }
+
+
+def _render_serve(serve):
+    parity = (
+        "n/a"
+        if serve["snapshot_parity"] is None
+        else ("ok" if serve["snapshot_parity"] else "FAILED")
+    )
+    p99 = (
+        "-"
+        if serve["append_p99_ms"] is None
+        else f"{serve['append_p99_ms']:.1f}ms"
+    )
+    nab = (
+        "-"
+        if serve["nab_windowed"] is None
+        else f"{serve['nab_windowed']:.1f}"
+    )
+    return [
+        f"serve ({serve['streams']} streams, {serve['tenants']} "
+        f"tenants, {serve['shards']} shards, batch "
+        f"{serve['batch_size']}): "
+        f"{serve['points_per_second']:.0f} points/s, p99 {p99}, "
+        f"{serve['rejections']} rejections, snapshot parity {parity}",
+        f"  delay-acc {serve['accuracy']:.1%}, nab-windowed {nab} over "
+        f"{serve['points_streamed']} streamed points",
+    ]
 
 
 # ---------------------------------------------------------------------------
 # obs: what the instrumentation itself costs
 
 
-def _bench_obs(quick: bool, repeats: int, w: int) -> dict:
+def _run_obs(quick, repeats, w, budget, fractions):
     """Price the telemetry layer on the kernel hot path.
 
     Three timings of the same profile: the sweep+finalize pipeline with
@@ -1058,28 +1164,47 @@ def _bench_obs(quick: bool, repeats: int, w: int) -> dict:
     span_disabled = _timed(spans_disabled, repeats)
     span_enabled = _timed(spans_enabled, repeats)
     counter_inc = _timed(counter_incs, repeats)
+    disabled_overhead = 100.0 * (_ratio(disabled_seconds, bare_seconds) - 1.0)
     return {
         "n": n,
         "w": w,
         "kernel_bare_seconds": bare_seconds,
         "kernel_disabled_seconds": disabled_seconds,
         "kernel_enabled_seconds": enabled_seconds,
-        "disabled_overhead_pct": 100.0
-        * (_ratio(disabled_seconds, bare_seconds) - 1.0),
+        "disabled_overhead_pct": disabled_overhead,
         "enabled_overhead_pct": 100.0
         * (_ratio(enabled_seconds, bare_seconds) - 1.0),
         "span_iters": iters,
         "span_disabled_ns": 1e9 * span_disabled / iters,
         "span_enabled_ns": 1e9 * span_enabled / iters,
         "counter_inc_ns": 1e9 * counter_inc / iters,
+    }, {
+        # advisory: disabled instrumentation must stay within a few
+        # percent of the bare kernel (negative = within timing noise)
+        "obs_disabled_overhead_pct": disabled_overhead,
+        "obs_disabled_overhead_ok": bool(disabled_overhead < 5.0),
     }
+
+
+def _render_obs(obs):
+    return [
+        f"obs (kernel n={obs['n']}, w={obs['w']}): bare "
+        f"{obs['kernel_bare_seconds']:.3f}s, disabled tracer "
+        f"{obs['kernel_disabled_seconds']:.3f}s "
+        f"({obs['disabled_overhead_pct']:+.1f}%), enabled "
+        f"{obs['kernel_enabled_seconds']:.3f}s "
+        f"({obs['enabled_overhead_pct']:+.1f}%)",
+        f"  span disabled {obs['span_disabled_ns']:.0f}ns, enabled "
+        f"{obs['span_enabled_ns']:.0f}ns, counter inc "
+        f"{obs['counter_inc_ns']:.0f}ns",
+    ]
 
 
 # ---------------------------------------------------------------------------
 # watch: what self-monitoring costs, and that it actually alarms
 
 
-def _bench_watch(quick: bool, repeats: int, w: int) -> dict:
+def _run_watch(quick, repeats, w, budget, fractions):
     """Price the watch layer and prove its alerting contract.
 
     Three measurements: (1) the cost of one watch tick — sample every
@@ -1192,6 +1317,7 @@ def _bench_watch(quick: bool, repeats: int, w: int) -> dict:
                 false_firings += 1
             elif fired_at is None:
                 fired_at = tick
+    idle_overhead = 100.0 * (_ratio(watched_seconds, off_seconds) - 1.0)
     return {
         "n": n,
         "w": w,
@@ -1205,22 +1331,47 @@ def _bench_watch(quick: bool, repeats: int, w: int) -> dict:
         "watch_interval_seconds": watch_interval,
         "kernel_off_seconds": off_seconds,
         "kernel_watched_seconds": watched_seconds,
-        "idle_overhead_pct": 100.0
-        * (_ratio(watched_seconds, off_seconds) - 1.0),
+        "idle_overhead_pct": idle_overhead,
         "saturation": {
             "timeline": timeline,
             "injection_tick": injection_tick,
             "fired_at_tick": fired_at,
             "false_firings": false_firings,
         },
+    }, {
+        "watch_tick_us": tick_us,
+        # advisory, mirroring the obs gate: a sleeping watcher thread
+        # must not tax the kernel hot path beyond timing noise
+        "watch_idle_overhead_pct": idle_overhead,
+        "watch_idle_overhead_ok": bool(idle_overhead < 5.0),
+        "watch_saturation_fires": fired_at is not None,
+        "watch_false_firings": false_firings,
     }
+
+
+def _render_watch(watch):
+    saturation = watch["saturation"]
+    fired = (
+        "never fired"
+        if saturation["fired_at_tick"] is None
+        else f"fired at tick {saturation['fired_at_tick']}"
+    )
+    return [
+        f"watch ({watch['series_sampled']} series, "
+        f"{len(watch['rules'])} rules): tick {watch['tick_us']:.0f}us, "
+        f"kernel idle overhead {watch['idle_overhead_pct']:+.1f}% "
+        f"(n={watch['n']})",
+        f"  saturation scenario: {fired} (injected at tick "
+        f"{saturation['injection_tick']}), "
+        f"{saturation['false_firings']} false firings",
+    ]
 
 
 # ---------------------------------------------------------------------------
 # drift: the refit-policy trade-off under concept drift
 
 
-def _bench_drift(quick: bool, config=None) -> dict:
+def _run_drift(quick, repeats, w, budget, fractions):
     """Record the drift ablation as this trajectory's measured point.
 
     Replays the drift scenarios (step/ramp/variance/period regime
@@ -1233,46 +1384,84 @@ def _bench_drift(quick: bool, config=None) -> dict:
     """
     from .drift import DriftSimConfig, drift_ablation
 
-    if config is None:
-        config = (
-            DriftSimConfig(n=2400, per_kind=1, stationary=2)
-            if quick
-            else DriftSimConfig()
-        )
+    config = DriftSimConfig(**_DRIFT_QUICK_CONFIG) if quick else DriftSimConfig()
     start = time.perf_counter()
     result = drift_ablation(config=config)
     result["seconds"] = time.perf_counter() - start
-    return result
+    rows = result["policies"]
+    fixed_acc = rows["fixed"]["delay_accuracy"]
+    triggered = {key: rows[key] for key in ("drift", "hybrid") if key in rows}
+    best_key = max(triggered, key=lambda key: triggered[key]["delay_accuracy"])
+    best_acc = triggered[best_key]["delay_accuracy"]
+    # false-alarm axis, mirroring the property-test bound: the
+    # season-matched trigger detector must stay (near) silent on the
+    # stationary controls
+    stationary_triggers = int(
+        sum(row["stationary"]["triggers"] for row in triggered.values())
+    )
+    return result, {
+        "drift_fixed_delay_accuracy": fixed_acc,
+        "drift_best_triggered": best_key,
+        "drift_triggered_delay_accuracy": best_acc,
+        "drift_triggered_beats_fixed": bool(best_acc > fixed_acc),
+        "drift_stationary_triggers": stationary_triggers,
+        "drift_stationary_quiet": bool(stationary_triggers <= 1),
+    }
+
+
+def _render_drift(drift):
+    from .drift import format_drift_ablation
+
+    return [format_drift_ablation(drift)]
 
 
 # ---------------------------------------------------------------------------
 # harness
 
 
+class _Section(NamedTuple):
+    """One bench section: ``run(quick, repeats, w, budget, fractions)``
+    returns ``(payload, checks)``; ``render(payload)`` its text lines."""
+
+    name: str
+    run: Callable[..., tuple[dict, dict]]
+    render: Callable[[dict], list[str]]
+
+
+# report order: sections run, land in the report and render in this order
+_TABLE = (
+    _Section("kernel", _run_kernel, _render_kernel),
+    _Section("merlin", _run_merlin, _render_merlin),
+    _Section("knn", _run_knn, _render_knn),
+    _Section("oneliner", _run_oneliner, _render_oneliner),
+    _Section("engine", _run_engine, _render_engine),
+    _Section("scaling", _run_scaling, _render_scaling),
+    _Section("streaming", _run_streaming, _render_streaming),
+    _Section("serve", _run_serve, _render_serve),
+    _Section("obs", _run_obs, _render_obs),
+    _Section("watch", _run_watch, _render_watch),
+    _Section("anytime", _run_anytime, _render_anytime),
+    _Section("parallel", _run_parallel, _render_parallel),
+    _Section("drift", _run_drift, _render_drift),
+)
+SECTIONS = tuple(section.name for section in _TABLE)
+
+
 def run_bench(
     quick: bool = False,
     repeats: int | None = None,
     sections: tuple[str, ...] | None = None,
-    sizes: tuple[int, ...] | None = None,
-    naive_rows: int = 256,
     max_memory_bytes: int | None = None,
-    scaling_sizes: tuple[int, ...] | None = None,
-    scaling_pair_cap: int | None = None,
     anytime_fractions: tuple[float, ...] | None = None,
-    parallel_cases: tuple[tuple[int, tuple[int, ...]], ...] | None = None,
-    drift_config=None,
 ) -> dict:
     """Run the selected sections and return the machine-readable report.
 
-    ``max_memory_bytes`` is the kernel workspace budget the ``scaling``
-    and ``parallel`` sections hand to the column-chunked sweep (default
-    128 MiB); ``scaling_sizes``/``scaling_pair_cap`` shrink the scaling
-    section for tests.  ``anytime_fractions`` overrides the anytime
-    section's coverage grid (``repro bench --approx``);
-    ``parallel_cases`` is ``((n, (jobs, ...)), ...)`` for the parallel
-    section — tests shrink it, the full default ends at n = 10⁶.
-    ``drift_config`` is a :class:`repro.drift.DriftSimConfig` override
-    for the drift section, likewise a test-shrinking knob.
+    Sections run in table order (see ``SECTIONS``) whatever order
+    ``sections`` names them in.  ``max_memory_bytes`` is the kernel
+    workspace budget the ``scaling`` and ``parallel`` sections hand to
+    the column-chunked sweep (default 128 MiB, ``repro bench
+    --max-memory``); ``anytime_fractions`` overrides the anytime
+    section's coverage grid (``repro bench --approx``).
     """
     chosen = SECTIONS if sections is None else tuple(sections)
     unknown = set(chosen) - set(SECTIONS)
@@ -1283,9 +1472,14 @@ def run_bench(
         )
     if repeats is None:
         repeats = 3 if quick else 5
-    if sizes is None:
-        sizes = _QUICK_SIZES if quick else _FULL_SIZES
     w = _QUICK_W if quick else _FULL_W
+    budget = (
+        _SCALING_KERNEL_BUDGET if max_memory_bytes is None else max_memory_bytes
+    )
+    if anytime_fractions is None:
+        anytime_fractions = (
+            _ANYTIME_QUICK_FRACTIONS if quick else _ANYTIME_FRACTIONS
+        )
     _NOISE_LOG.clear()  # host noise floor is per-report
 
     report: dict = {
@@ -1302,179 +1496,13 @@ def run_bench(
         "sections": {},
         "checks": {},
     }
-    if "kernel" in chosen:
-        kernel = _bench_kernel(sizes, w, repeats, naive_rows)
-        report["sections"]["kernel"] = kernel
-        top = kernel["results"][-1]
-        report["checks"]["kernel_speedup_vs_naive"] = top["speedup_vs_naive"]
-        report["checks"]["kernel_speedup_vs_stomp"] = top["speedup_vs_stomp"]
-    if "merlin" in chosen:
-        merlin = _bench_merlin(quick, repeats)
-        report["sections"]["merlin"] = merlin
-        report["checks"]["merlin_speedup"] = merlin["speedup_with_abandon"]
-    if "knn" in chosen:
-        report["sections"]["knn"] = _bench_knn(quick, repeats, w)
-    if "oneliner" in chosen:
-        report["sections"]["oneliner"] = _bench_oneliner(quick, repeats)
-    if "engine" in chosen:
-        report["sections"]["engine"] = _bench_engine(quick, repeats)
-    if "scaling" in chosen:
-        scaling = _bench_scaling(
-            quick,
-            repeats,
-            max_memory_bytes=max_memory_bytes,
-            sizes=scaling_sizes,
-            pair_cap=scaling_pair_cap,
-        )
-        report["sections"]["scaling"] = scaling
-        top = scaling["results"][-1]
-        report["checks"]["scaling_peak_bytes"] = top["tracemalloc_peak_bytes"]
-        report["checks"]["scaling_within_target"] = bool(
-            top["tracemalloc_peak_bytes"] + top["series_bytes"]
-            <= scaling["target_peak_bytes"]
-        )
-    if "streaming" in chosen:
-        streaming = _bench_streaming(quick, repeats, w)
-        report["sections"]["streaming"] = streaming
-        rows = streaming["results"]
-        report["checks"]["streaming_parity_sq_err"] = max(
-            row["parity_max_sq_err"] for row in rows
-        )
-        # sub-linear claim: the bounded-history per-append cost must not
-        # track the stream length the way the unbounded cost does
-        size_ratio = rows[-1]["n"] / rows[0]["n"]
-        cost_ratio = _ratio(
-            rows[-1]["bounded_per_append_us"], rows[0]["bounded_per_append_us"]
-        )
-        report["checks"]["streaming_size_ratio"] = size_ratio
-        report["checks"]["streaming_bounded_cost_ratio"] = cost_ratio
-        report["checks"]["streaming_bounded_sublinear"] = bool(
-            cost_ratio < size_ratio
-        )
-    if "serve" in chosen:
-        serve = _bench_serve(quick)
-        report["sections"]["serve"] = serve
-        report["checks"]["serve_streams"] = serve["streams"]
-        report["checks"]["serve_points_per_second"] = serve[
-            "points_per_second"
-        ]
-        report["checks"]["serve_p99_ms"] = serve["append_p99_ms"]
-        report["checks"]["serve_snapshot_parity"] = serve["snapshot_parity"]
-        report["checks"]["serve_rejections"] = serve["rejections"]
-    if "obs" in chosen:
-        obs = _bench_obs(quick, repeats, w)
-        report["sections"]["obs"] = obs
-        # advisory: disabled instrumentation must stay within a few
-        # percent of the bare kernel (negative = within timing noise)
-        report["checks"]["obs_disabled_overhead_pct"] = obs[
-            "disabled_overhead_pct"
-        ]
-        report["checks"]["obs_disabled_overhead_ok"] = bool(
-            obs["disabled_overhead_pct"] < 5.0
-        )
-    if "watch" in chosen:
-        watch = _bench_watch(quick, repeats, w)
-        report["sections"]["watch"] = watch
-        report["checks"]["watch_tick_us"] = watch["tick_us"]
-        # advisory, mirroring the obs gate: a sleeping watcher thread
-        # must not tax the kernel hot path beyond timing noise
-        report["checks"]["watch_idle_overhead_pct"] = watch[
-            "idle_overhead_pct"
-        ]
-        report["checks"]["watch_idle_overhead_ok"] = bool(
-            watch["idle_overhead_pct"] < 5.0
-        )
-        saturation = watch["saturation"]
-        report["checks"]["watch_saturation_fires"] = bool(
-            saturation["fired_at_tick"] is not None
-        )
-        report["checks"]["watch_false_firings"] = saturation[
-            "false_firings"
-        ]
-    if "anytime" in chosen:
-        anytime = _bench_anytime(quick, fractions=anytime_fractions)
-        report["sections"]["anytime"] = anytime
-        # the headline claim: on the periodic fixture, the bound is
-        # within 1e-3 mean corr-space deviation inside 10% of the pair
-        # budget.  Judged on fraction_swept (what actually ran, after
-        # block rounding), not on the requested fraction.
-        periodic = next(
-            f for f in anytime["fixtures"] if f["fixture"] == "periodic"
-        )
-        in_budget = [
-            row
-            for row in periodic["results"]
-            if row["fraction_swept"] <= 0.10
-        ]
-        best = min(in_budget, key=lambda row: row["mean_dev"], default=None)
-        if best is not None:
-            report["checks"]["anytime_mean_dev"] = best["mean_dev"]
-            report["checks"]["anytime_fraction_swept"] = best[
-                "fraction_swept"
-            ]
-            report["checks"]["anytime_converged"] = bool(
-                best["mean_dev"] <= 1e-3
+    for section in _TABLE:
+        if section.name in chosen:
+            payload, checks = section.run(
+                quick, repeats, w, budget, anytime_fractions
             )
-        # the bound/monotonicity properties raise inside the section,
-        # so reaching this line means they held on every fixture
-        report["checks"]["anytime_bound_held"] = True
-    if "parallel" in chosen:
-        par = _bench_parallel(
-            quick, cases=parallel_cases, max_memory_bytes=max_memory_bytes
-        )
-        report["sections"]["parallel"] = par
-        top = par["results"][-1]
-        run = top["runs"][-1]
-        report["checks"]["parallel_identical"] = True  # asserted per run
-        report["checks"]["parallel_n"] = top["n"]
-        report["checks"]["parallel_jobs"] = run["jobs"]
-        report["checks"]["parallel_speedup_measured"] = run[
-            "speedup_measured"
-        ]
-        report["checks"]["parallel_speedup_modeled"] = run["speedup_modeled"]
-        # the headline target is >= 3x at jobs=4, i.e. 75% parallel
-        # efficiency — scaled by jobs so a 2-worker quick run is judged
-        # against 1.5x, not an unreachable 3x.  A host with fewer cores
-        # than jobs cannot measure any speedup; there the modeled
-        # critical path is the honest judgement, and cpu_count in env
-        # says which case this report is.
-        cores = par["cpu_count"] or 1
-        target = 0.75 * run["jobs"]
-        report["checks"]["parallel_speedup_target"] = target
-        report["checks"]["parallel_speedup_ok"] = bool(
-            run["speedup_measured"] >= target
-            if cores >= run["jobs"]
-            else run["speedup_modeled"] >= target
-        )
-    if "drift" in chosen:
-        drift = _bench_drift(quick, config=drift_config)
-        report["sections"]["drift"] = drift
-        rows = drift["policies"]
-        fixed_acc = rows["fixed"]["delay_accuracy"]
-        triggered = {
-            key: rows[key] for key in ("drift", "hybrid") if key in rows
-        }
-        best_key = max(
-            triggered, key=lambda key: triggered[key]["delay_accuracy"]
-        )
-        report["checks"]["drift_fixed_delay_accuracy"] = fixed_acc
-        report["checks"]["drift_best_triggered"] = best_key
-        report["checks"]["drift_triggered_delay_accuracy"] = triggered[
-            best_key
-        ]["delay_accuracy"]
-        report["checks"]["drift_triggered_beats_fixed"] = bool(
-            triggered[best_key]["delay_accuracy"] > fixed_acc
-        )
-        # false-alarm axis, mirroring the property-test bound: the
-        # season-matched trigger detector must stay (near) silent on
-        # the stationary controls
-        stationary_triggers = int(
-            sum(row["stationary"]["triggers"] for row in triggered.values())
-        )
-        report["checks"]["drift_stationary_triggers"] = stationary_triggers
-        report["checks"]["drift_stationary_quiet"] = bool(
-            stationary_triggers <= 1
-        )
+            report["sections"][section.name] = payload
+            report["checks"].update(checks)
     # uniform host block: lets ``repro bench compare`` refuse cross-host
     # comparisons and scale its noise allowance to this machine's actual
     # run-to-run jitter instead of a guessed constant
@@ -1502,215 +1530,9 @@ def format_bench(report: dict) -> str:
         f"median of {report['repeats']}) — numpy {report['env']['numpy']}, "
         f"{report['env']['cpu_count']} cpu(s)"
     ]
-    kernel = report["sections"].get("kernel")
-    if kernel:
-        lines.append("")
-        lines.append(
-            f"{'kernel (w=%d)' % kernel['w']:<24} {'mpx':>9} {'stomp':>9} "
-            f"{'naive':>10} {'vs stomp':>9} {'vs naive':>9}"
-        )
-        for row in kernel["results"]:
-            naive = f"{row['naive_seconds']:.2f}s" + (
-                "*" if row["naive_estimated"] else ""
-            )
-            lines.append(
-                f"  n={row['n']:<20} {row['mpx_seconds']:>8.3f}s "
-                f"{row['stomp_seconds']:>8.2f}s {naive:>10} "
-                f"{row['speedup_vs_stomp']:>8.1f}x {row['speedup_vs_naive']:>8.1f}x"
-            )
-        if any(row["naive_estimated"] for row in kernel["results"]):
-            lines.append("  (* extrapolated from a timed slice of rows)")
-    merlin = report["sections"].get("merlin")
-    if merlin:
-        lines.append("")
-        lines.append(
-            f"MERLIN {merlin['series']} (n={merlin['n']}, "
-            f"w={merlin['min_w']}..{merlin['max_w']}): "
-            f"{merlin['before_seconds']:.2f}s -> {merlin['after_seconds']:.2f}s "
-            f"({merlin['speedup']:.1f}x), with early abandon "
-            f"{merlin['after_abandon_seconds']:.2f}s "
-            f"({merlin['speedup_with_abandon']:.1f}x)"
-        )
-    knn = report["sections"].get("knn")
-    if knn:
-        lines.append("")
-        lines.append(
-            f"kNN (n={knn['n']}, w={knn['w']}): full score "
-            f"{knn['full_score_legacy_seconds']:.3f}s -> "
-            f"{knn['full_score_seconds']:.3f}s "
-            f"({knn['full_score_speedup']:.2f}x); short segment "
-            f"{knn['short_score_legacy_seconds'] * 1e3:.1f}ms -> "
-            f"{knn['short_score_seconds'] * 1e3:.1f}ms "
-            f"({knn['short_score_speedup']:.1f}x)"
-        )
-    oneliner = report["sections"].get("oneliner")
-    if oneliner:
-        lines.append("")
-        lines.append(
-            f"movmax (n={oneliner['n']}, k={oneliner['k']}): "
-            f"{oneliner['movmax_legacy_seconds']:.2f}s -> "
-            f"{oneliner['movmax_seconds']:.3f}s ({oneliner['speedup']:.0f}x)"
-        )
-    engine = report["sections"].get("engine")
-    if engine:
-        lines.append("")
-        lines.append(
-            f"engine grid ({engine['cells']} cells, "
-            f"{engine['total_points']} points): {engine['seconds']:.2f}s"
-        )
-    scaling = report["sections"].get("scaling")
-    if scaling:
-        mib = 1 << 20
-        lines.append("")
-        lines.append(
-            f"scaling (w={scaling['w']}, kernel budget "
-            f"{scaling['max_memory_bytes'] // mib}MiB, end-to-end target "
-            f"{scaling['target_peak_bytes'] // mib}MiB)"
-        )
-        for row in scaling["results"]:
-            seconds = f"{row['seconds']:.1f}s" + (
-                "*" if row["seconds_estimated"] else ""
-            )
-            lines.append(
-                f"  n={row['n']:<9} chunk={row['chunk_width']:<7} "
-                f"workspace {row['chunked_workspace_bytes'] // mib}MiB "
-                f"(unchunked {row['unchunked_workspace_bytes'] // mib}MiB)  "
-                f"peak {row['tracemalloc_peak_bytes'] // mib}MiB  {seconds}"
-            )
-        if any(row["seconds_estimated"] for row in scaling["results"]):
-            lines.append(
-                "  (* extrapolated by pair count from a timed slice of "
-                "diagonals)"
-            )
-    streaming = report["sections"].get("streaming")
-    if streaming:
-        lines.append("")
-        lines.append(
-            f"{'streaming (w=%d)' % streaming['w']:<24} "
-            f"{'append':>10} {'bounded':>10} {'batch':>9} {'parity':>10}"
-        )
-        for row in streaming["results"]:
-            lines.append(
-                f"  n={row['n']:<20} {row['per_append_us']:>8.1f}us "
-                f"{row['bounded_per_append_us']:>8.1f}us "
-                f"{row['batch_seconds']:>8.3f}s "
-                f"{row['parity_max_sq_err']:>10.1e}"
-            )
-        replay = streaming.get("replay")
-        if replay:
-            lines.append(
-                f"  replay {replay['detector']} (n={replay['n']}, batch "
-                f"{replay['batch_size']}, window {replay['window']}): "
-                f"{replay['points_per_second']:.0f} points/s, "
-                f"delay {replay['delay']}"
-            )
-    serve = report["sections"].get("serve")
-    if serve:
-        lines.append("")
-        parity = (
-            "n/a"
-            if serve["snapshot_parity"] is None
-            else ("ok" if serve["snapshot_parity"] else "FAILED")
-        )
-        p99 = (
-            "-"
-            if serve["append_p99_ms"] is None
-            else f"{serve['append_p99_ms']:.1f}ms"
-        )
-        nab = (
-            "-"
-            if serve["nab_windowed"] is None
-            else f"{serve['nab_windowed']:.1f}"
-        )
-        lines.append(
-            f"serve ({serve['streams']} streams, {serve['tenants']} "
-            f"tenants, {serve['shards']} shards, batch "
-            f"{serve['batch_size']}): "
-            f"{serve['points_per_second']:.0f} points/s, p99 {p99}, "
-            f"{serve['rejections']} rejections, snapshot parity {parity}"
-        )
-        lines.append(
-            f"  delay-acc {serve['accuracy']:.1%}, nab-windowed {nab} over "
-            f"{serve['points_streamed']} streamed points"
-        )
-    obs = report["sections"].get("obs")
-    if obs:
-        lines.append("")
-        lines.append(
-            f"obs (kernel n={obs['n']}, w={obs['w']}): bare "
-            f"{obs['kernel_bare_seconds']:.3f}s, disabled tracer "
-            f"{obs['kernel_disabled_seconds']:.3f}s "
-            f"({obs['disabled_overhead_pct']:+.1f}%), enabled "
-            f"{obs['kernel_enabled_seconds']:.3f}s "
-            f"({obs['enabled_overhead_pct']:+.1f}%)"
-        )
-        lines.append(
-            f"  span disabled {obs['span_disabled_ns']:.0f}ns, enabled "
-            f"{obs['span_enabled_ns']:.0f}ns, counter inc "
-            f"{obs['counter_inc_ns']:.0f}ns"
-        )
-    watch = report["sections"].get("watch")
-    if watch:
-        lines.append("")
-        saturation = watch["saturation"]
-        fired = (
-            "never fired"
-            if saturation["fired_at_tick"] is None
-            else f"fired at tick {saturation['fired_at_tick']}"
-        )
-        lines.append(
-            f"watch ({watch['series_sampled']} series, "
-            f"{len(watch['rules'])} rules): tick {watch['tick_us']:.0f}us, "
-            f"kernel idle overhead {watch['idle_overhead_pct']:+.1f}% "
-            f"(n={watch['n']})"
-        )
-        lines.append(
-            f"  saturation scenario: {fired} (injected at tick "
-            f"{saturation['injection_tick']}), "
-            f"{saturation['false_firings']} false firings"
-        )
-    anytime = report["sections"].get("anytime")
-    if anytime:
-        lines.append("")
-        lines.append(
-            f"anytime (n={anytime['n']}, w={anytime['w']}): corr-space "
-            f"deviation of the approx= upper bound"
-        )
-        for fixture in anytime["fixtures"]:
-            lines.append(
-                f"  {fixture['fixture']:<9} exact "
-                f"{fixture['exact_seconds']:.1f}s"
-            )
-            for row in fixture["results"]:
-                mark = "=" if row["discord_match"] else " "
-                lines.append(
-                    f"    {row['fraction_swept']:>6.1%} of pairs  "
-                    f"{row['seconds']:>6.2f}s  mean {row['mean_dev']:.1e}  "
-                    f"p99 {row['p99_dev']:.1e}  max {row['max_dev']:.1e}  "
-                    f"discord{mark}"
-                )
-    parallel = report["sections"].get("parallel")
-    if parallel:
-        lines.append("")
-        lines.append(
-            f"parallel (w={parallel['w']}, {parallel['cpu_count']} cpu(s)): "
-            f"full exact sweeps, bit-identity asserted"
-        )
-        for row in parallel["results"]:
-            lines.append(
-                f"  n={row['n']:<9} serial {row['serial_seconds']:.1f}s "
-                f"({row['shards']} shards)"
-            )
-            for run in row["runs"]:
-                lines.append(
-                    f"    jobs={run['jobs']}  {run['seconds']:>8.1f}s  "
-                    f"{run['speedup_measured']:.2f}x measured, "
-                    f"{run['speedup_modeled']:.2f}x critical-path model"
-                )
-    drift = report["sections"].get("drift")
-    if drift:
-        from .drift import format_drift_ablation
-
-        lines.append("")
-        lines.append(format_drift_ablation(drift))
+    for section in _TABLE:
+        payload = report["sections"].get(section.name)
+        if payload:
+            lines.append("")
+            lines.extend(section.render(payload))
     return "\n".join(lines)

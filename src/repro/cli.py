@@ -38,12 +38,14 @@ Commands mirror the paper's workflow:
 * ``obs watch URL`` — tail a running ``repro serve`` endpoint's
   ``/alerts``: one line per poll with the ok/pending/firing summary
   and every non-ok rule's state and observed value.
-* ``bench`` — time the numeric core (mpx kernel vs the retained naive
-  and STOMP references, MERLIN before/after, kNN, one-liners, engine
-  grid, bounded-memory scaling, streaming appends/replay, anytime
-  convergence, parallel-sweep bit-identity, watch-layer overhead) and
-  write a machine-readable report whose name derives from the perf
-  trajectory (``benchmarks/perf/BENCH_<n>.json``).
+* ``bench`` — time the numeric core (mpx kernel next to the naive
+  brute-force reference, MERLIN, kNN, one-liners, engine grid,
+  bounded-memory scaling, streaming appends/replay, the serve load
+  tier, telemetry and watch-layer overhead, anytime convergence,
+  parallel-sweep bit-identity, the drift-refit ablation) and write a
+  machine-readable report whose name derives from the perf trajectory
+  (``benchmarks/perf/BENCH_<n>.json``); an existing report at that
+  default path is never overwritten.
 * ``bench compare`` — the statistical perf-regression sentinel: run a
   fresh bench (or take ``--fresh REPORT.json``), align its metrics
   with the newest committed trajectory point, and judge each one
@@ -605,9 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the numeric core (mpx kernel vs retained references, "
+        help="time the numeric core (mpx kernel vs the naive reference, "
         "MERLIN, kNN, one-liners, engine grid, bounded-memory scaling, "
-        "anytime convergence, parallel bit-identity) and write a "
+        "streaming, serve, obs/watch overhead, anytime convergence, "
+        "parallel bit-identity, drift refits) and write a "
         "machine-readable report",
     )
     bench.add_argument(
@@ -619,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help=f"report path (default: {BENCH_DEFAULT_OUT}, derived from "
-        "the perf trajectory; '-' skips writing)",
+        "the perf trajectory and never overwritten; '-' skips writing)",
     )
     bench.add_argument(
         "--max-memory",
@@ -1179,6 +1182,7 @@ def _cmd_serve(args) -> int:
 def _cmd_serve_bench(args) -> int:
     import json
 
+    from .bench import write_bench
     from .serve import LoadConfig, format_load, run_load
 
     def execute() -> int:
@@ -1200,15 +1204,7 @@ def _cmd_serve_bench(args) -> int:
             return 2
         payload = result.to_json()
         if args.out:
-            import os
-
-            directory = os.path.dirname(args.out)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(args.out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.out}", file=sys.stderr)
+            print(f"wrote {write_bench(payload, args.out)}", file=sys.stderr)
         if args.format == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
@@ -1248,6 +1244,7 @@ def _cmd_detectors(args) -> int:
 
 def _cmd_bench(args) -> int:
     import json
+    import os
 
     from .bench import format_bench, run_bench, write_bench
 
@@ -1280,6 +1277,16 @@ def _cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    out = args.out if args.out is not None else BENCH_DEFAULT_OUT
+    if args.out is None and os.path.exists(out):
+        # the default name is the committed trajectory point that
+        # `bench compare` gates against: never replace it implicitly
+        print(
+            f"error: {out} already exists; bump repro.bench.TRAJECTORY "
+            "to record a new point, or pass --out PATH",
+            file=sys.stderr,
+        )
+        return 2
     try:
         report = run_bench(
             quick=args.quick,
@@ -1289,11 +1296,10 @@ def _cmd_bench(args) -> int:
             anytime_fractions=fractions,
         )
     except (ValueError, AssertionError) as error:
-        # AssertionError: a before/after cross-check inside a section
+        # AssertionError: a correctness cross-check inside a section
         # failed — surface it as a clean diagnostic, not a traceback
         print(f"error: {error}", file=sys.stderr)
         return 2
-    out = args.out if args.out is not None else BENCH_DEFAULT_OUT
     if out != "-":
         path = write_bench(report, out)
         print(f"wrote {path}", file=sys.stderr)
@@ -1321,8 +1327,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_bench_compare(args) -> int:
     import json
-    import os
 
+    from .bench import SECTIONS, run_bench, write_bench
     from .obs import compare_reports, format_compare, latest_baseline
 
     try:
@@ -1344,8 +1350,6 @@ def _cmd_bench_compare(args) -> int:
             )
             return 2
     else:
-        from .bench import SECTIONS, run_bench
-
         if args.sections is not None:
             sections = tuple(
                 part.strip()
@@ -1375,13 +1379,7 @@ def _cmd_bench_compare(args) -> int:
         baseline_path=baseline["path"],
     )
     if args.out:
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w") as handle:
-            json.dump(verdict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        print(f"wrote {write_bench(verdict, args.out)}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(verdict, indent=2, sort_keys=True))
     else:

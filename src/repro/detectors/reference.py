@@ -11,8 +11,7 @@ implementations around on purpose:
   reports kernel speedups over.
 * :func:`stomp_profile` — the per-row STOMP loop this repository
   shipped before the mpx rewrite, kept verbatim so equivalence can be
-  re-checked forever and so the bench can report the before/after of
-  the refactor itself.
+  re-checked forever.
 
 Neither belongs on a hot path.
 """

@@ -302,7 +302,30 @@ class TestBench:
         assert str(out) in captured.err
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-bench/1"
-        assert payload["sections"]["oneliner"]["speedup"] > 1
+        assert payload["sections"]["oneliner"]["movmax_seconds"] > 0
+
+    def test_existing_trajectory_point_is_not_overwritten(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # without --out the report goes to the committed trajectory
+        # point, which `bench compare` gates against: a quick run of one
+        # section must not silently replace it
+        from repro.bench import DEFAULT_OUT
+
+        monkeypatch.chdir(tmp_path)
+        point = tmp_path / DEFAULT_OUT
+        point.parent.mkdir(parents=True)
+        point.write_bytes(b'{"committed": true}\n')
+        assert main(["bench", "--quick", "--repeats", "1",
+                     "--sections", "oneliner"]) == 2
+        err = capsys.readouterr().err
+        assert DEFAULT_OUT in err
+        assert "TRAJECTORY" in err and "--out" in err
+        assert point.read_bytes() == b'{"committed": true}\n'
+        # an explicit --out to the same path still writes there
+        assert main(["bench", "--quick", "--repeats", "1",
+                     "--sections", "oneliner", "--out", DEFAULT_OUT]) == 0
+        assert "oneliner" in json.loads(point.read_text())["sections"]
 
     def test_dash_out_skips_writing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -160,6 +160,18 @@ class TestMovsumMovmaxMovmin:
         np.testing.assert_allclose(P.movmin([1, 5, 2, 0, 3], 3), [1, 1, 0, 0, 0])
 
     @given(ARRAYS, st.integers(1, 9))
+    def test_extrema_match_bruteforce(self, values, k):
+        # even k is centred k/2 before, k/2 - 1 after; extrema are exact
+        lo, hi = P.window_bounds(values.size, k)
+        windows = [values[a:b] for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(
+            P.movmax(values, k), [window.max() for window in windows]
+        )
+        np.testing.assert_array_equal(
+            P.movmin(values, k), [window.min() for window in windows]
+        )
+
+    @given(ARRAYS, st.integers(1, 9))
     def test_min_le_mean_le_max(self, values, k):
         mean = P.movmean(values, k)
         assert (P.movmin(values, k) <= mean + 1e-6).all()
