@@ -1,11 +1,12 @@
-"""Stdlib HTTP front for the stream cluster, plus a blocking client.
+"""Minimal HTTP/1.1 front for the stream cluster, plus a blocking client.
 
 The cluster (:mod:`repro.serve.shard`) speaks plain dicts; this module
 puts JSON-over-HTTP in front of it with nothing beyond the standard
-library — ``http.server.ThreadingHTTPServer`` on the server side,
-``http.client`` on the client side — because the repository's no-new-
-dependencies rule applies to the service tier too, and because a
-reviewer should be able to ``curl`` the thing.
+library, because the repository's no-new-dependencies rule applies to
+the service tier too, and because a reviewer should be able to ``curl``
+the thing.  Both ends share one small HTTP/1.1 codec: :func:`_read_head`
+reads a request head on the server and a response head on the client,
+and every message goes out in one write.
 
 Routes (all JSON bodies/responses)::
 
@@ -28,8 +29,9 @@ error bodies are ``{"error": ...}``.
 
 Connections are persistent HTTP/1.1.  A request body is always read in
 full before its route runs, so leftover bytes can never be parsed as
-the next request; a request whose body length cannot be trusted is
-answered (``400``/``411``/``413``) and its connection closed.
+the next request; a request whose head or body length cannot be
+trusted is answered (``400``/``411``/``413``/``414``/``431``/``501``/
+``505``) and its connection closed.
 
 :class:`ServeClient` is the matching blocking client.  It keeps one
 connection per calling thread, and its ``append`` retries through
@@ -41,11 +43,13 @@ generator relies on.
 from __future__ import annotations
 
 import json
+import re
 import socket
+import socketserver
 import threading
 import time
-from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -55,15 +59,103 @@ from .shard import Backpressure, StreamCluster, StreamFailed
 __all__ = ["ServeServer", "ServeClient", "ServeError"]
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd payloads before reading them
+# the stdlib's own head limits: bytes per line, header lines per head
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 # close() waits up to one poll of the accept loop; socketserver's default
 # half second made every embedded server's shutdown cost that much
 _ACCEPT_POLL_S = 0.05
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 token
+_VERSION = re.compile(rb"HTTP/(\d{1,9})(?:\.(\d{1,9}))?")
+_STATUS_LINE = re.compile(rb"HTTP/1\.\d (\d{3})(?: [^\r\n]*)?\r?\n")
+# bytes that would break a request line if sent in its target
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 # ``# HELP`` text of the HTTP front's own series on the cluster registry
 _DESCRIPTIONS = {
     "serve_http_connections_total": "TCP connections the HTTP front accepted.",
     "serve_http_requests_total": "HTTP requests the HTTP front routed.",
 }
+
+
+class _BadHead(Exception):
+    """A message head that breaks the framing rules; ``status`` is the
+    server's answer to it."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _read_head(rfile, start):
+    """Read one HTTP/1.1 message head from ``rfile``; both ends use it.
+
+    ``start`` parses the start line (the request line on the server,
+    the status line on the client) and raises :class:`_BadHead` on a
+    malformed one, before any header line is read.  Up to
+    ``_MAX_HEADERS`` header lines of at most ``_MAX_LINE`` bytes follow,
+    ended by an empty line.  Returns ``(start(line), headers)``, each
+    lower-cased header name mapped to the list of its values so that a
+    repeated ``Content-Length`` stays visible; None when the peer closed
+    the connection before sending a byte.
+    """
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > _MAX_LINE:
+        raise _BadHead(f"start line over {_MAX_LINE} bytes", 414)
+    parsed = start(line)
+    headers: dict[str, list[str]] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        field = rfile.readline(_MAX_LINE + 1)
+        if len(field) > _MAX_LINE:
+            raise _BadHead(f"header line over {_MAX_LINE} bytes", 431)
+        if field in (b"\r\n", b"\n", b""):
+            return parsed, headers
+        name, colon, value = field.partition(b":")
+        # a missing colon, a folded continuation line (leading
+        # whitespace) and whitespace before the colon all fail the match
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise _BadHead(f"malformed header line {field[:80]!r}")
+        headers.setdefault(name.decode("ascii").lower(), []).append(
+            value.strip().decode("latin-1")
+        )
+    raise _BadHead(f"more than {_MAX_HEADERS} header lines", 431)
+
+
+def _request_line(line: bytes) -> "tuple[str, str, int]":
+    """``(method, target, minor version)`` of a request line."""
+    words = line.split()
+    if len(words) != 3:  # two words is HTTP/0.9, which has no headers
+        raise _BadHead(f"malformed request line {line[:80]!r}")
+    method, target, version = words
+    found = _VERSION.fullmatch(version)
+    if found and int(found[1]) >= 2:
+        raise _BadHead(f"HTTP version {version[:20]!r} not supported", 505)
+    if not found or int(found[1]) != 1 or found[2] is None:
+        raise _BadHead(f"malformed HTTP version {version[:20]!r}")
+    if method not in (b"GET", b"POST"):
+        raise _BadHead(f"method {method[:20]!r} not implemented", 501)
+    return method.decode("ascii"), target.decode("latin-1"), int(found[2])
+
+
+def _status_line(line: bytes) -> int:
+    """The status code of a response's status line."""
+    found = _STATUS_LINE.fullmatch(line)
+    if found is None:
+        raise _BadHead(f"malformed status line {line[:80]!r}")
+    return int(found[1])
+
+
+def _tokens(headers: "dict[str, list[str]]", name: str) -> "set[str]":
+    """The lower-cased comma-separated options of header ``name``."""
+    return {
+        token.strip().lower()
+        for value in headers.get(name, ())
+        for token in value.split(",")
+    }
 
 
 def _values(values) -> np.ndarray:
@@ -76,28 +168,41 @@ def _values(values) -> np.ndarray:
     return array
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # one send per response on a kept-alive connection: a buffered wfile
-    # that handle_one_request flushes once, and NODELAY so that send
-    # never waits for the peer's delayed ACK of the previous one
-    wbufsize = -1
+class _Handler(socketserver.StreamRequestHandler):
+    # every response is one write on an unbuffered wfile; NODELAY so that
+    # write never waits for the peer's delayed ACK of the previous one
     disable_nagle_algorithm = True
-
-    # quiet by default: the access log is noise at bench rates
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
 
     @property
     def cluster(self) -> StreamCluster:
         return self.server.cluster  # type: ignore[attr-defined]
 
-    def handle_expect_100(self) -> bool:
-        # the interim 100 must reach the client before it sends the
-        # body, not sit in the buffer until the final response
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except ConnectionError:
+            pass  # the peer went away; there is no one left to answer
+
+    def _handle_one(self) -> None:
+        try:
+            head = _read_head(self.rfile, _request_line)
+        except _BadHead as bad:
+            self._refuse(bad.status, str(bad))
+            return
+        if head is None:  # the peer closed the connection
+            self.close_connection = True
+            return
+        (method, self.path, minor), self.headers = head
+        options = _tokens(self.headers, "connection")
+        self.close_connection = "close" in options or (
+            minor == 0 and "keep-alive" not in options
+        )
+        self.server.requests_total.inc()  # type: ignore[attr-defined]
+        self._raw = self._read_body(minor)
+        if self._raw is not None:
+            self._route(method)
 
     # -- plumbing -----------------------------------------------------
 
@@ -115,36 +220,46 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send(self, status, body, content_type, headers) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+            f"Date: {self.server.date()}\r\n"  # type: ignore[attr-defined]
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def _refuse(self, status: int, message: str) -> None:
         """Answer a request that cannot be framed, then drop the connection."""
-        self._reply(status, {"error": message}, headers={"Connection": "close"})
+        self.close_connection = True
+        self._reply(status, {"error": message})
 
-    def _read_body(self) -> "bytes | None":
+    def _read_body(self, minor: int) -> "bytes | None":
         """The whole request body, or None once the request was refused."""
-        if self.headers.get("Transfer-Encoding"):
+        if "transfer-encoding" in self.headers:
             self._refuse(411, "send a Content-Length; chunked bodies are refused")
             return None
-        lengths = {
-            value.strip()
-            for value in self.headers.get_all("Content-Length") or ["0"]
-        }
+        lengths = set(self.headers.get("content-length", ["0"]))
         text = lengths.pop() if len(lengths) == 1 else ""
         if not (text.isascii() and text.isdigit()):
             self._refuse(400, "Content-Length must be one non-negative integer")
             return None
-        length = int(text)
-        if length > _MAX_BODY:
+        # count digits first: int() refuses a long enough digit string
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY)) or int(digits) > _MAX_BODY:
             self._refuse(413, f"request body over {_MAX_BODY} bytes")
             return None
-        raw = self.rfile.read(length) if length else b""
+        length = int(digits)
+        if not length:
+            return b""
+        if minor and "100-continue" in _tokens(self.headers, "expect"):
+            # the interim answer must reach the client before it sends
+            # the body
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = self.rfile.read(length)
         if len(raw) < length:  # the peer hung up mid-body
             self.close_connection = True
             return None
@@ -159,10 +274,6 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _route(self, method: str) -> None:
-        self.server.requests_total.inc()  # type: ignore[attr-defined]
-        self._raw = self._read_body()
-        if self._raw is None:
-            return
         split = urlsplit(self.path)
         parts = [part for part in split.path.split("/") if part]
         query = {
@@ -272,17 +383,13 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         self._reply(404, {"error": f"no route for {method} {self.path}"})
 
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._route("GET")
 
-    def do_POST(self):  # noqa: N802 - stdlib naming
-        self._route("POST")
-
-
-class _Httpd(ThreadingHTTPServer):
+class _Httpd(socketserver.ThreadingTCPServer):
     """Thread-per-connection server that can sever its open connections."""
 
     daemon_threads = True
+    # a restarted server rebinds the port of the one before it
+    allow_reuse_address = True
     # socketserver's default listen backlog is 5 — a burst of concurrent
     # producers would see connection resets before a thread ever spawns
     request_queue_size = 128
@@ -297,6 +404,16 @@ class _Httpd(ThreadingHTTPServer):
         self.requests_total = registry.counter("serve_http_requests_total")
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self._date = (0, "")
+
+    def date(self) -> str:
+        """The ``Date`` header value, formatted at most once a second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address) -> None:
         with self._open_lock:
@@ -377,8 +494,31 @@ class ServeError(RuntimeError):
         self.status = status
 
 
+class _Connection:
+    """A client thread's kept-alive connection: the socket and the one
+    buffered reader that lives as long as it does."""
+
+    def __init__(self, address: "tuple[str, int]", timeout: float) -> None:
+        self.address = address
+        self.timeout = timeout
+        self.sock: socket.socket | None = None
+        self.rfile = None
+
+    def open(self) -> None:
+        sock = socket.create_connection(self.address, self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self.rfile = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        sock, rfile = self.sock, self.rfile
+        self.sock = self.rfile = None
+        if sock is not None:
+            rfile.close()
+            sock.close()
+
+
 class ServeClient:
-    """Blocking JSON client for :class:`ServeServer` (``http.client``).
+    """Blocking JSON client for :class:`ServeServer`.
 
     Each calling thread holds its own persistent connection, so one
     client may be shared by many threads.  A request that fails on a
@@ -386,7 +526,8 @@ class ServeClient:
     closed it while idle — is sent once more on a new connection; a
     failure on a new connection is never retried, so an append is never
     sent twice to a server that answered it.  Transport failures raise
-    :class:`OSError` subclasses.
+    :class:`OSError` subclasses; a response that breaks the framing
+    rules raises :class:`ConnectionError`.
     """
 
     def __init__(
@@ -396,14 +537,14 @@ class ServeClient:
         split = urlsplit(self.base_url)
         if split.scheme != "http" or not split.hostname:
             raise ValueError(f"need an http://host:port URL, got {base_url!r}")
-        self._host = split.hostname
-        self._port = split.port or 80
+        self._address = (split.hostname, split.port or 80)
+        self._netloc = split.netloc
         self._prefix = split.path
         self.timeout = timeout
         self.max_retries = max_retries
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: list[HTTPConnection] = []
+        self._connections: list[_Connection] = []
 
     def close(self) -> None:
         """Close every connection this client opened, in any thread."""
@@ -421,45 +562,74 @@ class ServeClient:
 
     # -- raw request --------------------------------------------------
 
-    def _connection(self) -> HTTPConnection:
+    def _connection(self) -> _Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
+            connection = _Connection(self._address, self.timeout)
             with self._lock:
                 self._connections.append(connection)
             self._local.connection = connection
         return connection
 
     def _exchange(self, method: str, path: str, body: "bytes | None"):
-        """One request/response on this thread's connection."""
+        """One request/response on this thread's connection:
+        ``(status, headers, body)``, header names lower-cased."""
+        target = self._prefix + path
+        if not target.isascii() or _UNSAFE_TARGET.search(target):
+            raise ValueError(f"cannot send {target!r} as a request target")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+        if body is not None:
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        request = (head + "\r\n").encode("ascii") + (body or b"")
         connection = self._connection()
-        headers = {} if body is None else {"Content-Type": "application/json"}
         while True:
-            # a live socket here was kept alive by an earlier exchange; a
+            # an open socket here was kept alive by an earlier exchange; a
             # reopened one is new, so this loop runs at most twice
             reused = connection.sock is not None
-            response = None
+            answer = None
             try:
-                connection.request(
-                    method, self._prefix + path, body=body, headers=headers
-                )
-                response = connection.getresponse()
-                return response.status, response.headers, response.read()
+                if not reused:
+                    connection.open()
+                connection.sock.sendall(request)
+                answer = _read_head(connection.rfile, _status_line)
+                if answer is None:
+                    raise ConnectionResetError(
+                        f"{method} {path}: closed before the status line"
+                    )
+                status, headers = answer
+                data = self._read_body(connection, headers)
             except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected is a ConnectionResetError: the peer
-                # closed without sending a status line
                 connection.close()
-                if reused and response is None:
-                    continue
+                if reused and answer is None:
+                    continue  # closed while idle, before any response byte
                 raise
-            except HTTPException as error:
+            except _BadHead as bad:
                 connection.close()
-                raise ConnectionError(f"{method} {path}: {error!r}") from error
+                raise ConnectionError(f"{method} {path}: {bad}") from None
             except BaseException:
                 connection.close()
                 raise
+            if "close" in _tokens(headers, "connection"):
+                connection.close()
+            return status, headers, data
+
+    @staticmethod
+    def _read_body(connection: _Connection, headers) -> bytes:
+        """Exactly ``Content-Length`` bytes of response body."""
+        lengths = set(headers.get("content-length", ()))
+        text = lengths.pop() if len(lengths) == 1 else ""
+        if not (text.isascii() and text.isdigit() and len(text) < 19):
+            raise _BadHead("no valid Content-Length in the response")
+        length = int(text)
+        data = connection.rfile.read(length)
+        if len(data) < length:
+            raise _BadHead(
+                f"response body cut short: {len(data)} of {length} bytes"
+            )
+        return data
 
     def _call(self, method: str, path: str, body: "bytes | None") -> bytes:
         """The response body of a 2xx answer; raises on any other status."""
@@ -472,9 +642,8 @@ class ServeClient:
         except (json.JSONDecodeError, AttributeError):
             message = text
         if status == 429:
-            raise Backpressure(
-                "server", float(headers.get("Retry-After") or 0.05)
-            )
+            hint = headers.get("retry-after") or ["0.05"]
+            raise Backpressure("server", float(hint[-1]))
         raise ServeError(status, message)
 
     def request(

@@ -112,6 +112,13 @@ def _ms(seconds: float | None) -> float | None:
     return None if seconds is None else round(seconds * 1e3, 4)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    # no detector has a missing-data policy yet: one NaN would poison
+    # every score of a stream whose window it enters
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite: NaN and Infinity are refused")
+
+
 def default_watch_rules(
     queue_size: int, *, p99_latency_seconds: float = 1.0
 ) -> "list[AlertRule]":
@@ -302,12 +309,30 @@ class ShardWorker:
     def queue_depth(self) -> int:
         return self._queue.qsize()
 
+    @property
+    def dead(self) -> bool:
+        """The worker thread stopped although nobody closed the worker."""
+        return not self._closed and not self._thread.is_alive()
+
     def _not_running(self) -> RuntimeError:
         return RuntimeError(f"shard {self.name} is not running")
 
-    def submit(self, op: _Op, *, tenant: str) -> None:
-        if self._closed:
+    def _check_running(self) -> None:
+        if self._closed or not self._thread.is_alive():
             raise self._not_running()
+
+    def _put(self, op: "_Op | None") -> None:
+        """Enqueue ``op``, waiting for room only while the thread lives."""
+        while True:
+            try:
+                self._queue.put(op, timeout=_LIVENESS_POLL_S)
+                return
+            except queue.Full:
+                if not self._thread.is_alive():
+                    raise self._not_running() from None
+
+    def submit(self, op: _Op, *, tenant: str) -> None:
+        self._check_running()
         error = self._failed.get(op.key)
         if error is not None:
             raise StreamFailed(op.key, error)
@@ -329,13 +354,13 @@ class ShardWorker:
         :class:`Backpressure`: they are rare, synchronous, and
         self-limiting (the caller waits on the Future anyway), so
         rejecting them would only make reads flaky under load.
-        Raises :class:`RuntimeError` once the worker is closed, and for
-        an op the worker thread stopped before reaching.
+        Raises :class:`RuntimeError` once the worker is closed or its
+        thread has died, and for an op the worker thread stopped before
+        reaching.
         """
-        if self._closed:
-            raise self._not_running()
+        self._check_running()
         future: Future = Future()
-        self._queue.put(_Op(kind, key, payload, future))
+        self._put(_Op(kind, key, payload, future))
         while True:
             try:
                 return future.result(timeout=_LIVENESS_POLL_S)
@@ -345,7 +370,10 @@ class ShardWorker:
 
     def close(self) -> None:
         self._closed = True
-        self._queue.put(None)
+        try:
+            self._put(None)
+        except RuntimeError:
+            pass  # the thread already died: there is nothing to stop
         self._thread.join()
 
     # -- worker side --------------------------------------------------
@@ -636,6 +664,7 @@ class StreamCluster:
         train = np.asarray(train, dtype=float)
         if train.ndim != 1:
             raise ValueError(f"'train' must be a flat array, got {train.shape}")
+        _require_finite(train, "'train'")
         created = self.worker_for(tenant).call(
             "create",
             key,
@@ -661,6 +690,7 @@ class StreamCluster:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ValueError("append needs at least one value")
+        _require_finite(values, "append values")
         worker = self.worker_for(tenant)
         worker.submit(_Op("append", key, values), tenant=tenant)
         return {"stream": key, "queued": int(values.size)}
@@ -778,12 +808,18 @@ class StreamCluster:
         return self.registry.render_prometheus()
 
     def healthz_json(self) -> dict:
-        """Liveness plus the overload signals CI asserts on."""
+        """Liveness plus the overload signals CI asserts on.
+
+        ``ok`` is false while any shard worker's thread has died without
+        being closed; ``dead_shards`` names them.
+        """
         alerts = self.alerts_json()
+        dead = [name for name, worker in self.workers.items() if worker.dead]
         return {
-            "ok": True,
+            "ok": not dead,
             "uptime_seconds": round(self.uptime_seconds(), 3),
             "shards": len(self.workers),
+            "dead_shards": dead,
             "queue_depths": dict(sorted(self.queue_depths().items())),
             "alerts": {
                 "summary": alerts["summary"],

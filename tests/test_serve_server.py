@@ -1,5 +1,6 @@
 """HTTP front: routes, status mapping, client retry, restore portability,
-connection reuse, request framing and the input contract."""
+connection reuse, request framing, the HTTP/1.1 codec's refusals and the
+input contract."""
 
 import base64
 import itertools
@@ -12,6 +13,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     Backpressure,
@@ -21,7 +24,7 @@ from repro.serve import (
     StreamCluster,
 )
 
-from test_serve_shard import relabelled
+from test_serve_shard import kill_worker, relabelled
 
 
 @pytest.fixture()
@@ -365,6 +368,101 @@ class TestReopenOnce:
                 assert counter(second, "serve_http_connections_total") == 1
 
 
+class _Answerer:
+    """A scripted TCP peer: the first request of each connection gets
+    ``response``; then the peer waits for the client to close
+    (``hold``) or closes the connection itself."""
+
+    def __init__(self, response: bytes, *, hold: bool) -> None:
+        self.response = response
+        self.hold = hold
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        with self.listener:
+            while True:
+                try:
+                    conn, _ = self.listener.accept()
+                except OSError:
+                    return
+                self.accepted += 1
+                with conn:
+                    if conn.recv(65536):
+                        conn.sendall(self.response)
+                    while self.hold and conn.recv(65536):
+                        pass  # a reused connection is never answered
+
+    def close(self) -> None:
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture()
+def answerer():
+    peers = []
+
+    def make(response, *, hold=False):
+        peers.append(_Answerer(response, hold=hold))
+        return peers[-1]
+
+    yield make
+    for peer in peers:
+        peer.close()
+
+
+class TestClientFraming:
+    """The client reads a response with the same head reader as the
+    server; an answer it cannot frame is a ConnectionError."""
+
+    def test_connection_close_answer_closes_the_connection(self, answerer):
+        # the peer keeps the connection open: a client that reused it
+        # would wait for an answer that never comes
+        peer = answerer(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+            b"Connection: close\r\n\r\n{}",
+            hold=True,
+        )
+        with ServeClient(peer.address, timeout=1.0) as client:
+            assert client.health() == {}
+            assert client.health() == {}
+        assert peer.accepted == 2
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", "status line"),
+            (b"ICY 200 OK\r\nContent-Length: 2\r\n\r\n{}", "status line"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}", "cut short"),
+            (b"HTTP/1.1 200 OK\r\n\r\n{}", "Content-Length"),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                b"Content-Length: 3\r\n\r\n{}",
+                "Content-Length",
+            ),
+        ],
+        ids=[
+            "malformed-status-line",
+            "not-http",
+            "short-body",
+            "no-length",
+            "conflicting-lengths",
+        ],
+    )
+    def test_unframable_answer_is_a_connection_error(
+        self, answerer, response, message
+    ):
+        peer = answerer(response)
+        with ServeClient(peer.address, timeout=1.0) as client:
+            with pytest.raises(ConnectionError, match=message):
+                client.health()
+        assert peer.accepted == 1  # a new connection is never retried
+
+
 class TestShutdown:
     def test_closed_server_fails_a_kept_alive_client_fast(self):
         server = ServeServer(StreamCluster(num_shards=1)).start()
@@ -462,6 +560,243 @@ class TestFraming:
             assert sock.recv(65536).startswith(b"HTTP/1.1 201")
 
 
+def refusal(server, data: bytes) -> int:
+    """The status of the one answer to ``data``, checked as a refusal:
+    a JSON ``error``, ``Connection: close``, the connection closed, and
+    the server still answering on a new connection."""
+    received, closed = raw_exchange(server, data)
+    [(status, headers, body)] = responses(received)
+    assert closed
+    assert headers["connection"] == "close"
+    assert isinstance(json.loads(body)["error"], str)
+    [(healthy, _, _)] = responses(raw_exchange(server, LAST_HEALTHZ)[0])
+    assert healthy == 200
+    return status
+
+
+def get(version=b"HTTP/1.1", *lines: bytes) -> bytes:
+    return b"GET /healthz " + version + b"\r\n" + b"".join(lines) + b"\r\n"
+
+
+class TestHeadRefusals:
+    """Heads the codec cannot trust: one JSON refusal, then close."""
+
+    def test_request_line_over_64k_is_414(self, served):
+        _, server = served
+        data = b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\nHost: t\r\n\r\n"
+        assert refusal(server, data) == 414
+
+    def test_more_than_100_header_lines_is_431(self, served):
+        _, server = served
+        assert refusal(server, get(b"HTTP/1.1", *[b"X-N: 1\r\n"] * 101)) == 431
+
+    def test_header_line_over_64k_is_431(self, served):
+        _, server = served
+        line = b"X-Big: " + b"a" * 65536 + b"\r\n"
+        assert refusal(server, get(b"HTTP/1.1", line)) == 431
+
+    def test_header_line_without_colon_is_400(self, served):
+        _, server = served
+        assert refusal(server, get(b"HTTP/1.1", b"Host t\r\n")) == 400
+
+    def test_folded_header_line_is_400(self, served):
+        _, server = served
+        lines = (b"X-Long: a\r\n", b"  folded\r\n")
+        assert refusal(server, get(b"HTTP/1.1", *lines)) == 400
+
+    def test_whitespace_before_colon_is_400(self, served):
+        _, server = served
+        assert refusal(server, get(b"HTTP/1.1", b"Host : t\r\n")) == 400
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GET /healthz HTTP/1.1 extra", b"GET", b"", b"GET  HTTP/1.1"],
+        ids=["four-words", "one-word", "empty", "no-target"],
+    )
+    def test_malformed_request_line_is_400(self, served, line):
+        _, server = served
+        assert refusal(server, line + b"\r\nHost: t\r\n\r\n") == 400
+
+    def test_http_0_9_request_is_400(self, served):
+        # the two-word form has no headers; it is refused without them
+        _, server = served
+        assert refusal(server, b"GET /healthz\r\n") == 400
+
+    @pytest.mark.parametrize(
+        "version", [b"HTTP/1", b"HTTP/0.9", b"http/1.1", b"HTTP/1.x"]
+    )
+    def test_version_other_than_http_1_x_is_400(self, served, version):
+        _, server = served
+        assert refusal(server, get(version)) == 400
+
+    @pytest.mark.parametrize("version", [b"HTTP/2", b"HTTP/2.0", b"HTTP/3"])
+    def test_http_2_or_later_is_505(self, served, version):
+        _, server = served
+        assert refusal(server, get(version)) == 505
+
+    @pytest.mark.parametrize("method", [b"PUT", b"HEAD", b"DELETE", b"get"])
+    def test_method_other_than_get_or_post_is_501(self, served, method):
+        _, server = served
+        data = method + b" /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        assert refusal(server, data) == 501
+
+    def test_limits_are_inclusive(self, served):
+        # 100 header lines, and header lines of exactly 64 KiB, are served
+        _, server = served
+        lines = [b"X-N: 1\r\n"] * 99 + [b"X-Big: " + b"a" * 65527 + b"\r\n"]
+        assert len(lines[-1]) == 65536
+        data, _ = raw_exchange(server, get(b"HTTP/1.1", *lines) + LAST_HEALTHZ)
+        assert [status for status, _, _ in responses(data)] == [200, 200]
+
+
+class TestKeepAliveRules:
+    def test_http_1_0_closes_unless_keep_alive(self, served):
+        _, server = served
+        data, closed = raw_exchange(server, get(b"HTTP/1.0") + HEALTHZ)
+        [(status, headers, _)] = responses(data)
+        assert status == 200 and closed
+        assert headers["connection"] == "close"
+        kept = get(b"HTTP/1.0", b"Connection: Keep-Alive\r\n")
+        data, closed = raw_exchange(server, kept + LAST_HEALTHZ)
+        assert [status for status, _, _ in responses(data)] == [200, 200]
+        assert closed
+
+    def test_every_answer_carries_a_date(self, served):
+        _, server = served
+        data, _ = raw_exchange(server, post("/v2/nothing", b"") + LAST_HEALTHZ)
+        for _, headers, _ in responses(data):
+            assert headers["date"].endswith(" GMT")
+            time.strptime(headers["date"], "%a, %d %b %Y %H:%M:%S GMT")
+
+
+# -- a hypothesis family of request heads, valid and broken --------------
+
+# most heads are valid but for one broken part, so that each broken part
+# is tried next to routed requests
+_TARGETS = [
+    b"/healthz",
+    b"/v1/streams/acme/s1/append",
+    b"/v1/streams/acme/s1/scores?start=1",
+    b"/v1/streams",
+    b"/v2/nothing",
+    b"*",
+]
+_REQUEST_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from([b"GET", b"POST"]),
+        st.sampled_from(_TARGETS),
+        st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"]),
+    ),
+    st.tuples(
+        st.sampled_from([b"GET", b"POST", b"PUT", b"HEAD", b"get", b""]),
+        st.sampled_from(_TARGETS + [b""]),
+        st.sampled_from(
+            [b"HTTP/1.1", b"HTTP/2", b"HTTP/0.9", b"HTTP/1", b"HTTX/1.1", b""]
+        ),
+    ),
+).map(b" ".join)
+_HEADERS = st.one_of(
+    st.sampled_from(
+        [
+            b"Host: t",
+            b"Accept: */*",
+            b"Connection: close",
+            b"Connection: keep-alive",
+            b"Content-Type: application/json",
+            b"X-Empty:",
+        ]
+    ),
+    st.integers(0, 40).map(lambda n: b"Content-Length: %d" % n),
+)
+_ODD_HEADERS = st.sampled_from(
+    [
+        b"Content-Length: -1",
+        b"Content-Length: abc",
+        b"Content-Length: 67108865",
+        b"Content-Length: " + b"9" * 30,
+        b"Transfer-Encoding: chunked",
+        b"no colon here",
+        b" folded continuation",
+        b"Host : t",
+        b": nameless",
+        b"X-Big: " + b"a" * 65536,
+    ]
+)
+_LINE_ENDS = st.sampled_from([b"\r\n", b"\n"])
+
+
+@st.composite
+def request_heads(draw):
+    """``(head, body)``: a head from valid and broken parts, and the body
+    bytes its ``Content-Length`` declares when it declares one to send."""
+    rarely = st.sampled_from([False] * 9 + [True])
+    line = draw(_REQUEST_LINES)
+    if draw(rarely):
+        line = b"GET /" + b"a" * 65536 + b" HTTP/1.1"
+    lines = draw(st.lists(_HEADERS, max_size=4))
+    if lines and draw(rarely):
+        lines.append(draw(st.sampled_from(lines)))  # a repeated header
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_HEADERS))
+    if draw(rarely):
+        lines += [b"X-N: 1"] * 101
+    head = line + draw(_LINE_ENDS)
+    for field in lines:
+        head += field + draw(_LINE_ENDS)
+    head += draw(_LINE_ENDS)
+    lengths = {
+        field.split(b":", 1)[1].strip()
+        for field in lines
+        if field.startswith(b"Content-Length:")
+    }
+    text = lengths.pop().decode() if len(lengths) == 1 else ""
+    size = int(text) if text.isdigit() and int(text) <= 40 else 0
+    return head, draw(st.binary(min_size=size, max_size=size))
+
+
+# statuses only a refusal gives (a 400 can also be a route's answer)
+_FRAMING_REFUSALS = {411, 413, 414, 431, 501, 505}
+
+
+@pytest.fixture(scope="class")
+def head_server():
+    with ServeServer(StreamCluster(num_shards=1)) as server:
+        with ServeClient(server.address) as client:
+            client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        yield server
+
+
+class TestMalformedHeads:
+    """Every complete request gets exactly one answer within 1 s, never a
+    500: a routed status or a JSON refusal with ``Connection: close``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(request=request_heads())
+    def test_every_head_gets_one_answer_never_a_500(self, head_server, request):
+        head, body = request
+        split = urlsplit(head_server.address)
+        started = time.monotonic()
+        with socket.create_connection(
+            (split.hostname, split.port), timeout=1.0
+        ) as sock:
+            sock.sendall(head + body)
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert time.monotonic() - started < 1.0
+        [(status, headers, payload)] = responses(received)
+        event(f"answered {status}")
+        assert status != 500
+        answer = json.loads(payload)
+        if status >= 400:
+            assert isinstance(answer["error"], str)
+        if status in _FRAMING_REFUSALS:
+            assert headers["connection"] == "close"
+        [(healthy, _, _)] = responses(raw_exchange(head_server, LAST_HEALTHZ)[0])
+        assert healthy == 200
+
+
 class TestInputContract:
     """Bad requests get a 4xx with a JSON ``error``, and the same client
     keeps working after each, on the same connection or a reopened one."""
@@ -553,6 +888,46 @@ class TestInputContract:
         client.create_stream(neighbour, "s1", "diff", np.arange(20.0))
         client.append(neighbour, "s1", [1.0, 2.0])
         assert client.scores(neighbour, "s1")["total"] == 2
+
+
+class TestNonFiniteOverHttp:
+    """``json.loads`` parses NaN and ±Infinity; the cluster refuses them."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_append_is_400_and_the_stream_stays_clean(self, served, token):
+        client, server = served
+        client.create_stream(
+            "acme", "s1", "streaming_zscore(k=48)", wave(n=200, seed=1)
+        )
+        status, _, data = client._exchange(
+            "POST",
+            "/v1/streams/acme/s1/append",
+            f'{{"values": [1.0, {token}, 2.0]}}'.encode(),
+        )
+        assert status == 400
+        assert "finite" in json.loads(data)["error"]
+        client.append("acme", "s1", wave(n=100, seed=2))
+        scores = client.scores("acme", "s1")["scores"]
+        assert len(scores) == 100 and np.isfinite(scores).all()
+        assert counter(server, "serve_http_connections_total") == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_create_is_400_and_nothing_is_created(self, served, token):
+        client, server = served
+        status, _, data = client._exchange(
+            "POST",
+            "/v1/streams",
+            (
+                '{"tenant": "acme", "stream": "s1", "detector": "diff", '
+                f'"train": [1.0, {token}, 2.0]}}'
+            ).encode(),
+        )
+        assert status == 400
+        assert "finite" in json.loads(data)["error"]
+        with pytest.raises(ServeError) as caught:
+            client.append("acme", "s1", [1.0])
+        assert caught.value.status == 404
+        assert counter(server, "serve_http_connections_total") == 1
 
 
 class TestStreamFailureOverHttp:
@@ -650,3 +1025,20 @@ class TestServerErrors:
         assert counter(server, "serve_http_requests_total") == requests + 1
         assert counter(server, "serve_http_connections_total") == 1
         assert client.health()["ok"] is True
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestDeadWorkerOverHttp:
+    def test_append_is_503_and_healthz_is_not_ok(self, served):
+        client, server = served
+        client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        dead = kill_worker(server.cluster)
+        with ServeClient(server.address, timeout=1.0) as prompt:
+            with pytest.raises(ServeError) as caught:
+                prompt.append("acme", "s1", [1.0])
+            assert caught.value.status == 503
+            health = prompt.health()
+        assert health["ok"] is False
+        assert health["dead_shards"] == [dead.name]

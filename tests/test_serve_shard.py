@@ -16,6 +16,7 @@ from repro.serve import (
     StreamCluster,
     StreamFailed,
 )
+from repro.serve.shard import _Op
 from repro.serve.state import _pack, _unpack
 from repro.stream import replay
 from repro.types import LabeledSeries, Labels
@@ -474,3 +475,100 @@ class TestClosedCluster:
                 cluster.append("acme", "s1", np.arange(start, start + 10.0))
         totals = cluster.metrics_json()["totals"]
         assert totals["points_ingested"] == 200
+
+
+class TestNonFiniteValues:
+    """NaN and ±Infinity are refused at the cluster boundary: no detector
+    has a missing-data policy, so one NaN would poison a stream."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_append_refuses_and_the_stream_keeps_scoring(self, bad):
+        values = spiked(n=400, at=300, train=200).values
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream(
+                "acme", "s1", "streaming_zscore(k=48)", values[:200]
+            )
+            with pytest.raises(ValueError, match="finite"):
+                cluster.append("acme", "s1", [1.0, bad, 2.0])
+            cluster.append("acme", "s1", values[200:300])
+            scores = cluster.scores("acme", "s1")["scores"]
+        assert len(scores) == 100
+        assert np.isfinite(scores).all()
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_create_refuses_a_non_finite_train(self, bad):
+        with StreamCluster(num_shards=1) as cluster:
+            train = np.arange(40.0)
+            train[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                cluster.create_stream("acme", "s1", "diff", train)
+            with pytest.raises(KeyError):
+                cluster.append("acme", "s1", [1.0])
+
+
+def kill_worker(cluster, tenant="acme"):
+    """Kill ``tenant``'s worker thread the way no ``except Exception``
+    catches: its next batch raises SystemExit."""
+    worker = cluster.worker_for(tenant)
+
+    def die(batch):
+        raise SystemExit("injected")
+
+    worker._execute = die
+    cluster.append(tenant, "s1", [1.0])
+    worker._thread.join(timeout=1.0)
+    assert not worker._thread.is_alive()
+    return worker
+
+
+def fill_queue(worker):
+    while not worker._queue.full():
+        worker._queue.put_nowait(_Op("append", "acme/s1", np.ones(1)))
+
+
+# the injected SystemExit ends the worker thread unhandled, by design
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestDeadWorker:
+    """A worker thread that died is refused loudly, never waited on."""
+
+    def dead_cluster(self):
+        cluster = StreamCluster(num_shards=1, queue_size=8)
+        cluster.create_stream("acme", "s1", "diff", np.arange(20.0))
+        return cluster, kill_worker(cluster)
+
+    def test_append_to_a_dead_worker_raises(self):
+        cluster, _ = self.dead_cluster()
+        error = finishes(
+            lambda: cluster.append("acme", "s1", [1.0]), timeout=1.0
+        )
+        assert isinstance(error, RuntimeError)
+        assert "not running" in str(error)
+        cluster.close()
+
+    def test_read_never_waits_on_a_dead_workers_full_queue(self):
+        cluster, worker = self.dead_cluster()
+        fill_queue(worker)
+        error = finishes(lambda: cluster.scores("acme", "s1"), timeout=1.0)
+        assert isinstance(error, RuntimeError)
+        assert "not running" in str(error)
+        cluster.close()
+
+    def test_close_returns_with_a_dead_workers_full_queue(self):
+        cluster, worker = self.dead_cluster()
+        fill_queue(worker)
+        assert finishes(cluster.close, timeout=1.0) is None
+
+    def test_healthz_names_the_dead_shard(self):
+        cluster, worker = self.dead_cluster()
+        health = cluster.healthz_json()
+        assert health["ok"] is False
+        assert health["dead_shards"] == [worker.name]
+        cluster.close()
+        # closed on purpose is not dead
+        assert cluster.healthz_json()["ok"] is True
