@@ -2,15 +2,16 @@
 
 The harness is one ordered table of sections (``_TABLE``): the mpx
 kernel next to the brute-force oracle, MERLIN exact and with early
-abandon, kNN scoring, the one-liner sliding extrema, a small engine
-grid, bounded-memory ``scaling`` up to n = 10⁶, ``streaming`` appends,
-parity and replay, the ``serve`` load tier, what ``obs`` telemetry and
-the ``watch`` alert layer cost, ``anytime`` convergence, ``parallel``
-bit-identity and the ``drift`` refit-policy ablation.  Each entry runs
-its measurements and returns ``(payload, checks)`` — the section's
-JSON payload and the headline checks it adds to the report — and
-renders its own text lines; ``SECTIONS``, :func:`run_bench` and
-:func:`format_bench` all derive from the table.
+abandon, kNN scoring, the one-liner sliding extrema, bounded-memory
+``scaling`` up to n = 10⁶, ``streaming`` appends, parity and replay,
+what ``obs`` telemetry and the ``watch`` alert layer cost, ``anytime``
+convergence, ``parallel`` bit-identity and the ``drift`` refit-policy
+ablation.  Each entry runs its measurements and returns ``(payload,
+checks)`` — the section's JSON payload and the headline checks it adds
+to the report — and renders its own text lines; ``SECTIONS``,
+:func:`run_bench` and :func:`format_bench` all derive from the table.
+The ``repro run`` grid and the served path are not sections: perfbench
+``batch-archive`` and ``serve-http`` measure them end to end.
 
 Every section reports absolute timings, which ``repro bench compare``
 gates against the committed trajectory.  Results are written as
@@ -342,38 +343,6 @@ def _render_oneliner(oneliner):
     return [
         f"movmax (n={oneliner['n']}, k={oneliner['k']}): "
         f"{oneliner['movmax_seconds']:.3f}s"
-    ]
-
-
-# ---------------------------------------------------------------------------
-# engine: a small end-to-end detector × archive grid
-
-
-def _run_engine(quick, repeats, w, budget, fractions):
-    from .datasets import UcrSimConfig, make_ucr
-    from .detectors import DetectorSpec
-    from .runner import EvalEngine
-
-    archive = make_ucr(UcrSimConfig(size=1 if quick else 4))
-    specs = [
-        DetectorSpec.create("moving_zscore", k=50),
-        DetectorSpec.create("matrix_profile", w=100),
-    ]
-    engine = EvalEngine(specs)
-    seconds = _timed(lambda: engine.run(archive), max(1, repeats // 2))
-    return {
-        "archive_series": len(archive),
-        "total_points": int(sum(s.values.size for s in archive.series)),
-        "detectors": [spec.label for spec in specs],
-        "cells": len(archive) * len(specs),
-        "seconds": seconds,
-    }, {}
-
-
-def _render_engine(engine):
-    return [
-        f"engine grid ({engine['cells']} cells, "
-        f"{engine['total_points']} points): {engine['seconds']:.2f}s"
     ]
 
 
@@ -1000,74 +969,6 @@ def _render_streaming(streaming):
 
 
 # ---------------------------------------------------------------------------
-# serve: the multi-tenant service under interleaved load
-
-
-def _run_serve(quick, repeats, w, budget, fractions):
-    """Drive the serve tier: N interleaved UCR-sim streams, in-process.
-
-    Unlike the other sections this is a single load run, not a median of
-    repeats — the run itself is thousands of appends whose latencies are
-    measured individually, so the p50/p99 digest already aggregates far
-    more samples than a repeat loop would.
-    """
-    from .serve import LoadConfig, run_load
-
-    config = (
-        LoadConfig(
-            streams=100,
-            tenants=8,
-            shards=2,
-            unique_series=8,
-            snapshot_checks=2,
-        )
-        if quick
-        else LoadConfig(
-            streams=1_000,
-            tenants=32,
-            shards=4,
-            unique_series=24,
-            snapshot_checks=5,
-        )
-    )
-    serve = run_load(config).to_json()
-    return serve, {
-        "serve_streams": serve["streams"],
-        "serve_points_per_second": serve["points_per_second"],
-        "serve_p99_ms": serve["append_p99_ms"],
-        "serve_snapshot_parity": serve["snapshot_parity"],
-        "serve_rejections": serve["rejections"],
-    }
-
-
-def _render_serve(serve):
-    parity = (
-        "n/a"
-        if serve["snapshot_parity"] is None
-        else ("ok" if serve["snapshot_parity"] else "FAILED")
-    )
-    p99 = (
-        "-"
-        if serve["append_p99_ms"] is None
-        else f"{serve['append_p99_ms']:.1f}ms"
-    )
-    nab = (
-        "-"
-        if serve["nab_windowed"] is None
-        else f"{serve['nab_windowed']:.1f}"
-    )
-    return [
-        f"serve ({serve['streams']} streams, {serve['tenants']} "
-        f"tenants, {serve['shards']} shards, batch "
-        f"{serve['batch_size']}): "
-        f"{serve['points_per_second']:.0f} points/s, p99 {p99}, "
-        f"{serve['rejections']} rejections, snapshot parity {parity}",
-        f"  delay-acc {serve['accuracy']:.1%}, nab-windowed {nab} over "
-        f"{serve['points_streamed']} streamed points",
-    ]
-
-
-# ---------------------------------------------------------------------------
 # obs: what the instrumentation itself costs
 
 
@@ -1434,10 +1335,8 @@ _TABLE = (
     _Section("merlin", _run_merlin, _render_merlin),
     _Section("knn", _run_knn, _render_knn),
     _Section("oneliner", _run_oneliner, _render_oneliner),
-    _Section("engine", _run_engine, _render_engine),
     _Section("scaling", _run_scaling, _render_scaling),
     _Section("streaming", _run_streaming, _render_streaming),
-    _Section("serve", _run_serve, _render_serve),
     _Section("obs", _run_obs, _render_obs),
     _Section("watch", _run_watch, _render_watch),
     _Section("anytime", _run_anytime, _render_anytime),

@@ -25,8 +25,8 @@ Commands mirror the paper's workflow:
   stdlib HTTP front over sharded workers with consistent-hash tenant
   routing, bounded queues with backpressure (``429 Retry-After``),
   per-tenant metrics and snapshot/restore of live stream state.
-* ``serve-bench`` — drive N interleaved UCR-sim streams through the
-  serve tier in-process and report sustained points/sec, p50/p99
+* ``serve-bench`` — drive N interleaved UCR-sim streams over HTTP
+  through an embedded server and report sustained points/sec, p50/p99
   arrival-to-score latency, backpressure counts, the mid-drive
   snapshot/restore parity verdict and the delay-aware + NAB-windowed
   detection scoreboard.
@@ -39,13 +39,12 @@ Commands mirror the paper's workflow:
   ``/alerts``: one line per poll with the ok/pending/firing summary
   and every non-ok rule's state and observed value.
 * ``bench`` — time the numeric core (mpx kernel next to the naive
-  brute-force reference, MERLIN, kNN, one-liners, engine grid,
-  bounded-memory scaling, streaming appends/replay, the serve load
-  tier, telemetry and watch-layer overhead, anytime convergence,
-  parallel-sweep bit-identity, the drift-refit ablation) and write a
-  machine-readable report whose name derives from the perf trajectory
-  (``benchmarks/perf/BENCH_<n>.json``); an existing report at that
-  default path is never overwritten.
+  brute-force reference, MERLIN, kNN, one-liners, bounded-memory
+  scaling, streaming appends/replay, telemetry and watch-layer
+  overhead, anytime convergence, parallel-sweep bit-identity, the
+  drift-refit ablation) and write a machine-readable report whose name
+  derives from the perf trajectory (``benchmarks/perf/BENCH_<n>.json``);
+  an existing report at that default path is never overwritten.
 * ``bench compare`` — the statistical perf-regression sentinel: run a
   fresh bench (or take ``--fresh REPORT.json``), align its metrics
   with the newest committed trajectory point, and judge each one
@@ -77,6 +76,7 @@ obs rollup`` folds such a file into a self-time profile.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import DEFAULT_OUT as BENCH_DEFAULT_OUT
@@ -462,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_bench = sub.add_parser(
         "serve-bench",
-        help="drive N interleaved UCR-sim streams through the serve "
-        "tier and report throughput, latency and detection quality",
+        help="drive N interleaved UCR-sim streams over HTTP through an "
+        "embedded server and report throughput, latency and detection "
+        "quality",
     )
     serve_bench.add_argument(
         "--streams",
@@ -608,10 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="time the numeric core (mpx kernel vs the naive reference, "
-        "MERLIN, kNN, one-liners, engine grid, bounded-memory scaling, "
-        "streaming, serve, obs/watch overhead, anytime convergence, "
-        "parallel bit-identity, drift refits) and write a "
-        "machine-readable report",
+        "MERLIN, kNN, one-liners, bounded-memory scaling, streaming, "
+        "obs/watch overhead, anytime convergence, parallel "
+        "bit-identity, drift refits) and write a machine-readable report",
     )
     bench.add_argument(
         "--quick",
@@ -1148,8 +1148,11 @@ def _cmd_stream(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve import ServeServer, StreamCluster
 
-    if args.watch_interval < 0:
-        print("error: --watch-interval must be >= 0", file=sys.stderr)
+    if not (math.isfinite(args.watch_interval) and args.watch_interval >= 0):
+        print(
+            "error: --watch-interval must be a finite number >= 0",
+            file=sys.stderr,
+        )
         return 2
     server = ServeServer(
         StreamCluster(
@@ -1250,6 +1253,15 @@ def _cmd_bench(args) -> int:
 
     if getattr(args, "bench_command", None) == "compare":
         return _cmd_bench_compare(args)
+    if args.min_kernel_speedup is not None and not math.isfinite(
+        args.min_kernel_speedup
+    ):
+        # `achieved < nan` is never true: the gate would always pass
+        print(
+            "error: --min-kernel-speedup must be a finite number",
+            file=sys.stderr,
+        )
+        return 2
     sections = tuple(
         part.strip() for part in args.sections.split(",") if part.strip()
     )
@@ -1331,6 +1343,13 @@ def _cmd_bench_compare(args) -> int:
     from .bench import SECTIONS, run_bench, write_bench
     from .obs import compare_reports, format_compare, latest_baseline
 
+    if args.noise_pct is not None and not (
+        math.isfinite(args.noise_pct) and args.noise_pct >= 0
+    ):
+        print(
+            "error: --noise-pct must be a finite number >= 0", file=sys.stderr
+        )
+        return 2
     try:
         baseline = latest_baseline(args.trajectory)
     except (FileNotFoundError, ValueError) as error:
@@ -1431,8 +1450,8 @@ def _cmd_obs_watch(args) -> int:
 
     from .serve import ServeClient, ServeError
 
-    if args.interval <= 0:
-        print("error: --interval must be > 0", file=sys.stderr)
+    if not (math.isfinite(args.interval) and args.interval > 0):
+        print("error: --interval must be a finite number > 0", file=sys.stderr)
         return 2
     client = ServeClient(args.trace)
     polls = 0

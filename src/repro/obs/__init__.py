@@ -19,7 +19,6 @@ from .alerts import (
     DetectorRule,
     Selector,
     ThresholdRule,
-    parse_rule,
 )
 from .registry import (
     Counter,
@@ -78,7 +77,6 @@ __all__ = [
     "BurnRateRule",
     "DetectorRule",
     "Selector",
-    "parse_rule",
     "compare_reports",
     "format_compare",
     "load_trajectory",

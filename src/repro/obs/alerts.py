@@ -52,7 +52,6 @@ __all__ = [
     "DetectorRule",
     "AlertStatus",
     "AlertManager",
-    "parse_rule",
     "OK",
     "PENDING",
     "FIRING",
@@ -448,35 +447,6 @@ class DetectorRule(AlertRule):
         )
 
 
-_RULE_RE = re.compile(
-    r"^\s*(?P<name>[A-Za-z0-9_.\-]+)\s*:\s*(?P<selector>.+?)\s*"
-    r"(?P<op>>=|<=|>|<)\s*(?P<threshold>[-+]?[0-9.]+(?:[eE][-+]?\d+)?)\s*"
-    r"(?:for\s+(?P<for>\d+)\s*)?$"
-)
-
-
-def parse_rule(text: str) -> ThresholdRule:
-    """``"name: selector OP value [for N]"`` → :class:`ThresholdRule`.
-
-    The compact grammar covers the threshold family only — burn-rate
-    and detector rules carry too many knobs for one line and are
-    constructed directly.
-    """
-    match = _RULE_RE.match(text)
-    if match is None:
-        raise ValueError(
-            f"cannot parse rule {text!r}; expected "
-            f"'name: selector OP value [for N]'"
-        )
-    return ThresholdRule(
-        match.group("name"),
-        match.group("selector"),
-        match.group("op"),
-        float(match.group("threshold")),
-        for_ticks=int(match.group("for") or 1),
-    )
-
-
 class AlertStatus:
     """One rule's live state (mutated only under the manager's lock)."""
 
@@ -536,9 +506,7 @@ class AlertManager:
         for rule in rules:
             self.add_rule(rule)
 
-    def add_rule(self, rule: "AlertRule | str") -> AlertRule:
-        if isinstance(rule, str):
-            rule = parse_rule(rule)
+    def add_rule(self, rule: AlertRule) -> AlertRule:
         with self._lock:
             if rule.name in self._statuses:
                 raise ValueError(f"duplicate rule name {rule.name!r}")

@@ -35,6 +35,7 @@ clock.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 
@@ -195,6 +196,11 @@ def latest_baseline(directory: str) -> dict:
 
 def _noise_allowance(fresh: dict, floor_pct: float | None) -> float:
     floor = DEFAULT_NOISE_PCT if floor_pct is None else float(floor_pct)
+    if not (math.isfinite(floor) and floor >= 0):
+        # a NaN or infinite allowance makes every limit comparison pass
+        raise ValueError(
+            f"noise_pct must be a finite number >= 0, got {floor_pct!r}"
+        )
     measured = host_block(fresh).get("timing_noise_pct")
     if measured is None:
         return floor
@@ -275,8 +281,9 @@ def compare_reports(
     """Gate ``fresh`` against ``baseline``; returns the verdict artifact.
 
     Only directional metrics present in both reports are judged.
-    ``noise_pct`` is the allowance *floor*; the fresh report's
-    calibrated ``host.timing_noise_pct`` widens it when larger.
+    ``noise_pct`` is the allowance *floor* (a finite percentage >= 0,
+    else ``ValueError``); the fresh report's calibrated
+    ``host.timing_noise_pct`` widens it when larger.
     """
     fresh_metrics = flatten_metrics(fresh)
     base_metrics = flatten_metrics(baseline)

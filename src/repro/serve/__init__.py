@@ -19,10 +19,10 @@ nothing beyond the standard library.  Four layers:
   (:class:`ServeServer`) and blocking client (:class:`ServeClient`);
   backpressure maps to ``429 Retry-After``.
 * :mod:`~repro.serve.loadgen` — the serve bench: N interleaved UCR-sim
-  streams driven through the cluster, scored back through the replay
-  trace machinery so service-path detection quality is directly
-  comparable to local replay, plus a mid-drive snapshot/restore parity
-  drill.
+  streams driven over HTTP through an embedded :class:`ServeServer`,
+  scored back through the replay trace machinery so service-path
+  detection quality is directly comparable to local replay, plus a
+  mid-drive snapshot/restore parity drill on the same server.
 
 See ``docs/serve.md`` for the architecture and the bench methodology.
 """

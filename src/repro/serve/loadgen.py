@@ -1,10 +1,11 @@
-"""Serve load generator: N interleaved UCR-sim streams against a cluster.
+"""Serve load generator: N interleaved UCR-sim streams over HTTP.
 
-The replay engine (PR 5) measures one detector on one stream; the load
-generator measures the *service* — many tenants' streams interleaved
-through the sharded workers, with backpressure, queueing and
-coalescing in the path.  It reuses the repository's own machinery at
-both ends:
+The replay engine measures one detector on one stream; the load
+generator measures the *service* the way a client reaches it — many
+tenants' streams interleaved through a real :class:`ServeServer` and a
+:class:`ServeClient`, so HTTP, JSON, backpressure, queueing and
+coalescing are all in the path.  It reuses the repository's own
+machinery at both ends:
 
 * the **input** is the simulated UCR archive
   (:mod:`repro.datasets.ucr`), shortened so a thousand streams fit a
@@ -19,8 +20,8 @@ both ends:
 
 Mid-drive, a configurable handful of streams get the full portability
 drill: snapshot at the halfway point, keep driving the original, then
-restore the snapshot into a *fresh* single-shard cluster, drive the
-identical remainder, and require byte-identical scores.  The bench
+restore the snapshot on the same server as ``<stream>-restored``, drive
+the identical remainder, and require byte-identical scores.  The bench
 therefore re-proves the round-trip parity contract under concurrency
 on every run, not just in the unit suite.
 """
@@ -36,7 +37,8 @@ from ..datasets.ucr import UcrSimConfig, make_ucr
 from ..obs import MetricsRegistry, get_registry, get_tracer, quantile
 from ..stream.replay import ReplayTrace, trace_from_scores
 from ..stream.scoreboard import delay_summary, nab_windowed_score
-from .shard import Backpressure, StreamCluster, _ms
+from .server import ServeClient, ServeServer
+from .shard import StreamCluster, _ms
 
 __all__ = [
     "LoadConfig",
@@ -73,7 +75,6 @@ class LoadConfig:
     max_delay: int | None = 250
     slop: int = 100
     snapshot_checks: int = 3  # streams given the snapshot/restore drill
-    max_retries: int = 50  # backpressure retries per append before giving up
 
     def __post_init__(self):
         if self.streams < 1:
@@ -103,7 +104,6 @@ class LoadResult:
     score_p50_ms: float | None
     score_p99_ms: float | None
     rejections: int
-    retries: int
     snapshot_parity: bool | None
     traces: "list[ReplayTrace]" = field(repr=False)
 
@@ -134,7 +134,6 @@ class LoadResult:
             "score_p50_ms": self.score_p50_ms,
             "score_p99_ms": self.score_p99_ms,
             "rejections": self.rejections,
-            "retries": self.retries,
             "snapshot_parity": self.snapshot_parity,
             "accuracy": round(
                 float(
@@ -195,27 +194,15 @@ def _plan(config: LoadConfig, archive) -> "list[_StreamPlan]":
     return plans
 
 
-def _append_with_retry(cluster, plan, batch, config, counters) -> None:
-    for _ in range(config.max_retries):
-        try:
-            cluster.append(plan.tenant, plan.stream, batch)
-            return
-        except Backpressure as pressure:
-            counters["retries"] += 1
-            time.sleep(pressure.retry_after)
-    raise RuntimeError(
-        f"stream {plan.tenant}/{plan.stream}: still backpressured after "
-        f"{config.max_retries} retries — queue_size too small for this load"
-    )
-
-
 def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
-    """Drive the interleaved load and measure the service.
+    """Drive the interleaved load over HTTP and measure the service.
 
     The drive is round-robin: every round appends one micro-batch to
     every still-active stream, so at any instant the cluster holds all
     ``config.streams`` streams mid-flight — the interleaving is the
-    point, it is what exercises routing, coalescing and fairness.
+    point, it is what exercises routing, coalescing and fairness.  One
+    client on the calling thread sends every request, so the schedule
+    is deterministic; a ``429`` is retried with the server's hint.
     """
     if archive is None:
         archive = default_archive(config)
@@ -226,7 +213,6 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
     ) if config.snapshot_checks else set()
     check_indices = set(sorted(check_indices)[: config.snapshot_checks])
 
-    counters = {"retries": 0}
     tracer = get_tracer()
     load_span = (
         tracer.start_span(
@@ -239,11 +225,16 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
         if tracer.enabled
         else None
     )
-    with StreamCluster(
-        num_shards=config.shards, queue_size=config.queue_size
-    ) as cluster:
+    # the server closes the cluster; the outer close covers a failed bind
+    with (
+        StreamCluster(
+            num_shards=config.shards, queue_size=config.queue_size
+        ) as cluster,
+        ServeServer(cluster) as server,
+        ServeClient(server.address) as client,
+    ):
         for plan in plans:
-            cluster.create_stream(
+            client.create_stream(
                 plan.tenant,
                 plan.stream,
                 plan.detector,
@@ -263,25 +254,23 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
                     # the portability drill: capture state mid-stream,
                     # remember which batches are still to come
                     mid_checks[index] = {
-                        "snapshot": cluster.snapshot_stream(
-                            plan.tenant, plan.stream
-                        ),
+                        "snapshot": client.snapshot(plan.tenant, plan.stream),
                         "remaining": plan.batches[round_index:],
                     }
-                _append_with_retry(
-                    cluster, plan, plan.batches[round_index], config, counters
+                client.append(
+                    plan.tenant, plan.stream, plan.batches[round_index]
                 )
         # barrier: a per-stream read drains that stream's queue, so the
         # clock stops only after every point has been scored
         served: list[dict] = [
-            cluster.scores(plan.tenant, plan.stream) for plan in plans
+            client.scores(plan.tenant, plan.stream) for plan in plans
         ]
         seconds = time.perf_counter() - started
 
         latencies = _latencies(cluster.registry)
         rejections = cluster.metrics_json()["totals"]["rejected"]
 
-        snapshot_parity = _verify_snapshots(plans, served, mid_checks)
+        snapshot_parity = _verify_snapshots(client, plans, served, mid_checks)
         # fold the cluster's serve_* series into the session registry so
         # a --trace run's metrics record covers the service tier too
         get_registry().merge_state(cluster.registry.export_state())
@@ -299,7 +288,6 @@ def run_load(config: LoadConfig, *, archive=None) -> LoadResult:
         seconds=seconds,
         points_per_second=points / seconds if seconds > 0 else 0.0,
         rejections=rejections,
-        retries=counters["retries"],
         snapshot_parity=snapshot_parity,
         traces=traces,
         **latencies,
@@ -332,19 +320,20 @@ def _latencies(registry: MetricsRegistry) -> dict:
     return fields
 
 
-def _verify_snapshots(plans, served, mid_checks) -> bool | None:
-    """Replay each captured snapshot in a fresh cluster; require parity."""
+def _verify_snapshots(client, plans, served, mid_checks) -> bool | None:
+    """Restore each captured snapshot as ``<stream>-restored`` on the
+    same server, replay the remainder there; require parity."""
     if not mid_checks:
         return None
     for index, check in mid_checks.items():
         plan = plans[index]
         snapshot = check["snapshot"]
         cut = snapshot["scores_total"]
-        with StreamCluster(num_shards=1) as fresh:
-            fresh.restore_stream(snapshot)
-            for batch in check["remaining"]:
-                fresh.append(plan.tenant, plan.stream, batch)
-            replayed = fresh.scores(plan.tenant, plan.stream, start=cut)
+        copy = f"{plan.stream}-restored"
+        client.restore({**snapshot, "stream": copy})
+        for batch in check["remaining"]:
+            client.append(plan.tenant, copy, batch)
+        replayed = client.scores(plan.tenant, copy, start=cut)
         original = served[index]["scores"][cut:]
         if replayed["scores"] != original:
             return False
@@ -375,8 +364,7 @@ def format_load(result: LoadResult) -> str:
         f"  … queue wait p50 {fmt('queue_wait_p50_ms')}, "
         f"p99 {fmt('queue_wait_p99_ms')}; "
         f"score time p50 {fmt('score_p50_ms')}, p99 {fmt('score_p99_ms')}",
-        f"  backpressure: {payload['rejections']} rejections, "
-        f"{payload['retries']} retries",
+        f"  backpressure: {payload['rejections']} rejections",
         f"  snapshot/restore parity: {parity}",
         "",
         f"  {'detector':<28} {'streams':>8} {'delay-acc':>9} "

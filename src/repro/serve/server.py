@@ -65,6 +65,8 @@ _MAX_HEADERS = 100
 # close() waits up to one poll of the accept loop; socketserver's default
 # half second made every embedded server's shutdown cost that much
 _ACCEPT_POLL_S = 0.05
+# how long a closing connection goes on reading what the peer still sends
+_LINGER_S = 1.0
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 token
@@ -424,7 +426,20 @@ class _Httpd(socketserver.ThreadingTCPServer):
     def shutdown_request(self, request) -> None:
         with self._open_lock:
             self._open.discard(request)
-        super().shutdown_request(request)
+        # lingering close: closing with input unread makes the kernel
+        # reset the connection, and a peer still sending (a refused
+        # request's body, say) gets a broken pipe instead of the answer;
+        # so half-close, then drain until the peer closes too, giving up
+        # about _LINGER_S later
+        try:
+            request.shutdown(socket.SHUT_WR)
+            request.settimeout(_LINGER_S)
+            deadline = time.monotonic() + _LINGER_S
+            while request.recv(65536) and time.monotonic() < deadline:
+                pass
+        except OSError:
+            pass  # the peer went away or kept sending
+        self.close_request(request)
 
     def sever_connections(self) -> None:
         """Shut every open connection, waking handlers idle in a read."""

@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
+import math
 import queue
 import threading
 import time
@@ -73,6 +74,8 @@ _LIVENESS_POLL_S = 0.1
 _RETRY_AFTER_S = 0.05
 # virtual nodes per shard on the hash ring
 _RING_REPLICAS = 64
+# the append-latency alert's p99 threshold
+_P99_LATENCY_S = 1.0
 
 # ``# HELP`` text for every serve series, registered on the cluster's
 # registry so the Prometheus exposition is self-describing
@@ -119,16 +122,14 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite: NaN and Infinity are refused")
 
 
-def default_watch_rules(
-    queue_size: int, *, p99_latency_seconds: float = 1.0
-) -> "list[AlertRule]":
+def default_watch_rules(queue_size: int) -> "list[AlertRule]":
     """The cluster's stock self-monitoring rules.
 
     * **queue saturation** — any shard's resident queue depth above 80%
       of capacity for two consecutive watch ticks: the cluster is one
       burst away from rejecting work.
     * **append latency** — the worst tenant's p99 arrival-to-score
-      latency above ``p99_latency_seconds`` for two ticks.
+      latency above one second for two ticks.
     * **backpressure burn** — the SLO burn-rate pattern on the
       rejected/attempted counter pair: sustained rejection above twice
       the 5% error budget over both the short and long window.
@@ -145,7 +146,7 @@ def default_watch_rules(
             "append-latency-p99",
             "max(serve_append_seconds.p99)",
             ">",
-            p99_latency_seconds,
+            _P99_LATENCY_S,
             for_ticks=2,
         ),
         BurnRateRule(
@@ -589,9 +590,13 @@ class StreamCluster:
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if watch_interval is not None and watch_interval <= 0:
+        if watch_interval is not None and not (
+            math.isfinite(watch_interval) and watch_interval > 0
+        ):
+            # Event.wait(nan) returns at once and wait(inf) overflows
             raise ValueError(
-                f"watch_interval must be > 0, got {watch_interval}"
+                f"watch_interval must be a finite number > 0, "
+                f"got {watch_interval}"
             )
         names = [f"shard-{index}" for index in range(num_shards)]
         self.registry = MetricsRegistry()

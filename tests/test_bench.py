@@ -52,10 +52,8 @@ class TestRunBench:
             "merlin",
             "knn",
             "oneliner",
-            "engine",
             "scaling",
             "streaming",
-            "serve",
             "obs",
             "anytime",
             "parallel",
@@ -70,17 +68,22 @@ class TestRunBench:
             "repeats": 1,
             "env": {"numpy": "x", "cpu_count": 1},
             "sections": {
-                "engine": {"cells": 2, "total_points": 9, "seconds": 1.0},
                 "oneliner": {"n": 10, "k": 3, "movmax_seconds": 0.5},
+                "knn": {
+                    "n": 20,
+                    "w": 4,
+                    "full_score_seconds": 1.0,
+                    "short_score_seconds": 0.002,
+                },
             },
         }
         # text follows table order, not the report's key order
         lines = format_bench(report).splitlines()
         assert lines[1:] == [
             "",
-            "movmax (n=10, k=3): 0.500s",
+            "kNN (n=20, w=4): full score 1.000s; short segment 2.0ms",
             "",
-            "engine grid (2 cells, 9 points): 1.00s",
+            "movmax (n=10, k=3): 0.500s",
         ]
 
     def test_merlin_section_schema_and_cross_check(self, monkeypatch):
@@ -194,23 +197,6 @@ class TestRunBench:
         text = format_bench(report)
         assert "streaming" in text
         assert "replay" in text
-
-    def test_serve_section_schema_and_checks(self):
-        report = run_bench(quick=True, repeats=1, sections=("serve",))
-        section = report["sections"]["serve"]
-        assert section["streams"] == 100
-        assert section["points_per_second"] > 0
-        # the mid-drive snapshot/restore drill ran and held parity
-        assert section["snapshot_parity"] is True
-        assert section["append_p99_ms"] is not None
-        checks = report["checks"]
-        assert checks["serve_streams"] == 100
-        assert checks["serve_points_per_second"] > 0
-        assert checks["serve_snapshot_parity"] is True
-        assert checks["serve_rejections"] >= 0
-        text = format_bench(report)
-        assert "serve" in text
-        assert "parity" in text
 
     def test_parallel_section_schema_and_checks(self, monkeypatch):
         # tiny override cases: the section's value is its assertions

@@ -354,6 +354,21 @@ class TestBench:
         )
         assert "hyperdrive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("floor", ["nan", "inf"])
+    def test_non_finite_speedup_floor_exits_2_before_the_bench(
+        self, floor, capsys, monkeypatch
+    ):
+        # `achieved < nan` is never true: a NaN floor would pass any kernel
+        from repro import bench
+
+        def run_bench(**kwargs):
+            raise RuntimeError("the bench ran")
+
+        monkeypatch.setattr(bench, "run_bench", run_bench)
+        assert main(["bench", "--quick", "--sections", "kernel",
+                     "--out", "-", "--min-kernel-speedup", floor]) == 2
+        assert "--min-kernel-speedup" in capsys.readouterr().err
+
     def test_speedup_floor_needs_kernel_section(self, capsys):
         assert main(["bench", "--quick", "--repeats", "1",
                      "--sections", "oneliner", "--out", "-",
@@ -667,6 +682,10 @@ class TestTraceFlag:
             if key.startswith("serve_points_ingested")
         )
         assert ingested > 0
+        # the drive went over HTTP: one kept-alive connection carried
+        # each stream's create, its appends and its read
+        assert counters["serve_http_connections_total"] == 1
+        assert counters["serve_http_requests_total"] > 2 * 4
 
 
 class TestObsEdgeCases:
@@ -752,6 +771,14 @@ class TestObsWatch:
         ) == 2
         assert "--interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_interval_exits_2(self, interval, capsys):
+        # time.sleep(nan) raises after the first poll
+        assert main(
+            ["obs", "watch", "http://127.0.0.1:1", "--interval", interval]
+        ) == 2
+        assert "--interval" in capsys.readouterr().err
+
     def test_unreachable_endpoint_exits_1(self, capsys):
         assert main(
             ["obs", "watch", "http://127.0.0.1:1",
@@ -797,6 +824,21 @@ class TestServeWatchFlag:
 
     def test_negative_watch_interval_exits_2(self, capsys):
         assert main(["serve", "--watch-interval", "-1"]) == 2
+        assert "--watch-interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_watch_interval_exits_2(
+        self, interval, capsys, monkeypatch
+    ):
+        # a missed refusal fails here instead of serving forever
+        import repro.serve
+
+        def cluster(**kwargs):
+            raise AssertionError("the cluster was built")
+
+        monkeypatch.setattr(repro.serve, "StreamCluster", cluster)
+        assert main(["serve", "--port", "0",
+                     "--watch-interval", interval]) == 2
         assert "--watch-interval" in capsys.readouterr().err
 
 
@@ -901,6 +943,24 @@ class TestBenchCompare:
         assert artifact["schema"] == "repro-bench-compare/1"
         assert artifact["baseline"]["path"].endswith("BENCH_1.json")
         assert json.loads(captured.out) == artifact
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-5"])
+    def test_non_finite_or_negative_noise_pct_exits_2(
+        self, noise, tmp_path, capsys
+    ):
+        # a NaN or infinite allowance would pass this 2x regression
+        trajectory = self.trajectory(
+            tmp_path, self.make_report(mpx=1.0, runs=[1.0, 1.01, 0.99])
+        )
+        fresh = self.fresh_file(
+            tmp_path, self.make_report(mpx=2.0, runs=[2.0, 2.02, 1.98])
+        )
+        assert main(["bench", "compare", "--fresh", fresh,
+                     "--trajectory", trajectory, "--strict",
+                     "--noise-pct", noise]) == 2
+        captured = capsys.readouterr()
+        assert "--noise-pct" in captured.err
+        assert captured.out == ""
 
     def test_missing_trajectory_exits_2(self, tmp_path, capsys):
         assert main(["bench", "compare",

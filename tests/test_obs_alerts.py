@@ -23,7 +23,6 @@ from repro.obs import (
     Selector,
     SeriesSampler,
     ThresholdRule,
-    parse_rule,
 )
 from repro.obs.alerts import FIRING, OK, PENDING
 
@@ -131,30 +130,6 @@ class TestSelectorResolve:
         sampler.sample(now=10.0)
         rate = Selector.parse("requests_total.rate").resolve(sampler)
         assert rate == pytest.approx(3.0)
-
-
-class TestParseRule:
-    def test_full_grammar(self):
-        rule = parse_rule("queue-hot: max(queue_depth) > 80 for 3")
-        assert isinstance(rule, ThresholdRule)
-        assert rule.name == "queue-hot"
-        assert rule.op == ">"
-        assert rule.threshold == 80.0
-        assert rule.for_ticks == 3
-
-    def test_for_defaults_to_one(self):
-        assert parse_rule("r: queue_depth <= 5").for_ticks == 1
-
-    def test_scientific_threshold(self):
-        assert parse_rule("r: x.p99 >= 1e-3").threshold == pytest.approx(1e-3)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError, match="cannot parse rule"):
-            parse_rule("just some words")
-
-    def test_bad_operator_rejected(self):
-        with pytest.raises(ValueError):
-            parse_rule("r: queue_depth == 5")
 
 
 class TestThresholdRule:
@@ -372,13 +347,6 @@ class TestAlertManagerStateMachine:
         _, _, manager = self.make_manager()
         with pytest.raises(ValueError, match="duplicate"):
             manager.add_rule(ThresholdRule("hot", "queue_depth", ">", 1.0))
-
-    def test_add_rule_accepts_the_string_grammar(self):
-        _, _, manager = self.make_manager()
-        rule = manager.add_rule("cold: queue_depth < 1 for 2")
-        assert isinstance(rule, ThresholdRule)
-        assert rule.for_ticks == 2
-        assert {r.name for r in manager.rules} == {"hot", "cold"}
 
     def test_firing_lists_only_firing_rules(self):
         _, gauge, manager = self.make_manager(for_ticks=1)

@@ -228,6 +228,15 @@ class TestTheGate:
         assert verdict["noise_pct"] == 20.0
         assert verdict["verdict"] == "within-noise"
 
+    @pytest.mark.parametrize("noise_pct", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_noise_floor_rejected(self, noise_pct):
+        # max(nan, measured) is nan and every limit comparison with nan
+        # is false: the gate would pass a 2x regression
+        with pytest.raises(ValueError, match="noise_pct"):
+            compare_reports(
+                make_report(mpx=2.0), make_report(mpx=1.0), noise_pct=noise_pct
+            )
+
     def test_default_noise_floor(self):
         report = make_report(host={**HOST, "timing_noise_pct": None})
         verdict = compare_reports(report, make_report())

@@ -1,10 +1,16 @@
-"""Load generator: interleaved drive, parity drill, trace equivalence."""
+"""Load generator: interleaved HTTP drive, parity drill, trace equivalence."""
+
+import math
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.obs import tracing_session
 from repro.serve import (
     LoadConfig,
+    ServeClient,
     default_archive,
     format_load,
     run_load,
@@ -90,6 +96,80 @@ class TestRunLoad:
         )
         assert result.snapshot_parity is None
         assert "parity: n/a" in format_load(result)
+
+
+def _serve_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-serve" or thread.name.startswith("shard-")
+    }
+
+
+@pytest.fixture(scope="module")
+def http_run():
+    config = small_config(streams=4, snapshot_checks=1)
+    before = _serve_threads()
+    with tracing_session(enabled=False) as (_, registry):
+        result = run_load(config)
+    return config, result, registry, _serve_threads() - before
+
+
+class TestHttpDrive:
+    def test_every_operation_is_one_request_on_one_connection(
+        self, http_run
+    ):
+        config, result, registry, _ = http_run
+        archive = default_archive(config)
+        batches = [
+            math.ceil(
+                (series.values.size - series.train_len) / config.batch_size
+            )
+            for series in (
+                archive.series[index % len(archive.series)]
+                for index in range(config.streams)
+            )
+        ]
+        # every stream's create, appends and read; the drilled stream
+        # (the first) adds a snapshot, a restore, its remaining appends
+        # and a read; each 429 answer is a request of its own
+        drive = sum(count + 2 for count in batches)
+        drill = batches[0] - batches[0] // 2 + 3
+        rejected = sum(
+            counter.value
+            for counter in registry.family("serve_rejected").values()
+        )
+        requests = registry.counter("serve_http_requests_total").value
+        assert requests == drive + drill + rejected
+        assert registry.counter("serve_http_connections_total").value == 1
+        assert result.snapshot_parity is True
+
+    def test_no_server_or_shard_thread_outlives_the_drive(self, http_run):
+        *_, leaked = http_run
+        assert leaked == set()
+
+    def test_a_diverging_restore_fails_the_drill(self, monkeypatch, capsys):
+        # feed the first restored copy one changed value: the drill must
+        # see the continuation diverge, and serve-bench must exit 1
+        append = ServeClient.append
+        doctored = []
+
+        def append_once_doctored(self, tenant, stream, values):
+            if stream.endswith("-restored") and not doctored:
+                doctored.append(stream)
+                values = np.array(values, dtype=float)
+                values[0] += 100.0
+            return append(self, tenant, stream, values)
+
+        monkeypatch.setattr(ServeClient, "append", append_once_doctored)
+        config = small_config(streams=2, unique_series=1, snapshot_checks=1)
+        assert run_load(config).snapshot_parity is False
+        doctored.clear()
+        assert main(["serve-bench", "--streams", "2", "--tenants", "2",
+                     "--shards", "1", "--unique-series", "1",
+                     "--snapshot-checks", "1", "--batch-size", "200",
+                     "--seed", "11"]) == 1
+        assert "parity: FAILED" in capsys.readouterr().out
 
 
 class TestConfig:

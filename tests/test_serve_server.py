@@ -640,6 +640,26 @@ class TestHeadRefusals:
         data = method + b" /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
         assert refusal(server, data) == 501
 
+    def test_refusal_reaches_a_client_still_sending(self, served):
+        # refused at the request line with 16 MiB of body to come, more
+        # than the socket buffers hold: a server that closed at once
+        # would reset the connection under the client's sendall
+        _, server = served
+        split = urlsplit(server.address)
+        data = b"PUT /healthz HTTP/1.1\r\nHost: t\r\n\r\n" + bytes(16 << 20)
+        for _ in range(3):
+            with socket.create_connection(
+                (split.hostname, split.port), timeout=1.0
+            ) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            [(status, headers, _)] = responses(received)
+            assert status == 501
+            assert headers["connection"] == "close"
+
     def test_limits_are_inclusive(self, served):
         # 100 header lines, and header lines of exactly 64 KiB, are served
         _, server = served

@@ -155,6 +155,13 @@ class TestBackgroundThread:
         with pytest.raises(ValueError, match="watch_interval"):
             make_cluster(watch_interval=0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        # Event.wait(nan) returns at once, so a NaN cadence would spin
+        # the watcher on a full core; wait(inf) overflows on first use
+        with pytest.raises(ValueError, match="watch_interval"):
+            make_cluster(watch_interval=interval).close()
+
     def test_thread_ticks_and_close_joins_it(self):
         cluster = make_cluster(watch_interval=0.01)
         try:
