@@ -184,7 +184,7 @@ def _ratio(numerator: float, denominator: float) -> float:
 # kernel: mpx next to the brute-force oracle
 
 
-def _run_kernel(quick, repeats, w, budget, fractions):
+def _run_kernel(quick, repeats, w, budget):
     from .detectors import matrix_profile
     from .detectors.reference import naive_profile
 
@@ -241,7 +241,7 @@ def _render_kernel(kernel):
 # MERLIN: shared stats, exact and with early abandon
 
 
-def _run_merlin(quick, repeats, w, budget, fractions):
+def _run_merlin(quick, repeats, w, budget):
     from .datasets import make_taxi
     from .detectors import merlin
 
@@ -293,7 +293,7 @@ def _render_merlin(merlin):
 # kNN: full-series and short-segment scoring
 
 
-def _run_knn(quick, repeats, w, budget, fractions):
+def _run_knn(quick, repeats, w, budget):
     from .detectors import KnnDistanceDetector
 
     n = 4_096 if quick else 10_000
@@ -329,7 +329,7 @@ def _render_knn(knn):
 # one-liner primitives: O(n) sliding extrema
 
 
-def _run_oneliner(quick, repeats, w, budget, fractions):
+def _run_oneliner(quick, repeats, w, budget):
     from .oneliner.primitives import movmax
 
     n = 50_000 if quick else 200_000
@@ -479,7 +479,7 @@ def _scaling_case(
     return row
 
 
-def _run_scaling(quick, repeats, w, budget, fractions):
+def _run_scaling(quick, repeats, w, budget):
     sizes = _SCALING_QUICK_SIZES if quick else _SCALING_SIZES
     pair_cap = _SCALING_QUICK_PAIR_CAP if quick else _SCALING_PAIR_CAP
     try:
@@ -547,7 +547,7 @@ def _anytime_fixtures(n: int) -> dict:
     return {"periodic": periodic, "walk": _walk(n)}
 
 
-def _run_anytime(quick, repeats, w, budget, fractions):
+def _run_anytime(quick, repeats, w, budget):
     """Measure how fast the ``approx=`` upper bound approaches exact.
 
     The anytime mode guarantees an upper bound on every distance; how
@@ -568,6 +568,7 @@ def _run_anytime(quick, repeats, w, budget, fractions):
 
     n = _ANYTIME_QUICK_N if quick else _ANYTIME_N
     w = _ANYTIME_W
+    fractions = _ANYTIME_QUICK_FRACTIONS if quick else _ANYTIME_FRACTIONS
     fixtures = []
     for name, values in _anytime_fixtures(n).items():
         stats = SlidingStats(values)
@@ -687,7 +688,7 @@ def _parallel_model(shard_pairs, jobs: int) -> float:
     return _ratio(sum(shard_pairs), max(free))
 
 
-def _run_parallel(quick, repeats, w, budget, fractions):
+def _run_parallel(quick, repeats, w, budget):
     """Full exact sweeps, serial vs ``jobs=N``, identity asserted.
 
     Every case runs the complete profile with indices — no slices, no
@@ -813,7 +814,7 @@ _STREAMING_BOUNDED_HISTORY = 2_048
 _STREAMING_QUICK_BOUNDED_HISTORY = 1_024
 
 
-def _run_streaming(quick, repeats, w, budget, fractions):
+def _run_streaming(quick, repeats, w, budget):
     from .detectors import matrix_profile
     from .stream import StreamingMatrixProfile, replay
     from .types import LabeledSeries, Labels
@@ -972,7 +973,7 @@ def _render_streaming(streaming):
 # obs: what the instrumentation itself costs
 
 
-def _run_obs(quick, repeats, w, budget, fractions):
+def _run_obs(quick, repeats, w, budget):
     """Price the telemetry layer on the kernel hot path.
 
     Three timings of the same profile: the sweep+finalize pipeline with
@@ -1105,7 +1106,7 @@ def _render_obs(obs):
 # watch: what self-monitoring costs, and that it actually alarms
 
 
-def _run_watch(quick, repeats, w, budget, fractions):
+def _run_watch(quick, repeats, w, budget):
     """Price the watch layer and prove its alerting contract.
 
     Three measurements: (1) the cost of one watch tick — sample every
@@ -1272,7 +1273,7 @@ def _render_watch(watch):
 # drift: the refit-policy trade-off under concept drift
 
 
-def _run_drift(quick, repeats, w, budget, fractions):
+def _run_drift(quick, repeats, w, budget):
     """Record the drift ablation as this trajectory's measured point.
 
     Replays the drift scenarios (step/ramp/variance/period regime
@@ -1321,8 +1322,8 @@ def _render_drift(drift):
 
 
 class _Section(NamedTuple):
-    """One bench section: ``run(quick, repeats, w, budget, fractions)``
-    returns ``(payload, checks)``; ``render(payload)`` its text lines."""
+    """One bench section: ``run(quick, repeats, w, budget)`` returns
+    ``(payload, checks)``; ``render(payload)`` its text lines."""
 
     name: str
     run: Callable[..., tuple[dict, dict]]
@@ -1351,7 +1352,6 @@ def run_bench(
     repeats: int | None = None,
     sections: tuple[str, ...] | None = None,
     max_memory_bytes: int | None = None,
-    anytime_fractions: tuple[float, ...] | None = None,
 ) -> dict:
     """Run the selected sections and return the machine-readable report.
 
@@ -1359,8 +1359,7 @@ def run_bench(
     ``sections`` names them in.  ``max_memory_bytes`` is the kernel
     workspace budget the ``scaling`` and ``parallel`` sections hand to
     the column-chunked sweep (default 128 MiB, ``repro bench
-    --max-memory``); ``anytime_fractions`` overrides the anytime
-    section's coverage grid (``repro bench --approx``).
+    --max-memory``).
     """
     chosen = SECTIONS if sections is None else tuple(sections)
     unknown = set(chosen) - set(SECTIONS)
@@ -1375,10 +1374,6 @@ def run_bench(
     budget = (
         _SCALING_KERNEL_BUDGET if max_memory_bytes is None else max_memory_bytes
     )
-    if anytime_fractions is None:
-        anytime_fractions = (
-            _ANYTIME_QUICK_FRACTIONS if quick else _ANYTIME_FRACTIONS
-        )
     _NOISE_LOG.clear()  # host noise floor is per-report
 
     report: dict = {
@@ -1397,9 +1392,7 @@ def run_bench(
     }
     for section in _TABLE:
         if section.name in chosen:
-            payload, checks = section.run(
-                quick, repeats, w, budget, anytime_fractions
-            )
+            payload, checks = section.run(quick, repeats, w, budget)
             report["sections"][section.name] = payload
             report["checks"].update(checks)
     # uniform host block: lets ``repro bench compare`` refuse cross-host

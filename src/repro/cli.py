@@ -50,7 +50,8 @@ Commands mirror the paper's workflow:
   with the newest committed trajectory point, and judge each one
   improved / within-noise / regressed under a per-host noise
   allowance, with bootstrap CIs wherever repeat samples exist
-  (``--strict`` turns a regressed verdict into exit 1).
+  (``--strict`` turns a regressed verdict into exit 1, and a gate that
+  judged no metric into exit 2).
 
 ``score`` and ``run`` both execute through :mod:`repro.runner`, so
 ``--jobs`` parallelizes and ``--cache-dir`` makes re-runs skip every
@@ -71,11 +72,17 @@ and exports every span (engine cells, kernel chunk sweeps, replay
 batches) plus the session's counters as deterministic JSON Lines —
 two identical invocations differ only in the timing fields.  ``repro
 obs rollup`` folds such a file into a self-time profile.
+
+Each subparser names its handler (``set_defaults(handler=_cmd_...)``)
+and :func:`main` calls it.  A flag several commands share is declared
+once, by one ``_add_*`` helper, and ``score``, ``run`` and ``stream``
+share one start-up, :func:`_open_archive`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -85,23 +92,24 @@ from .bench import SECTIONS as BENCH_SECTIONS
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for uncached cells (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache directory (default: no cache)",
-    )
+def _add_format_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
         help="stdout format (default: text)",
+    )
+
+
+def _add_archive_options(parser: argparse.ArgumentParser) -> None:
+    """The archive, line-up and kernel flags of ``score``, ``run`` and
+    ``stream``: what :func:`_open_archive` reads, plus the slop."""
+    parser.add_argument("directory")
+    parser.add_argument(
+        "--detectors",
+        default="moving_zscore,matrix_profile",
+        help="comma-separated registry names, with optional params: "
+        "'diff,matrix_profile(w=100)'",
     )
     parser.add_argument(
         "--slop",
@@ -113,18 +121,53 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--max-memory",
         default=None,
         metavar="SIZE",
-        help="cap the matrix-profile sweep workspace per process, e.g. "
-        "256M or 1G (default: unbounded); results are bit-identical",
+        help="cap the batch matrix-profile sweep workspace per process, "
+        "e.g. 256M or 1G (default: unbounded); results are "
+        "bit-identical.  In stream it applies where a batch kernel runs "
+        "(wrapped detectors, --refit-every); the native streaming "
+        "kernel's memory is bounded by --window instead",
     )
     parser.add_argument(
         "--kernel-jobs",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="shard every matrix-profile sweep across N worker processes "
-        "(bit-identical profiles and indices; a --max-memory budget is "
-        "split per worker; engine --jobs workers cap this to 1 to avoid "
-        "oversubscription; default: in-process)",
+        help="shard every batch matrix-profile sweep across N worker "
+        "processes (bit-identical profiles and indices; a --max-memory "
+        "budget is split per worker; engine --jobs workers cap this to 1 "
+        "to avoid oversubscription; default: in-process)",
+    )
+    _add_format_option(parser)
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes for uncached cells (default: 1, serial)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="content-addressed result cache directory (default: no cache)",
+    )
+
+
+def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--shards",
+        type=_positive_int,
+        default=4,
+        help="worker shards; tenants are consistent-hashed across them "
+        "(default: 4)",
+    )
+    parser.add_argument(
+        "--queue-size",
+        type=_positive_int,
+        default=4096,
+        help="bounded per-shard op queue; a full queue answers 429 with "
+        "Retry-After (default: 4096)",
     )
 
 
@@ -143,6 +186,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
     return value
 
 
@@ -222,15 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table1 = sub.add_parser("table1", help="regenerate Table 1 (Yahoo brute force)")
+    table1.set_defaults(handler=_cmd_table1)
     table1.add_argument("--seed", type=int, default=7)
 
     audit = sub.add_parser("audit", help="four-flaw report for a benchmark")
+    audit.set_defaults(handler=_cmd_audit)
     audit.add_argument("benchmark", choices=["yahoo", "nasa", "numenta"])
     audit.add_argument("--seed", type=int, default=7)
 
-    sub.add_parser("taxi", help="Fig 8: taxi discords vs. NAB labels")
+    taxi = sub.add_parser("taxi", help="Fig 8: taxi discords vs. NAB labels")
+    taxi.set_defaults(handler=_cmd_taxi)
 
     build = sub.add_parser("build-archive", help="build + validate a UCR-style archive")
+    build.set_defaults(handler=_cmd_build_archive)
     build.add_argument("directory")
     build.add_argument("--size", type=int, default=30)
     build.add_argument("--seed", type=int, default=11)
@@ -243,13 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     score = sub.add_parser("score", help="UCR-score detectors on a saved archive")
-    score.add_argument("directory")
-    score.add_argument(
-        "--detectors",
-        default="moving_zscore,matrix_profile",
-        help="comma-separated registry names, with optional params: "
-        "'diff,matrix_profile(w=100)'",
-    )
+    score.set_defaults(handler=_cmd_score)
+    _add_archive_options(score)
     _add_engine_options(score)
 
     run = sub.add_parser(
@@ -257,13 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a detector grid on a saved archive and write "
         "manifest + JSONL + summary artifacts",
     )
-    run.add_argument("directory")
-    run.add_argument(
-        "--detectors",
-        default="moving_zscore,matrix_profile",
-        help="comma-separated registry names, with optional params: "
-        "'diff,matrix_profile(w=100)'",
-    )
+    run.set_defaults(handler=_cmd_run)
+    _add_archive_options(run)
     run.add_argument(
         "--out",
         default="benchmarks/out",
@@ -290,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statistical comparison of a saved run: CIs, pairwise "
         "tests, rank cliques and the one-liner noise floor",
     )
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument(
         "directory",
         help="artifact directory a previous `repro run` wrote into",
@@ -311,12 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="oneliners",
         help="noise-floor baseline pool (default: oneliners)",
     )
-    compare.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    _add_format_option(compare)
     _add_stats_options(compare)
 
     stream = sub.add_parser(
@@ -324,13 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an archive left-to-right: arrival-time scores, "
         "detection delay and a delay-aware streaming leaderboard",
     )
-    stream.add_argument("directory")
-    stream.add_argument(
-        "--detectors",
-        default="moving_zscore,matrix_profile",
-        help="comma-separated registry names, with optional params: "
-        "'diff,matrix_profile(w=100)'",
-    )
+    stream.set_defaults(handler=_cmd_stream)
+    _add_archive_options(stream)
     stream.add_argument(
         "--batch-size",
         type=_positive_int,
@@ -376,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mutually exclusive with --refit-every",
     )
     stream.add_argument(
-        "--slop",
-        type=int,
-        default=100,
-        help="minimum UCR scoring slop in points (default: 100)",
-    )
-    stream.add_argument(
         "--out",
         default=None,
         help="also write <name>.traces.jsonl and <name>.stats.json "
@@ -392,30 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="stream",
         help="artifact basename (default: stream)",
     )
-    stream.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
-    stream.add_argument(
-        "--max-memory",
-        default=None,
-        metavar="SIZE",
-        help="cap the batch matrix-profile sweep workspace, e.g. 256M — "
-        "applies where a batch kernel runs (wrapped detectors, "
-        "--refit-every); the native streaming kernel's memory is "
-        "bounded by --window instead (default: unbounded)",
-    )
-    stream.add_argument(
-        "--kernel-jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard batch matrix-profile sweeps (wrapped detectors, "
-        "--refit-every) across N worker processes; bit-identical "
-        "(default: in-process)",
-    )
     _add_stats_options(stream)
     _add_trace_option(stream)
 
@@ -424,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant streaming detection service "
         "(stdlib HTTP; sharded workers, backpressure, snapshots)",
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument(
         "--host",
         default="127.0.0.1",
@@ -431,24 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=_nonnegative_int,
+        type=_port,
         default=8765,
         help="bind port; 0 picks a free one (default: 8765)",
     )
-    serve.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="worker shards; tenants are consistent-hashed across them "
-        "(default: 4)",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=_positive_int,
-        default=4096,
-        help="bounded per-shard op queue; a full queue answers 429 with "
-        "Retry-After (default: 4096)",
-    )
+    _add_cluster_options(serve)
     serve.add_argument(
         "--watch-interval",
         type=float,
@@ -466,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "embedded server and report throughput, latency and detection "
         "quality",
     )
+    serve_bench.set_defaults(handler=_cmd_serve_bench)
     serve_bench.add_argument(
         "--streams",
         type=_positive_int,
@@ -478,18 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="tenants the streams are spread over (default: 32)",
     )
-    serve_bench.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="worker shards (default: 4)",
-    )
-    serve_bench.add_argument(
-        "--queue-size",
-        type=_positive_int,
-        default=4096,
-        help="bounded per-shard op queue (default: 4096)",
-    )
+    _add_cluster_options(serve_bench)
     serve_bench.add_argument(
         "--batch-size",
         type=_positive_int,
@@ -529,29 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the JSON report to this path (default: none)",
     )
-    serve_bench.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    _add_format_option(serve_bench)
     _add_trace_option(serve_bench)
 
     detectors = sub.add_parser(
         "detectors",
         help="list the detector registry (names + constructor params)",
     )
-    detectors.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    detectors.set_defaults(handler=_cmd_detectors)
+    _add_format_option(detectors)
 
     cache = sub.add_parser(
         "cache",
         help="inspect or clear a content-addressed result cache",
     )
+    cache.set_defaults(handler=_cmd_cache)
     cache.add_argument("directory")
     cache.add_argument(
         "--clear",
@@ -564,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a --trace JSONL file (span tree or self-time "
         "profile), or tail a live serve endpoint's alerts",
     )
+    obs.set_defaults(handler=_cmd_obs)
     obs.add_argument(
         "mode",
         choices=["dump", "rollup", "watch"],
@@ -599,12 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="watch: stop after N polls (default: run until Ctrl-C)",
     )
-    obs.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    _add_format_option(obs)
 
     bench = sub.add_parser(
         "bench",
@@ -613,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs/watch overhead, anytime convergence, parallel "
         "bit-identity, drift refits) and write a machine-readable report",
     )
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument(
         "--quick",
         action="store_true",
@@ -643,25 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(BENCH_SECTIONS)}",
     )
     bench.add_argument(
-        "--approx",
-        default=None,
-        metavar="F1,F2,...",
-        help="coverage-fraction grid for the anytime section, e.g. "
-        "0.01,0.05,0.1 — each in (0, 1] (default: the built-in grid)",
-    )
-    bench.add_argument(
         "--min-kernel-speedup",
         type=float,
         default=None,
         help="exit 1 unless the mpx kernel beats the naive reference by "
         "at least this factor at the largest size",
     )
-    bench.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    _add_format_option(bench)
     bench_sub = bench.add_subparsers(dest="bench_command", required=False)
     bench_compare = bench_sub.add_parser(
         "compare",
@@ -669,6 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectory: per-metric improved / within-noise / regressed "
         "verdicts with bootstrap CIs where repeat samples exist",
     )
+    # parsed after `bench`'s own defaults, so this handler wins
+    bench_compare.set_defaults(handler=_cmd_bench_compare)
     bench_compare.add_argument(
         "--fresh",
         default=None,
@@ -707,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit 1 on a regressed verdict and 2 when the hosts do "
-        "not match (default: always exit 0 — advisory)",
+        "not match (default: always exit 0 — advisory).  After the host "
+        "and quick checks, a gate that judged no metric also exits 2",
     )
     bench_compare.add_argument(
         "--out",
@@ -715,12 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VERDICT.json",
         help="also write the machine-readable verdict artifact here",
     )
-    bench_compare.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="stdout format (default: text)",
-    )
+    _add_format_option(bench_compare)
     bench_compare.add_argument(
         "--resamples",
         type=_positive_int,
@@ -734,6 +692,53 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the bootstrap resampling stream (default: 7)",
     )
     return parser
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _finite(flag: str, value: float, bound: str = "") -> bool:
+    """Whether a float flag is finite and meets ``bound`` (``""``,
+    ``">= 0"`` or ``"> 0"``); a refusal prints the exit-2 message.
+
+    A NaN compares false with everything, so it would make a gate pass
+    anything or a cadence spin; an infinity overflows the waits.
+    """
+    ok = math.isfinite(value) and {
+        "": True,
+        ">= 0": value >= 0,
+        "> 0": value > 0,
+    }[bound]
+    if not ok:
+        rule = f"a finite number {bound}".rstrip()
+        print(f"error: {flag} must be {rule}", file=sys.stderr)
+    return ok
+
+
+def _parse_sections(text: str):
+    """``--sections`` text → section names, or None after an exit-2
+    message: a list that names no section would run, or gate, a bench
+    that measured nothing.  ``run_bench`` refuses unknown names."""
+    sections = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not sections:
+        print("error: --sections names no sections", file=sys.stderr)
+        return None
+    return sections
+
+
+def _memory_size(text):
+    """``--max-memory`` text → bytes (0 when unset), or None after an
+    exit-2 message; ``args.max_memory`` itself keeps the text given."""
+    if not text:
+        return 0
+    from .detectors import parse_memory_size
+
+    try:
+        return parse_memory_size(text)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
 
 
 def _cmd_table1(args) -> int:
@@ -803,16 +808,42 @@ def _cmd_build_archive(args) -> int:
     return 0
 
 
-def _parse_lineup(text: str):
-    """Detector text → validated specs, or None after an exit-2 message.
+def _open_archive(args):
+    """The start-up ``score``, ``run`` and ``stream`` share.
 
-    An unknown registry name (or bad parameters) must not escape as a
-    traceback: print what went wrong plus the available names.
+    Installs ``--max-memory`` and ``--kernel-jobs`` as the process-wide
+    kernel defaults before any engine builds its worker pool: both are
+    mirrored into the environment (``REPRO_MAX_MEMORY``,
+    ``REPRO_KERNEL_JOBS``), so forked and spawned workers inherit them,
+    and each engine pool worker caps the inherited kernel jobs back to
+    1 so engine-level and kernel-level parallelism do not multiply.
+    Then loads the archive and validates the line-up: an unknown
+    registry name (or bad parameters) must not escape as a traceback,
+    so print what went wrong plus the available names.  Returns
+    ``(archive, specs)``, or the exit code after its message: 2 for a
+    bad flag or line-up, 1 for a directory without archive files.
     """
-    from .detectors import available_detectors, parse_detectors
+    from .archive import load_archive
+    from .detectors import (
+        available_detectors,
+        parse_detectors,
+        set_default_kernel_jobs,
+        set_default_memory_budget,
+    )
 
+    budget = _memory_size(args.max_memory)
+    if budget is None:
+        return 2
+    if budget:
+        set_default_memory_budget(budget)
+    if args.kernel_jobs:
+        set_default_kernel_jobs(args.kernel_jobs)
+    archive = load_archive(args.directory)
+    if len(archive) == 0:
+        print(f"no UCR_Anomaly_*.txt files in {args.directory}", file=sys.stderr)
+        return 1
     try:
-        specs = parse_detectors(text)
+        specs = parse_detectors(args.detectors)
         if not specs:
             raise ValueError("--detectors names no detectors")
         for spec in specs:
@@ -823,46 +854,8 @@ def _parse_lineup(text: str):
             "available detectors: " + ", ".join(available_detectors()),
             file=sys.stderr,
         )
-        return None
-    return specs
-
-
-def _apply_memory_budget(text) -> bool:
-    """Install ``--max-memory`` as the process-wide kernel budget.
-
-    Must run before the engine builds its worker pool so forked and
-    spawned workers alike inherit the cap (it is mirrored into
-    ``REPRO_MAX_MEMORY``).
-    """
-    if not text:
-        return True
-    from .detectors import parse_memory_size, set_default_memory_budget
-
-    try:
-        set_default_memory_budget(parse_memory_size(text))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return False
-    return True
-
-
-def _apply_kernel_jobs(jobs) -> bool:
-    """Install ``--kernel-jobs`` as the process-wide sweep default.
-
-    Mirrored into ``REPRO_KERNEL_JOBS`` so spawned engine workers
-    inherit it; each pool worker then caps the inherited default back
-    to 1 so engine-level and kernel-level parallelism do not multiply.
-    """
-    if not jobs:
-        return True
-    from .detectors import set_default_kernel_jobs
-
-    try:
-        set_default_kernel_jobs(jobs)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return False
-    return True
+        return 2
+    return archive, specs
 
 
 def _traced(args, fn) -> int:
@@ -897,43 +890,18 @@ def _build_engine(args, specs, config=None):
     )
 
 
-def _load_scored_archive(directory: str):
-    from .archive import load_archive
-
-    archive = load_archive(directory)
-    if len(archive) == 0:
-        print(f"no UCR_Anomaly_*.txt files in {directory}", file=sys.stderr)
-        return None
-    return archive
-
-
 def _cmd_score(args) -> int:
-    if not _apply_memory_budget(args.max_memory):
-        return 2
-    if not _apply_kernel_jobs(args.kernel_jobs):
-        return 2
-    archive = _load_scored_archive(args.directory)
-    if archive is None:
-        return 1
-    specs = _parse_lineup(args.detectors)
-    if specs is None:
-        return 2
-    from .scoring import score_archive
-
+    opened = _open_archive(args)
+    if isinstance(opened, int):
+        return opened
+    archive, specs = opened
     report = _build_engine(args, specs).run(archive)
     if args.format == "json":
         print(report.manifest().to_json(), end="")
     else:
-        # the engine owns execution; UCR scoring aggregates the
-        # precomputed locations
         for spec in specs:
-            locations = {
-                cell.series: cell.location for cell in report.cells_for(spec)
-            }
-            summary = score_archive(
-                archive, minimum_slop=args.slop, locations=locations
-            )
-            print(f"{spec.label:<28} accuracy {summary.accuracy:6.1%}")
+            accuracy = report.summary(spec).accuracy
+            print(f"{spec.label:<28} accuracy {accuracy:6.1%}")
         print(report.stats.format(), file=sys.stderr)
     return 0
 
@@ -958,16 +926,10 @@ def _build_leaderboard(report, *, noise_floor, args):
 def _cmd_run(args) -> int:
     from .runner import ResultsStore, format_report
 
-    if not _apply_memory_budget(args.max_memory):
-        return 2
-    if not _apply_kernel_jobs(args.kernel_jobs):
-        return 2
-    archive = _load_scored_archive(args.directory)
-    if archive is None:
-        return 1
-    specs = _parse_lineup(args.detectors)
-    if specs is None:
-        return 2
+    opened = _open_archive(args)
+    if isinstance(opened, int):
+        return opened
+    archive, specs = opened
 
     def execute() -> int:
         config = {
@@ -1068,8 +1030,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    import json
-
     from .stream import (
         delay_summary,
         format_streaming,
@@ -1077,10 +1037,6 @@ def _cmd_stream(args) -> int:
         streaming_leaderboard,
     )
 
-    if not _apply_memory_budget(args.max_memory):
-        return 2
-    if not _apply_kernel_jobs(args.kernel_jobs):
-        return 2
     if args.refit_every is not None and args.refit_policy is not None:
         print(
             "error: --refit-every and --refit-policy are mutually "
@@ -1089,12 +1045,10 @@ def _cmd_stream(args) -> int:
             file=sys.stderr,
         )
         return 2
-    archive = _load_scored_archive(args.directory)
-    if archive is None:
-        return 1
-    specs = _parse_lineup(args.detectors)
-    if specs is None:
-        return 2
+    opened = _open_archive(args)
+    if isinstance(opened, int):
+        return opened
+    archive, specs = opened
 
     def execute() -> int:
         try:
@@ -1128,16 +1082,17 @@ def _cmd_stream(args) -> int:
             print(f"wrote traces: {trace_path}", file=sys.stderr)
             print(f"wrote stats: {stats_path}", file=sys.stderr)
         if args.format == "json":
-            payload = {
-                "schema": "repro-stream/1",
-                "archive": {"name": archive.name, "num_series": len(archive)},
-                "batch_size": args.batch_size,
-                "max_delay": args.max_delay,
-                "detectors": delay_summary(traces),
-                "leaderboard": json.loads(leaderboard.to_json()),
-                "traces": [trace.to_json() for trace in traces],
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(
+                {
+                    "schema": "repro-stream/1",
+                    "archive": {"name": archive.name, "num_series": len(archive)},
+                    "batch_size": args.batch_size,
+                    "max_delay": args.max_delay,
+                    "detectors": delay_summary(traces),
+                    "leaderboard": json.loads(leaderboard.to_json()),
+                    "traces": [trace.to_json() for trace in traces],
+                }
+            )
         else:
             print(format_streaming(traces, leaderboard))
         return 0
@@ -1148,11 +1103,7 @@ def _cmd_stream(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve import ServeServer, StreamCluster
 
-    if not (math.isfinite(args.watch_interval) and args.watch_interval >= 0):
-        print(
-            "error: --watch-interval must be a finite number >= 0",
-            file=sys.stderr,
-        )
+    if not _finite("--watch-interval", args.watch_interval, ">= 0"):
         return 2
     server = ServeServer(
         StreamCluster(
@@ -1183,8 +1134,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    import json
-
     from .bench import write_bench
     from .serve import LoadConfig, format_load, run_load
 
@@ -1209,7 +1158,7 @@ def _cmd_serve_bench(args) -> int:
         if args.out:
             print(f"wrote {write_bench(payload, args.out)}", file=sys.stderr)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(payload)
         else:
             print(format_load(result))
         # a failed parity drill is a correctness failure, not a perf
@@ -1221,7 +1170,6 @@ def _cmd_serve_bench(args) -> int:
 
 def _cmd_detectors(args) -> int:
     import inspect
-    import json
 
     from .detectors import DETECTORS, available_detectors
 
@@ -1235,7 +1183,7 @@ def _cmd_detectors(args) -> int:
             )
         rows.append({"name": name, "params": params})
     if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True, default=str))
+        _print_json(rows)
     else:
         for row in rows:
             inner = ", ".join(
@@ -1246,49 +1194,21 @@ def _cmd_detectors(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import json
     import os
 
     from .bench import format_bench, run_bench, write_bench
 
-    if getattr(args, "bench_command", None) == "compare":
-        return _cmd_bench_compare(args)
-    if args.min_kernel_speedup is not None and not math.isfinite(
-        args.min_kernel_speedup
+    # `achieved < nan` is never true: a NaN floor would pass any kernel
+    if args.min_kernel_speedup is not None and not _finite(
+        "--min-kernel-speedup", args.min_kernel_speedup
     ):
-        # `achieved < nan` is never true: the gate would always pass
-        print(
-            "error: --min-kernel-speedup must be a finite number",
-            file=sys.stderr,
-        )
         return 2
-    sections = tuple(
-        part.strip() for part in args.sections.split(",") if part.strip()
-    )
-    max_memory = None
-    if args.max_memory:
-        from .detectors import parse_memory_size
-
-        try:
-            max_memory = parse_memory_size(args.max_memory)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    fractions = None
-    if args.approx:
-        try:
-            fractions = tuple(
-                float(part) for part in args.approx.split(",") if part.strip()
-            )
-        except ValueError:
-            print(f"error: malformed --approx {args.approx!r}", file=sys.stderr)
-            return 2
-        if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
-            print(
-                "error: --approx fractions must be in (0, 1]",
-                file=sys.stderr,
-            )
-            return 2
+    sections = _parse_sections(args.sections)
+    if sections is None:
+        return 2
+    max_memory = _memory_size(args.max_memory)
+    if max_memory is None:
+        return 2
     out = args.out if args.out is not None else BENCH_DEFAULT_OUT
     if args.out is None and os.path.exists(out):
         # the default name is the committed trajectory point that
@@ -1304,8 +1224,7 @@ def _cmd_bench(args) -> int:
             quick=args.quick,
             repeats=args.repeats,
             sections=sections,
-            max_memory_bytes=max_memory,
-            anytime_fractions=fractions,
+            max_memory_bytes=max_memory or None,
         )
     except (ValueError, AssertionError) as error:
         # AssertionError: a correctness cross-check inside a section
@@ -1316,7 +1235,7 @@ def _cmd_bench(args) -> int:
         path = write_bench(report, out)
         print(f"wrote {path}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(format_bench(report))
     if args.min_kernel_speedup is not None:
@@ -1338,17 +1257,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
-    import json
-
     from .bench import SECTIONS, run_bench, write_bench
     from .obs import compare_reports, format_compare, latest_baseline
 
-    if args.noise_pct is not None and not (
-        math.isfinite(args.noise_pct) and args.noise_pct >= 0
+    if args.noise_pct is not None and not _finite(
+        "--noise-pct", args.noise_pct, ">= 0"
     ):
-        print(
-            "error: --noise-pct must be a finite number >= 0", file=sys.stderr
-        )
         return 2
     try:
         baseline = latest_baseline(args.trajectory)
@@ -1370,11 +1284,9 @@ def _cmd_bench_compare(args) -> int:
             return 2
     else:
         if args.sections is not None:
-            sections = tuple(
-                part.strip()
-                for part in args.sections.split(",")
-                if part.strip()
-            )
+            sections = _parse_sections(args.sections)
+            if sections is None:
+                return 2
         else:
             # measure what the baseline measured: fresh sections the
             # baseline lacks cannot be gated, and baseline sections the
@@ -1400,7 +1312,7 @@ def _cmd_bench_compare(args) -> int:
     if args.out:
         print(f"wrote {write_bench(verdict, args.out)}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))
+        _print_json(verdict)
     else:
         print(format_compare(verdict))
     quick_mismatch = bool(verdict["fresh"]["quick"]) != bool(
@@ -1427,6 +1339,14 @@ def _cmd_bench_compare(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        if not verdict["metrics"]:
+            print(
+                "error: no metric was judged (the reports share no gated "
+                "metric); --strict refuses to pass a gate that judged "
+                "nothing",
+                file=sys.stderr,
+            )
+            return 2
         if verdict["verdict"] == "regressed":
             return 1
     return 0
@@ -1445,13 +1365,11 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_obs_watch(args) -> int:
-    import json
     import time
 
     from .serve import ServeClient, ServeError
 
-    if not (math.isfinite(args.interval) and args.interval > 0):
-        print("error: --interval must be a finite number > 0", file=sys.stderr)
+    if not _finite("--interval", args.interval, "> 0"):
         return 2
     client = ServeClient(args.trace)
     polls = 0
@@ -1499,8 +1417,6 @@ def _cmd_obs_watch(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    import json
-
     from .obs import format_rollup, format_tree, load_trace, rollup
 
     if args.mode == "watch":
@@ -1513,47 +1429,30 @@ def _cmd_obs(args) -> int:
     if args.mode == "rollup":
         rows = rollup(trace["spans"])
         if args.format == "json":
-            payload = {
-                "schema": "repro-rollup/1",
-                "trace": args.trace,
-                "spans": len(trace["spans"]),
-                "rows": rows,
-                "metrics": trace["metrics"],
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(
+                {
+                    "schema": "repro-rollup/1",
+                    "trace": args.trace,
+                    "spans": len(trace["spans"]),
+                    "rows": rows,
+                    "metrics": trace["metrics"],
+                }
+            )
         else:
             print(format_rollup(rows, metrics=trace["metrics"]))
     else:
         if args.format == "json":
-            print(json.dumps(trace, indent=2, sort_keys=True))
+            _print_json(trace)
         else:
             print(format_tree(trace["spans"], max_spans=args.max_spans))
     return 0
-
-
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "audit": _cmd_audit,
-    "taxi": _cmd_taxi,
-    "build-archive": _cmd_build_archive,
-    "score": _cmd_score,
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "stream": _cmd_stream,
-    "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
-    "detectors": _cmd_detectors,
-    "cache": _cmd_cache,
-    "obs": _cmd_obs,
-    "bench": _cmd_bench,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # the resolved command line, recorded in --trace file headers
     args.cli_argv = list(sys.argv[1:] if argv is None else argv)
-    return _COMMANDS[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -256,7 +256,8 @@ class EvalEngine:
         A :class:`ResultCache`, a directory path to open one in, or
         None to recompute every cell.
     jobs:
-        Worker processes for uncached cells; 1 means in-process serial.
+        Worker processes for uncached cells; 1 means in-process serial,
+        and a value below 1 raises ``ValueError``.
     config:
         Free-form run parameters (seeds, CLI arguments…) recorded
         verbatim in the manifest.
@@ -284,7 +285,9 @@ class EvalEngine:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.jobs = max(1, int(jobs))
+        self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = dict(config or {})
 
     def run(self, archive: Archive) -> RunReport:

@@ -13,7 +13,6 @@ points or the anomaly length, whichever is larger.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,35 +87,18 @@ class UcrSummary:
         return "\n".join(lines)
 
 
-def score_archive(
-    archive: Archive,
-    locate=None,
-    minimum_slop: int = 100,
-    *,
-    locations: Mapping[str, int] | None = None,
-) -> UcrSummary:
-    """Score every dataset and aggregate.
+def score_archive(archive: Archive, locate, minimum_slop: int = 100) -> UcrSummary:
+    """Run ``locate(series) -> int`` on every dataset, score and aggregate.
 
-    Either run ``locate(series) -> int`` on each series, or — when the
-    evaluation engine (:mod:`repro.runner`) owns execution — pass the
-    precomputed ``locations`` mapping series name to predicted index.
     Indices are in the *full-series* coordinate system; ``locate``
     receives the full :class:`LabeledSeries` so it can use the training
-    prefix.
+    prefix.  The evaluation engine (:mod:`repro.runner`) applies the
+    same rule to its cells, so ``RunReport.summary(spec)`` holds the
+    verdicts this function would compute for that spec.
     """
-    if (locate is None) == (locations is None):
-        raise ValueError("pass exactly one of `locate` or `locations`")
     outcomes = []
     for series in archive.series:
-        if locations is not None:
-            try:
-                location = int(locations[series.name])
-            except KeyError:
-                raise ValueError(
-                    f"no precomputed location for series {series.name!r}"
-                ) from None
-        else:
-            location = int(locate(series))
+        location = int(locate(series))
         region = series.labels.regions[0]
         outcomes.append(
             UcrOutcome(

@@ -586,7 +586,6 @@ class StreamCluster:
         num_shards: int = 4,
         queue_size: int = 1024,
         watch_interval: float | None = None,
-        watch_rules: "list[AlertRule] | None" = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -619,10 +618,7 @@ class StreamCluster:
         # CI drive watch_tick() on a deterministic schedule.
         self.watch_sampler = SeriesSampler(self.registry)
         self.watch = AlertManager(
-            self.watch_sampler,
-            default_watch_rules(queue_size)
-            if watch_rules is None
-            else watch_rules,
+            self.watch_sampler, default_watch_rules(queue_size)
         )
         self.watch_interval = watch_interval
         self._watch_stop = threading.Event()

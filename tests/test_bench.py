@@ -223,15 +223,11 @@ class TestRunBench:
         assert "parallel" in text
         assert "bit-identity" in text
 
-    def test_anytime_section_schema_and_checks(self):
+    def test_anytime_section_schema_and_checks(self, monkeypatch):
         # one mid fraction keeps the runtime down; the bound and
         # monotonicity are asserted inside the section itself
-        report = run_bench(
-            quick=True,
-            repeats=1,
-            sections=("anytime",),
-            anytime_fractions=(0.5,),
-        )
+        monkeypatch.setattr(bench, "_ANYTIME_QUICK_FRACTIONS", (0.5,))
+        report = run_bench(quick=True, repeats=1, sections=("anytime",))
         section = report["sections"]["anytime"]
         assert section["w"] > 0
         assert section["fractions"] == [0.5]

@@ -69,6 +69,33 @@ class TestParser:
         args = build_parser().parse_args(["cache", "/tmp/c"])
         assert args.clear is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "/tmp/x", "--jobs", "0"],
+            ["run", "/tmp/x", "--jobs", "-3"],
+        ],
+    )
+    def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
+        # not a serial run that exits 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_port_outside_0_to_65535_is_a_usage_error(self, port, capsys):
+        # not an OverflowError traceback out of bind()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", port])
+        assert excinfo.value.code == 2
+        assert "--port" in capsys.readouterr().err
+
+    def test_port_bounds_are_accepted(self):
+        for port in (0, 65535):
+            args = build_parser().parse_args(["serve", "--port", str(port)])
+            assert args.port == port
+
     def test_stats_options_validated_at_the_parser(self):
         # out-of-range values must die as usage errors, not tracebacks
         for bad in (
@@ -110,6 +137,37 @@ class TestCommands:
         assert main(["score", str(tmp_path), "--detectors", "moving_zscore"]) == 0
         out = capsys.readouterr().out
         assert "accuracy" in out
+
+    def test_score_prints_the_engine_accuracy_at_the_given_slop(
+        self, tmp_path, capsys
+    ):
+        from repro.archive import load_archive
+        from repro.detectors import parse_detectors
+        from repro.runner import EvalEngine, UcrScoring
+
+        assert main(["build-archive", str(tmp_path), "--size", "4",
+                     "--max-trivial", "1.0"]) == 0
+        capsys.readouterr()
+        lineup = "moving_zscore,diff"
+        assert main(["score", str(tmp_path), "--detectors", lineup,
+                     "--slop", "3000"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            label, _, accuracy = line.partition(" accuracy ")
+            printed[label.strip()] = accuracy.strip()
+        archive = load_archive(str(tmp_path))
+        specs = parse_detectors(lineup)
+        wide = EvalEngine(specs, scoring=UcrScoring(minimum_slop=3000))
+        report = wide.run(archive)
+        assert printed == {
+            spec.label: f"{report.summary(spec).accuracy:.1%}"
+            for spec in specs
+        }
+        # the slop reached the scoring: the default slop judges otherwise
+        default = EvalEngine(specs).run(archive)
+        assert [report.summary(spec).accuracy for spec in specs] != [
+            default.summary(spec).accuracy for spec in specs
+        ]
 
     def test_score_empty_directory(self, tmp_path, capsys):
         assert main(["score", str(tmp_path)]) == 1
@@ -353,6 +411,20 @@ class TestBench:
             == 2
         )
         assert "hyperdrive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sections", [",", "", " , "])
+    def test_no_sections_exits_2_before_the_bench(
+        self, sections, capsys, monkeypatch
+    ):
+        # a bench that measured nothing is not a report
+        from repro import bench
+
+        def run_bench(**kwargs):
+            raise RuntimeError("the bench ran")
+
+        monkeypatch.setattr(bench, "run_bench", run_bench)
+        assert main(["bench", "--sections", sections, "--out", "-"]) == 2
+        assert "names no sections" in capsys.readouterr().err
 
     @pytest.mark.parametrize("floor", ["nan", "inf"])
     def test_non_finite_speedup_floor_exits_2_before_the_bench(
@@ -981,3 +1053,89 @@ class TestBenchCompare:
         assert main(["bench", "compare", "--fresh", str(bad),
                      "--trajectory", trajectory]) == 2
         assert "not a repro-bench/1 report" in capsys.readouterr().err
+
+    def test_compare_with_no_sections_exits_2_before_the_bench(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import bench
+
+        def run_bench(**kwargs):
+            raise RuntimeError("the bench ran")
+
+        monkeypatch.setattr(bench, "run_bench", run_bench)
+        trajectory = self.trajectory(tmp_path, self.make_report())
+        assert main(["bench", "compare", "--quick", "--sections", ",",
+                     "--trajectory", trajectory, "--strict"]) == 2
+        assert "names no sections" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sections",
+        [{}, {"oneliner": {"movmax_seconds": 0.1}}],
+        ids=["no-sections", "no-shared-section"],
+    )
+    def test_strict_gate_that_judged_no_metric_exits_2(
+        self, sections, tmp_path, capsys
+    ):
+        # same host and sizes, no metric in common: "0 improved, 0
+        # within noise, 0 regressed" must not pass --strict
+        trajectory = self.trajectory(tmp_path, self.make_report())
+        fresh = self.make_report()
+        fresh["sections"] = sections
+        fresh = self.fresh_file(tmp_path, fresh)
+        argv = ["bench", "compare", "--fresh", fresh,
+                "--trajectory", trajectory]
+        assert main(argv) == 0  # advisory without --strict
+        capsys.readouterr()
+        assert main(argv + ["--strict"]) == 2
+        assert "no metric was judged" in capsys.readouterr().err
+
+    def test_strict_host_check_runs_before_the_judged_nothing_check(
+        self, tmp_path, capsys
+    ):
+        trajectory = self.trajectory(tmp_path, self.make_report())
+        fresh = self.make_report(host={**self.HOST, "cpu_count": 64})
+        fresh["sections"] = {}
+        fresh = self.fresh_file(tmp_path, fresh)
+        assert main(["bench", "compare", "--fresh", fresh,
+                     "--trajectory", trajectory, "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "different" in err
+        assert "no metric was judged" not in err
+
+
+class TestDispatch:
+    def test_every_command_names_its_handler(self):
+        # a subparser added without set_defaults(handler=...) fails
+        # here, not with an AttributeError when someone runs it
+        import argparse
+
+        from repro import cli
+
+        def commands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    yield from action.choices.items()
+
+        def positionals(parser):
+            return [
+                str(action.choices[0]) if action.choices else "x"
+                for action in parser._actions
+                if not action.option_strings
+                and not isinstance(action, argparse._SubParsersAction)
+            ]
+
+        parser = build_parser()
+        checked = []
+        for name, sub in commands(parser):
+            argv = [name, *positionals(sub)]
+            paths = [(argv, name)] + [
+                ([*argv, inner, *positionals(nested)], f"{name}_{inner}")
+                for inner, nested in commands(sub)
+            ]
+            for path, handler in paths:
+                args = parser.parse_args(path)
+                expected = getattr(cli, "_cmd_" + handler.replace("-", "_"))
+                assert args.handler is expected, path
+                checked.append(handler)
+        assert "bench_compare" in checked
+        assert len(checked) == 15

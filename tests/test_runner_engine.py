@@ -107,6 +107,12 @@ class TestExecution:
         with pytest.raises(ValueError, match="at least one"):
             EvalEngine([])
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        # a clamp to 1 would hide a bad `--jobs` behind a serial run
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            EvalEngine(["diff"], jobs=jobs)
+
     def test_duplicate_specs_deduped(self, archive, counter):
         report = EvalEngine(["diff", "diff", "diff"]).run(archive)
         assert counter.calls == len(archive)
@@ -366,21 +372,3 @@ class TestCacheIntegration:
         assert report.stats.executed == len(archive)
         warm = EvalEngine(SPECS[:1], cache=tmp_path / "c").run(archive)
         assert warm.stats.executed == 0
-
-
-class TestScoreArchiveLocations:
-    def test_precomputed_locations(self, archive):
-        report = EvalEngine(SPECS[:1]).run(archive)
-        locations = {cell.series: cell.location for cell in report.cells}
-        summary = score_archive(archive, locations=locations)
-        assert summary.accuracy == report.summary(SPECS[0]).accuracy
-
-    def test_requires_exactly_one_source(self, archive):
-        with pytest.raises(ValueError, match="exactly one"):
-            score_archive(archive)
-        with pytest.raises(ValueError, match="exactly one"):
-            score_archive(archive, lambda s: 0, locations={})
-
-    def test_missing_series_rejected(self, archive):
-        with pytest.raises(ValueError, match="no precomputed location"):
-            score_archive(archive, locations={"d0": 1})

@@ -178,13 +178,6 @@ class TestBackgroundThread:
             t.name == "serve-watch" for t in threading.enumerate()
         )
 
-    def test_custom_rules_override_the_stock_set(self):
-        rules = default_watch_rules(100)[:1]
-        with make_cluster(watch_rules=rules) as cluster:
-            assert [r.name for r in cluster.watch.rules] == [
-                "queue-saturation"
-            ]
-
 
 class TestHttpSurface:
     @pytest.fixture()
