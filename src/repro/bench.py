@@ -1109,9 +1109,9 @@ def _render_obs(obs):
 def _run_watch(quick, repeats, w, budget):
     """Price the watch layer and prove its alerting contract.
 
-    Three measurements: (1) the cost of one watch tick — sample every
-    series of a serve-shaped registry and evaluate the stock rules —
-    on a deterministic schedule; (2) the idle overhead a background
+    Three measurements: (1) the cost of one watch tick — evaluate the
+    stock rules against a serve-shaped registry's current values — on
+    a deterministic schedule; (2) the idle overhead a background
     watcher imposes on the kernel hot path, measured round-robin like
     the obs section so host drift cannot masquerade as overhead; and
     (3) a scripted queue-saturation scenario asserting the default
@@ -1121,7 +1121,7 @@ def _run_watch(quick, repeats, w, budget):
     import threading
 
     from .detectors import matrix_profile
-    from .obs import AlertManager, MetricsRegistry, SeriesSampler
+    from .obs import AlertManager, MetricsRegistry
     from .serve.shard import default_watch_rules
 
     def serve_shaped_registry() -> MetricsRegistry:
@@ -1145,17 +1145,14 @@ def _run_watch(quick, repeats, w, budget):
     reps = max(repeats, 3)
 
     def run_ticks() -> None:
-        run_registry = serve_shaped_registry()
-        sampler = SeriesSampler(run_registry, capacity=256)
-        manager = AlertManager(sampler, default_watch_rules(1024))
+        manager = AlertManager(
+            serve_shaped_registry(), default_watch_rules(1024)
+        )
         for tick in range(iters):
-            manager.tick(now=float(tick))
+            manager.evaluate(now=float(tick))
 
     tick_seconds, tick_runs = _timed_runs(run_ticks, reps)
     tick_us = 1e6 * tick_seconds / iters
-    probe = SeriesSampler(serve_shaped_registry(), capacity=2)
-    probe.sample(now=0.0)
-    series_sampled = len(probe.keys())
 
     # -- 2) idle overhead on the kernel hot path ----------------------
     n = 8_192 if quick else 20_000
@@ -1168,10 +1165,8 @@ def _run_watch(quick, repeats, w, budget):
     def kernel():
         return matrix_profile(values, w, with_indices=False)
 
-    watched_registry = serve_shaped_registry()
-    watched_sampler = SeriesSampler(watched_registry, capacity=256)
     watched_manager = AlertManager(
-        watched_sampler, default_watch_rules(1024)
+        serve_shaped_registry(), default_watch_rules(1024)
     )
     kernel()  # warm caches before either variant is billed
     runs: "dict[str, list[float]]" = {"off": [], "watched": []}
@@ -1183,7 +1178,7 @@ def _run_watch(quick, repeats, w, budget):
 
         def watcher() -> None:
             while not stop.wait(watch_interval):
-                watched_manager.tick()
+                watched_manager.evaluate()
 
         thread = threading.Thread(target=watcher, daemon=True)
         thread.start()
@@ -1202,17 +1197,14 @@ def _run_watch(quick, repeats, w, budget):
     # -- 3) scripted saturation scenario ------------------------------
     scenario_registry = MetricsRegistry()
     depth = scenario_registry.gauge("serve_queue_depth", shard="shard-0")
-    scenario = AlertManager(
-        SeriesSampler(scenario_registry, capacity=64),
-        default_watch_rules(100),
-    )
+    scenario = AlertManager(scenario_registry, default_watch_rules(100))
     false_firings = 0
     fired_at = None
     timeline = [10.0] * 5 + [95.0] * 3  # steady state, then saturation
     injection_tick = 5
     for tick, value in enumerate(timeline):
         depth.set(value)
-        for transition in scenario.tick(now=float(tick)):
+        for transition in scenario.evaluate(now=float(tick)):
             if transition["to"] != "firing":
                 continue
             if tick < injection_tick:
@@ -1228,8 +1220,7 @@ def _run_watch(quick, repeats, w, budget):
         "tick_us_runs": [
             round(1e6 * run / iters, 3) for run in tick_runs
         ],
-        "series_sampled": series_sampled,
-        "rules": [rule.name for rule in scenario.rules],
+        "rules": [status.rule.name for status in scenario.statuses()],
         "watch_interval_seconds": watch_interval,
         "kernel_off_seconds": off_seconds,
         "kernel_watched_seconds": watched_seconds,
@@ -1259,8 +1250,8 @@ def _render_watch(watch):
         else f"fired at tick {saturation['fired_at_tick']}"
     )
     return [
-        f"watch ({watch['series_sampled']} series, "
-        f"{len(watch['rules'])} rules): tick {watch['tick_us']:.0f}us, "
+        f"watch ({len(watch['rules'])} rules): tick "
+        f"{watch['tick_us']:.0f}us, "
         f"kernel idle overhead {watch['idle_overhead_pct']:+.1f}% "
         f"(n={watch['n']})",
         f"  saturation scenario: {fired} (injected at tick "

@@ -447,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="SECONDS",
-        help="background self-monitoring cadence: sample the metrics "
-        "registry and evaluate the stock alert rules this often, "
+        help="background self-monitoring cadence: evaluate the stock "
+        "alert rules against the metrics registry this often, "
         "feeding /alerts and /healthz; 0 disables the watcher "
         "(default: 1.0)",
     )

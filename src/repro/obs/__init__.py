@@ -16,8 +16,6 @@ from .alerts import (
     AlertRule,
     AlertStatus,
     BurnRateRule,
-    DetectorRule,
-    Selector,
     ThresholdRule,
 )
 from .registry import (
@@ -37,7 +35,6 @@ from .regression import (
     load_trajectory,
 )
 from .rollup import format_rollup, format_tree, load_trace, rollup
-from .series import SamplePoint, SeriesSampler
 from .trace import (
     Span,
     TRACE_SCHEMA,
@@ -68,15 +65,11 @@ __all__ = [
     "rollup",
     "format_rollup",
     "format_tree",
-    "SeriesSampler",
-    "SamplePoint",
     "AlertManager",
     "AlertRule",
     "AlertStatus",
     "ThresholdRule",
     "BurnRateRule",
-    "DetectorRule",
-    "Selector",
     "compare_reports",
     "format_compare",
     "load_trajectory",

@@ -17,10 +17,10 @@ instead of growing another bespoke counter class.  The design contract:
   read time by sorting — a sliding window, not a decaying sketch, which
   keeps the numbers inspectable at the cost of only remembering the
   recent past.
-* **two expositions, one truth.**  :meth:`MetricsRegistry.to_json` and
+* **two expositions, one truth.**  :meth:`MetricsRegistry.snapshot` and
   :meth:`MetricsRegistry.render_prometheus` both read the same live
-  objects, so the JSON ``/metrics`` payload and the Prometheus text
-  page can never disagree.
+  objects, so a JSON view and the Prometheus text page can never
+  disagree.
 
 The module-level :func:`get_registry` is the process-wide default the
 instrumentation layers write to; :func:`push_registry` installs a fresh
@@ -175,28 +175,23 @@ class Histogram:
     def merge(
         self,
         samples,
-        count: int | None = None,
+        count: int,
         *,
-        minimum: float | None = None,
-        maximum: float | None = None,
+        minimum: float | None,
+        maximum: float | None,
     ) -> None:
-        """Fold another histogram's ``(samples, lifetime count)`` in.
+        """Fold another histogram's export in.
 
-        ``minimum``/``maximum`` carry the source's exact lifetime
-        extremes; when absent (older export payloads) they fall back to
-        the extremes of the shipped samples — the best information the
-        payload contains.
+        ``count`` is the source's lifetime count and ``minimum``/
+        ``maximum`` its exact lifetime extremes (``None`` when it saw
+        nothing), as :meth:`MetricsRegistry.export_state` ships them.
         """
         samples = [float(v) for v in samples]
-        extra = int(count) if count is not None else len(samples)
+        extra = int(count)
         if extra < len(samples):
             raise ValueError(
                 f"lifetime count {extra} below sample count {len(samples)}"
             )
-        if minimum is None and samples:
-            minimum = min(samples)
-        if maximum is None and samples:
-            maximum = max(samples)
         with self._lock:
             self._count += extra
             self._samples.extend(samples)
@@ -357,9 +352,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def to_json(self) -> dict:
-        return {"schema": "repro-metrics/1", **self.snapshot()}
-
     # -- cross-process transfer ---------------------------------------
 
     def export_state(self) -> "list[list]":
@@ -404,13 +396,9 @@ class MetricsRegistry:
             elif kind == "gauge":
                 self.gauge(name, **pairs).set(entry[3])
             elif kind == "histogram":
-                # pre-min/max payloads are 5 entries long; merge() then
-                # falls back to the extremes of the shipped samples
+                samples, count, minimum, maximum = entry[3:]
                 self.histogram(name, **pairs).merge(
-                    entry[3],
-                    entry[4],
-                    minimum=entry[5] if len(entry) > 5 else None,
-                    maximum=entry[6] if len(entry) > 6 else None,
+                    samples, count, minimum=minimum, maximum=maximum
                 )
             else:
                 raise ValueError(f"unknown series kind {kind!r}")
@@ -421,7 +409,7 @@ class MetricsRegistry:
         Counters render as ``name value``, gauges likewise, histograms
         as quantile series plus ``name_count`` and the exact lifetime
         ``name_min``/``name_max`` gauges — all from the same live
-        objects :meth:`to_json` reads, so the two views cannot diverge.
+        objects :meth:`snapshot` reads, so the two views cannot diverge.
         Metrics registered through :meth:`describe` get a ``# HELP``
         line right above their ``# TYPE``.
         """

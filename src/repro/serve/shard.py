@@ -53,7 +53,6 @@ import numpy as np
 from ..drift.policies import validate_stream_options
 from ..obs.alerts import AlertManager, AlertRule, BurnRateRule, ThresholdRule
 from ..obs.registry import MetricsRegistry, quantile
-from ..obs.series import SeriesSampler
 from ..stream.adapters import StreamingDetector, as_streaming
 from .state import restore as restore_state
 from .state import snapshot as snapshot_state
@@ -99,6 +98,9 @@ _DESCRIPTIONS = {
     "serve_backpressure_total": "Appends rejected at a full shard queue.",
     "serve_queue_depth": "Resident operations in each shard queue.",
     "serve_uptime_seconds": "Seconds since the cluster started.",
+    "serve_worker_up": (
+        "0 once the shard's worker thread died without being closed, else 1."
+    ),
 }
 # the per-tenant counters: ``/metrics`` row key -> ``serve_<key>`` series
 _TENANT_COUNTERS = (
@@ -133,20 +135,21 @@ def default_watch_rules(queue_size: int) -> "list[AlertRule]":
     * **backpressure burn** — the SLO burn-rate pattern on the
       rejected/attempted counter pair: sustained rejection above twice
       the 5% error budget over both the short and long window.
+    * **worker down** — any shard's worker thread died without being
+      closed; fires on the first tick that sees it.
     """
     return [
         ThresholdRule(
             "queue-saturation",
-            "max(serve_queue_depth)",
-            ">",
+            "serve_queue_depth",
             0.8 * queue_size,
             for_ticks=2,
         ),
         ThresholdRule(
             "append-latency-p99",
-            "max(serve_append_seconds.p99)",
-            ">",
+            "serve_append_seconds",
             _P99_LATENCY_S,
+            quantile=0.99,
             for_ticks=2,
         ),
         BurnRateRule(
@@ -159,6 +162,7 @@ def default_watch_rules(queue_size: int) -> "list[AlertRule]":
             long_points=12,
             for_ticks=1,
         ),
+        ThresholdRule("worker-down", "serve_worker_up", 1.0, below=True),
     ]
 
 
@@ -611,14 +615,12 @@ class StreamCluster:
         # keys of created/restored streams: appends never wait for the
         # worker, so this is where an unknown stream is caught
         self._streams: set[str] = set()
-        # the watch layer: ring-buffer sampling + alert rules over the
-        # same registry /metrics serves.  Always constructed (the idle
-        # cost is two small objects); the background heartbeat thread
+        # the watch layer: alert rules over the same registry /metrics
+        # serves.  Always constructed; the background heartbeat thread
         # only exists when a watch_interval was requested — tests and
         # CI drive watch_tick() on a deterministic schedule.
-        self.watch_sampler = SeriesSampler(self.registry)
         self.watch = AlertManager(
-            self.watch_sampler, default_watch_rules(queue_size)
+            self.registry, default_watch_rules(queue_size)
         )
         self.watch_interval = watch_interval
         self._watch_stop = threading.Event()
@@ -730,17 +732,21 @@ class StreamCluster:
         """Push the point-in-time readings onto the registry."""
         for name, depth in self.queue_depths().items():
             self.registry.gauge("serve_queue_depth", shard=name).set(depth)
+        for name, worker in self.workers.items():
+            self.registry.gauge("serve_worker_up", shard=name).set(
+                0 if worker.dead else 1
+            )
         self.registry.gauge("serve_uptime_seconds").set(self.uptime_seconds())
 
     def watch_tick(self, *, now: float | None = None) -> "list[dict]":
-        """One watch heartbeat: refresh gauges, sample, evaluate rules.
+        """One watch heartbeat: refresh the gauges, evaluate the rules.
 
         Returns the alert transitions the tick caused.  The background
         thread calls this on its wall-clock schedule; tests call it
         with an explicit ``now`` for a deterministic alert timeline.
         """
         self._refresh_gauges()
-        return self.watch.tick(now=now)
+        return self.watch.evaluate(now=now)
 
     def _watch_loop(self) -> None:
         while not self._watch_stop.wait(self.watch_interval):
@@ -801,9 +807,9 @@ class StreamCluster:
     def metrics_prometheus(self) -> str:
         """Prometheus text view of the same registry ``/metrics`` serves.
 
-        The point-in-time series (queue depths, uptime) are refreshed
-        as gauges on the registry right before rendering, so a scrape
-        sees them next to the tenant counters.
+        The point-in-time series (queue depths, worker liveness,
+        uptime) are refreshed as gauges on the registry right before
+        rendering, so a scrape sees them next to the tenant counters.
         """
         self._refresh_gauges()
         return self.registry.render_prometheus()

@@ -275,11 +275,11 @@ class TestRunBench:
         section = report["sections"]["watch"]
         assert section["tick_us"] > 0
         assert len(section["tick_us_runs"]) >= 3
-        assert section["series_sampled"] > 0
         assert section["rules"] == [
             "queue-saturation",
             "append-latency-p99",
             "backpressure-burn",
+            "worker-down",
         ]
         saturation = section["saturation"]
         assert saturation["injection_tick"] == 5

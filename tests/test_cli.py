@@ -876,7 +876,7 @@ class TestObsWatch:
              "--interval", "0.01", "--iterations", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert out.count("ok=3") == 2
+        assert out.count("ok=4") == 2
 
     def test_watch_json_format_emits_alert_payloads(self, server, capsys):
         assert main(

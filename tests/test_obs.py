@@ -112,7 +112,7 @@ class TestSeries:
     def test_histogram_merge_rejects_impossible_count(self):
         histogram = MetricsRegistry().histogram("lat")
         with pytest.raises(ValueError):
-            histogram.merge([1.0, 2.0], count=1)
+            histogram.merge([1.0, 2.0], count=1, minimum=1.0, maximum=2.0)
 
     def test_labels_are_part_of_the_identity(self):
         registry = MetricsRegistry()

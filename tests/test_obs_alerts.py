@@ -1,159 +1,86 @@
-"""Tests for repro.obs.alerts: selectors, rules, and the state machine.
+"""Tests for repro.obs.alerts: rules over a registry, and the state machine.
 
 The alerting layer's contracts:
 
-* the selector grammar resolves against sampler keys exactly the way
-  ``/metrics`` names series, and refuses ambiguity instead of silently
-  picking one tenant;
-* every rule family (threshold, burn-rate, detector-backed) breaches
-  on the documented condition and treats missing data as "no breach",
-  never as zero;
-* the ok -> pending -> firing machine is deterministic given a sample
-  schedule, debounces with ``for N``, recovers to ok, and counts every
-  transition in the registry it watches.
+* a threshold rule reads one metric family's current values — the
+  largest against its bound, or the smallest with ``below`` — and a
+  histogram family through the quantile it names;
+* every rule family (threshold, burn-rate) breaches on the documented
+  condition and treats missing data as "no breach", never as zero;
+* the ok -> pending -> firing machine is deterministic given an
+  evaluation schedule, debounces with ``for N``, recovers to ok, and
+  counts every transition in the registry it watches.
 """
+
+import sys
+import threading
 
 import pytest
 
 from repro.obs import (
     AlertManager,
     BurnRateRule,
-    DetectorRule,
     MetricsRegistry,
-    Selector,
-    SeriesSampler,
     ThresholdRule,
 )
 from repro.obs.alerts import FIRING, OK, PENDING
 
 
-def sampler_with(registry=None):
-    return SeriesSampler(registry if registry is not None else MetricsRegistry())
-
-
-class TestSelectorGrammar:
-    def test_bare_name(self):
-        selector = Selector.parse("queue_depth")
-        assert selector.name == "queue_depth"
-        assert selector.aggregator is None
-        assert selector.labels == {}
-        assert selector.field is None
-
-    def test_aggregate_with_labels_and_field(self):
-        selector = Selector.parse("max(latency_seconds{tenant=a}.p99)")
-        assert selector.aggregator == "max"
-        assert selector.name == "latency_seconds"
-        assert selector.labels == {"tenant": "a"}
-        assert selector.field == "p99"
-
-    def test_rate_field(self):
-        assert Selector.parse("requests_total.rate").field == "rate"
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown selector field"):
-            Selector.parse("latency_seconds.p42")
-
-    def test_unknown_aggregator_is_a_bad_name(self):
-        with pytest.raises(ValueError):
-            Selector.parse("median(latency_seconds.p99)")
-
-    def test_unclosed_label_block_rejected(self):
-        with pytest.raises(ValueError, match="unclosed"):
-            Selector.parse("queue_depth{shard=a")
-
-
-class TestSelectorResolve:
-    def test_gauge_value(self):
-        registry = MetricsRegistry()
-        registry.gauge("queue_depth").set(7)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        assert Selector.parse("queue_depth").resolve(sampler) == 7.0
-
-    def test_missing_series_is_none(self):
-        sampler = sampler_with()
-        sampler.sample(now=0.0)
-        assert Selector.parse("queue_depth").resolve(sampler) is None
-
-    def test_bare_selector_matching_many_series_raises(self):
-        registry = MetricsRegistry()
-        registry.gauge("queue_depth", shard="a").set(1)
-        registry.gauge("queue_depth", shard="b").set(2)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        with pytest.raises(ValueError, match="matches 2 series"):
-            Selector.parse("queue_depth").resolve(sampler)
-
-    def test_aggregator_pools_matching_series(self):
-        registry = MetricsRegistry()
-        registry.gauge("queue_depth", shard="a").set(1)
-        registry.gauge("queue_depth", shard="b").set(9)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        assert Selector.parse("max(queue_depth)").resolve(sampler) == 9.0
-        assert Selector.parse("sum(queue_depth)").resolve(sampler) == 10.0
-        assert Selector.parse("avg(queue_depth)").resolve(sampler) == 5.0
-
-    def test_labels_disambiguate(self):
-        registry = MetricsRegistry()
-        registry.gauge("queue_depth", shard="a").set(1)
-        registry.gauge("queue_depth", shard="b").set(9)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        selector = Selector.parse("queue_depth{shard=b}")
-        assert selector.resolve(sampler) == 9.0
-
-    def test_histogram_needs_a_field(self):
-        registry = MetricsRegistry()
-        registry.histogram("latency_seconds").observe(0.5)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        with pytest.raises(ValueError, match="digest field"):
-            Selector.parse("latency_seconds").resolve(sampler)
-        p99 = Selector.parse("latency_seconds.p99").resolve(sampler)
-        assert p99 == pytest.approx(0.5)
-
-    def test_rate_on_a_gauge_rejected(self):
-        registry = MetricsRegistry()
-        registry.gauge("queue_depth").set(1)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        with pytest.raises(ValueError, match="applies to counters"):
-            Selector.parse("queue_depth.rate").resolve(sampler)
-
-    def test_counter_rate(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests_total")
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        counter.inc(30)
-        sampler.sample(now=10.0)
-        rate = Selector.parse("requests_total.rate").resolve(sampler)
-        assert rate == pytest.approx(3.0)
-
-
 class TestThresholdRule:
     def test_missing_data_never_breaches(self):
-        sampler = sampler_with()
-        sampler.sample(now=0.0)
-        rule = ThresholdRule("r", "queue_depth", ">", 1.0)
-        assert rule.breached(sampler) == (False, None)
+        rule = ThresholdRule("r", "queue_depth", 1.0)
+        assert rule.breached(MetricsRegistry()) == (False, None)
 
     def test_breach_reports_the_observed_value(self):
         registry = MetricsRegistry()
         registry.gauge("queue_depth").set(42)
-        sampler = sampler_with(registry)
-        sampler.sample(now=0.0)
-        rule = ThresholdRule("r", "queue_depth", ">", 10.0)
-        assert rule.breached(sampler) == (True, 42.0)
+        rule = ThresholdRule("r", "queue_depth", 10.0)
+        assert rule.breached(registry) == (True, 42.0)
+
+    def test_reads_the_largest_series_of_the_family(self):
+        registry = MetricsRegistry()
+        registry.gauge("queue_depth", shard="a").set(1)
+        registry.gauge("queue_depth", shard="b").set(9)
+        assert ThresholdRule("r", "queue_depth", 8.0).breached(registry) == (
+            True,
+            9.0,
+        )
+        assert ThresholdRule("r", "queue_depth", 9.0).breached(registry) == (
+            False,
+            9.0,
+        )
+
+    def test_below_reads_the_smallest_series(self):
+        registry = MetricsRegistry()
+        registry.gauge("worker_up", shard="a").set(1)
+        registry.gauge("worker_up", shard="b").set(1)
+        rule = ThresholdRule("r", "worker_up", 1.0, below=True)
+        assert rule.breached(registry) == (False, 1.0)
+        registry.gauge("worker_up", shard="b").set(0)
+        assert rule.breached(registry) == (True, 0.0)
+        assert rule.describe() == "min(worker_up) < 1"
+
+    def test_histogram_family_reads_the_named_quantile(self):
+        registry = MetricsRegistry()
+        registry.histogram("latency_seconds", tenant="a").observe(0.5)
+        registry.histogram("latency_seconds", tenant="b").observe(2.0)
+        # a tenant with no observations has no quantile: it is skipped
+        registry.histogram("latency_seconds", tenant="c")
+        rule = ThresholdRule(
+            "r", "latency_seconds", 1.0, quantile=0.99, for_ticks=2
+        )
+        assert rule.breached(registry) == (True, 2.0)
+        assert rule.describe() == "max(latency_seconds.p99) > 1 for 2"
+
+    def test_histogram_family_without_observations_never_breaches(self):
+        registry = MetricsRegistry()
+        registry.histogram("latency_seconds", tenant="a")
+        rule = ThresholdRule("r", "latency_seconds", 1.0, quantile=0.99)
+        assert rule.breached(registry) == (False, None)
 
     def test_rule_name_with_whitespace_rejected(self):
         with pytest.raises(ValueError):
-            ThresholdRule("bad name", "queue_depth", ">", 1.0)
-
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdRule("r", "queue_depth", "=>", 1.0)
+            ThresholdRule("bad name", "queue_depth", 1.0)
 
 
 class TestBurnRateRule:
@@ -170,18 +97,16 @@ class TestBurnRateRule:
         return BurnRateRule("burn", **spec)
 
     def drive(self, error_ratios):
-        """One tick per ratio; each tick adds 100 requests."""
+        """One evaluation per ratio; each adds 100 requests."""
         registry = MetricsRegistry()
         errors = registry.counter("errors_total")
         requests = registry.counter("requests_total")
-        sampler = SeriesSampler(registry)
         rule = self.make()
         results = []
-        for tick, ratio in enumerate(error_ratios):
+        for ratio in error_ratios:
             requests.inc(100)
             errors.inc(int(100 * ratio))
-            sampler.sample(now=float(tick))
-            results.append(rule.breached(sampler))
+            results.append(rule.breached(registry))
         return results
 
     def test_sustained_burn_fires(self):
@@ -199,10 +124,20 @@ class TestBurnRateRule:
         assert not any(breach for breach, _ in results)
 
     def test_missing_counters_never_breach(self):
-        sampler = sampler_with()
-        sampler.sample(now=0.0)
-        sampler.sample(now=1.0)
-        assert self.make().breached(sampler) == (False, None)
+        rule = self.make()
+        registry = MetricsRegistry()
+        assert rule.breached(registry) == (False, None)
+        assert rule.breached(registry) == (False, None)
+
+    def test_series_sum_across_labels(self):
+        registry = MetricsRegistry()
+        rule = self.make()
+        rule.breached(registry)
+        # two tenants appear after the first reading: both count from 0
+        registry.counter("requests_total", tenant="a").inc(30)
+        registry.counter("requests_total", tenant="b").inc(10)
+        registry.counter("errors_total", tenant="b").inc(10)
+        assert rule.breached(registry) == (True, 0.25)
 
     def test_budget_must_be_a_ratio(self):
         with pytest.raises(ValueError, match="budget"):
@@ -213,69 +148,13 @@ class TestBurnRateRule:
             self.make(short_points=8, long_points=4)
 
 
-class TestDetectorRule:
-    def test_drift_mode_fires_on_a_step_change(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("throughput")
-        sampler = SeriesSampler(registry, capacity=128)
-        rule = DetectorRule(
-            "drifted",
-            "throughput",
-            detector="zshift(recent=8,reference=16,threshold=3.0)",
-        )
-        breaches = []
-        for tick in range(80):
-            gauge.set(10.0 if tick < 40 else 30.0)
-            sampler.sample(now=float(tick))
-            breach, _ = rule.breached(sampler)
-            breaches.append(breach)
-        assert not any(breaches[:40])
-        assert any(breaches[40:])
-
-    def test_score_mode_trains_then_scores(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("throughput")
-        sampler = SeriesSampler(registry, capacity=128)
-        rule = DetectorRule(
-            "scored",
-            "throughput",
-            detector="streaming_zscore(k=4)",
-            threshold=1.0,
-            train_ticks=8,
-        )
-        breaches = []
-        for tick in range(30):
-            gauge.set(100.0 if tick == 20 else 10.0)
-            sampler.sample(now=float(tick))
-            breach, _ = rule.breached(sampler)
-            breaches.append(breach)
-        assert not any(breaches[:20])
-        assert any(breaches[20:])
-
-    def test_missing_series_never_breaches_or_trains(self):
-        sampler = sampler_with()
-        sampler.sample(now=0.0)
-        rule = DetectorRule(
-            "r", "nope", detector="streaming_zscore(k=4)", threshold=1.0
-        )
-        assert rule.breached(sampler) == (False, None)
-        assert rule._train == []
-
-    def test_train_ticks_validated(self):
-        with pytest.raises(ValueError, match="train_ticks"):
-            DetectorRule(
-                "r", "x", detector="streaming_zscore", threshold=1.0,
-                train_ticks=0,
-            )
-
-
 class TestAlertManagerStateMachine:
     def make_manager(self, for_ticks=2, threshold=80.0):
         registry = MetricsRegistry()
         gauge = registry.gauge("queue_depth")
         manager = AlertManager(
-            SeriesSampler(registry),
-            [ThresholdRule("hot", "queue_depth", ">", threshold,
+            registry,
+            [ThresholdRule("hot", "queue_depth", threshold,
                            for_ticks=for_ticks)],
         )
         return registry, gauge, manager
@@ -284,7 +163,7 @@ class TestAlertManagerStateMachine:
         states, transitions = [], []
         for tick, value in enumerate(timeline):
             gauge.set(value)
-            transitions.extend(manager.tick(now=float(tick)))
+            transitions.extend(manager.evaluate(now=float(tick)))
             states.append(manager.statuses()[0].state)
         return states, transitions
 
@@ -344,9 +223,56 @@ class TestAlertManagerStateMachine:
         assert gauges["obs_alert_state{rule=hot}"] == 2.0
 
     def test_duplicate_rule_name_rejected(self):
-        _, _, manager = self.make_manager()
         with pytest.raises(ValueError, match="duplicate"):
-            manager.add_rule(ThresholdRule("hot", "queue_depth", ">", 1.0))
+            AlertManager(
+                MetricsRegistry(),
+                [
+                    ThresholdRule("hot", "queue_depth", 80.0),
+                    ThresholdRule("hot", "queue_depth", 1.0),
+                ],
+            )
+
+    def test_alerts_view_never_shows_half_a_pass(self):
+        # the serve watcher thread evaluates while /alerts reads: every
+        # payload must come from whole passes, so two rules on the same
+        # condition always report the same streak
+        registry = MetricsRegistry()
+        registry.gauge("queue_depth").set(95)
+        manager = AlertManager(
+            registry,
+            [
+                ThresholdRule("hot-a", "queue_depth", 80.0),
+                ThresholdRule("hot-b", "queue_depth", 80.0),
+            ],
+        )
+        writers, passes = 2, 2000
+        torn = []
+
+        def evaluate():
+            for _ in range(passes):
+                manager.evaluate(now=0.0)
+
+        def read():
+            while any(worker.is_alive() for worker in workers):
+                rows = manager.to_json()["alerts"]
+                if rows[0]["streak"] != rows[1]["streak"]:
+                    torn.append(rows)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=evaluate) for _ in range(writers)]
+            reader = threading.Thread(target=read)
+            for worker in workers:
+                worker.start()
+            reader.start()
+            for thread in workers + [reader]:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [reader])
+        assert torn == []
+        assert [s.streak for s in manager.statuses()] == [writers * passes] * 2
 
     def test_firing_lists_only_firing_rules(self):
         _, gauge, manager = self.make_manager(for_ticks=1)
@@ -359,14 +285,14 @@ class TestAlertViews:
         registry = MetricsRegistry()
         gauge = registry.gauge("queue_depth")
         manager = AlertManager(
-            SeriesSampler(registry),
+            registry,
             [
-                ThresholdRule("hot", "queue_depth", ">", 80.0),
-                ThresholdRule("cold", "queue_depth", "<", 0.0),
+                ThresholdRule("hot", "queue_depth", 80.0),
+                ThresholdRule("cold", "queue_depth", 0.0, below=True),
             ],
         )
         gauge.set(95)
-        manager.tick(now=0.0)
+        manager.evaluate(now=0.0)
         return manager
 
     def test_to_json_schema_and_summary(self):
@@ -377,7 +303,7 @@ class TestAlertViews:
         hot = payload["alerts"][1]
         assert hot["state"] == FIRING
         assert hot["value"] == 95.0
-        assert "queue_depth > 80" in hot["condition"]
+        assert "queue_depth) > 80" in hot["condition"]
 
     def test_prometheus_exposition_lists_non_ok_only(self):
         text = self.make_firing_manager().render_prometheus()

@@ -120,6 +120,11 @@ FAMILIES = {
         "Seconds since the cluster started.",
         set(),
     ),
+    "serve_worker_up": (
+        "gauge",
+        "0 once the shard's worker thread died without being closed, else 1.",
+        {"shard"},
+    ),
 }
 
 

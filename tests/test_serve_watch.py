@@ -4,11 +4,12 @@ The integration contracts on top of repro.obs.alerts:
 
 * the cluster's stock rules stay silent on a healthy cluster (zero
   false firings) and fire — after their debounce, never before — under
-  injected queue saturation;
+  injected queue saturation, and at once when a shard worker dies;
 * ``/alerts`` and ``/healthz`` expose the same state machine over
   HTTP, in JSON and in the Prometheus ``ALERTS`` exposition;
 * the background heartbeat thread only exists when asked for, ticks on
-  its own, and dies with ``close()``;
+  its own — also after the wall clock steps back — and dies with
+  ``close()``;
 * the Prometheus ``/metrics`` exposition is self-describing: ``# HELP``
   for every serve family, lifetime min/max for latency histograms.
 """
@@ -16,12 +17,14 @@ The integration contracts on top of repro.obs.alerts:
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.obs.alerts import FIRING, OK, PENDING
 from repro.serve import ServeClient, ServeServer, StreamCluster
 from repro.serve.loadgen import _latencies
 from repro.serve.shard import default_watch_rules
+from test_serve_shard import kill_worker
 
 TRAIN = [float(v % 7) for v in range(120)]
 
@@ -39,6 +42,20 @@ def saturate(cluster, depth=95):
     }
 
 
+def evaluations(cluster):
+    return cluster.registry.counter("obs_alert_evaluations_total").value
+
+
+def wait_until(condition, timeout=5.0):
+    """Poll ``condition`` on the monotonic clock (tests step the wall one)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 class TestDefaultRules:
     def test_stock_rule_names(self):
         names = [rule.name for rule in default_watch_rules(1024)]
@@ -46,6 +63,7 @@ class TestDefaultRules:
             "queue-saturation",
             "append-latency-p99",
             "backpressure-burn",
+            "worker-down",
         ]
 
     def test_saturation_threshold_scales_with_queue_size(self):
@@ -109,12 +127,177 @@ class TestWatchTick:
             ("queue-saturation", PENDING, FIRING, 5.0),
         ]
 
-    def test_watch_tick_samples_the_shared_registry(self):
+    def test_late_tenant_rejections_count_from_zero(self):
+        # a tenant whose first stream is created and rejected between two
+        # ticks enters the burn windows with everything it did: its
+        # counters started at 0 when the stream was created
         with make_cluster() as cluster:
             cluster.watch_tick(now=0.0)
-            keys = cluster.watch_sampler.keys()
-            assert any(key.startswith("serve_queue_depth") for key in keys)
-            assert "serve_uptime_seconds" in keys
+            cluster.watch_tick(now=1.0)
+            cluster.create_stream("late", "s", "diff", TRAIN)
+            for _ in range(4):
+                cluster.append("late", "s", [1.0, 2.0])
+            cluster.scores("late", "s")  # barrier: 4 batches scored
+            # two more appends refused at a full queue, as submit counts them
+            cluster.registry.counter("serve_rejected", tenant="late").inc(2)
+            transitions = cluster.watch_tick(now=2.0)
+            assert [(t["rule"], t["to"], t["value"]) for t in transitions] == [
+                ("backpressure-burn", FIRING, 0.5)
+            ]
+
+    def test_watch_tick_samples_the_shared_registry(self):
+        # the rules read the registry, so a tick refreshes the readings
+        # only the cluster can take before it evaluates them
+        with make_cluster() as cluster:
+            saturate(cluster, depth=7)
+            cluster.watch_tick(now=0.0)
+            gauges = cluster.registry.snapshot()["gauges"]
+            assert gauges["serve_queue_depth{shard=shard-0}"] == 7.0
+            assert gauges["serve_queue_depth{shard=shard-1}"] == 7.0
+            assert gauges["serve_uptime_seconds"] > 0
+
+
+class TestStockRuleParity:
+    """The three load rules' ``/alerts`` timeline, pinned tick by tick.
+
+    Every tenant exists before tick 0.  Each tick injects a shard queue
+    depth, append latencies and backpressure counts, then advances the
+    watch clock by hand, taking each rule from ok through pending and
+    firing back to ok (``backpressure-burn`` is ``for 1``: it fires on
+    its first breach).
+    """
+
+    RULES = ("queue-saturation", "append-latency-p99", "backpressure-burn")
+    CONDITIONS = {
+        "queue-saturation": "max(serve_queue_depth) > 80 for 2",
+        "append-latency-p99": "max(serve_append_seconds.p99) > 1 for 2",
+        "backpressure-burn": (
+            "burn(serve_rejected/serve_append_batches) > 0.05*2 "
+            "over 3&12 samples"
+        ),
+    }
+    FOR_TICKS = {
+        "queue-saturation": 2,
+        "append-latency-p99": 2,
+        "backpressure-burn": 1,
+    }
+    STATE_VALUE = {OK: 0.0, PENDING: 1.0, FIRING: 2.0}
+    # injected before each tick: every shard's queue depth, latencies
+    # tenant b observes, tenant b's rejections, tenant a's batches
+    SCHEDULE = [
+        (10, (), 0, 10),
+        (10, (), 0, 10),
+        (95, (), 0, 10),
+        (95, (3.0,), 0, 10),
+        (95, (), 0, 10),
+        (10, (0.5,) * 199, 0, 10),
+        (10, (), 10, 10),
+        (10, (), 0, 10),
+        (10, (), 0, 10),
+    ]
+    # (state, streak, since, value) of each rule after each tick
+    EXPECTED = [
+        ((OK, 0, None, 10.0), (OK, 0, None, None), (OK, 0, None, None)),
+        ((OK, 0, None, 10.0), (OK, 0, None, None), (OK, 0, None, 0.0)),
+        ((PENDING, 1, 2.0, 95.0), (OK, 0, None, None), (OK, 0, None, 0.0)),
+        ((FIRING, 2, 2.0, 95.0), (PENDING, 1, 3.0, 3.0), (OK, 0, None, 0.0)),
+        ((FIRING, 3, 2.0, 95.0), (FIRING, 2, 3.0, 3.0), (OK, 0, None, 0.0)),
+        ((OK, 0, None, 10.0), (OK, 0, None, 0.5), (OK, 0, None, 0.0)),
+        ((OK, 0, None, 10.0), (OK, 0, None, 0.5), (FIRING, 1, 6.0, 0.5)),
+        ((OK, 0, None, 10.0), (OK, 0, None, 0.5), (FIRING, 2, 6.0, 0.5)),
+        ((OK, 0, None, 10.0), (OK, 0, None, 0.5), (OK, 0, None, 0.0)),
+    ]
+
+    def test_stock_conditions_at_the_default_queue_size(self):
+        with StreamCluster(num_shards=1) as cluster:
+            rows = {row["rule"]: row for row in cluster.alerts_json()["alerts"]}
+        assert {rule: rows[rule]["condition"] for rule in self.RULES} == {
+            "queue-saturation": "max(serve_queue_depth) > 819.2 for 2",
+            "append-latency-p99": "max(serve_append_seconds.p99) > 1 for 2",
+            "backpressure-burn": self.CONDITIONS["backpressure-burn"],
+        }
+
+    def test_scripted_timeline(self):
+        with make_cluster() as cluster:
+            for tenant in ("a", "b"):
+                cluster.create_stream(tenant, "s", "diff", TRAIN)
+            depth = {}
+            cluster.queue_depths = lambda: {
+                name: depth["now"] for name in cluster.workers
+            }
+            registry = cluster.registry
+            latency = registry.histogram("serve_append_seconds", tenant="b")
+            rejected = registry.counter("serve_rejected", tenant="b")
+            batches = registry.counter("serve_append_batches", tenant="a")
+            previous = {rule: OK for rule in self.RULES}
+            moved = {}
+            for tick, (injected, expected) in enumerate(
+                zip(self.SCHEDULE, self.EXPECTED)
+            ):
+                depth["now"], observed, errors, attempts = injected
+                for seconds in observed:
+                    latency.observe(seconds)
+                rejected.inc(errors)
+                batches.inc(attempts)
+                transitions = cluster.watch_tick(now=float(tick))
+
+                states = {}
+                rows = []
+                moves = []
+                for rule, (state, streak, since, value) in zip(
+                    self.RULES, expected
+                ):
+                    states[rule] = state
+                    rows.append(
+                        {
+                            "rule": rule,
+                            "condition": self.CONDITIONS[rule],
+                            "state": state,
+                            "for_ticks": self.FOR_TICKS[rule],
+                            "streak": streak,
+                            "since": since,
+                            "value": value,
+                        }
+                    )
+                    if state != previous[rule]:
+                        moves.append(
+                            {
+                                "rule": rule,
+                                "from": previous[rule],
+                                "to": state,
+                                "at": float(tick),
+                                "value": value,
+                            }
+                        )
+                        moved[rule, state] = moved.get((rule, state), 0) + 1
+                previous = states
+
+                assert transitions == moves, tick
+                served = {
+                    row["rule"]: row for row in cluster.alerts_json()["alerts"]
+                }
+                assert [served[rule] for rule in self.RULES] == rows, tick
+                assert cluster.alerts_prometheus() == "".join(
+                    ["# TYPE ALERTS gauge\n"]
+                    + [
+                        f'ALERTS{{alertname="{rule}",alertstate="{state}"}} 1\n'
+                        for rule, state in sorted(states.items())
+                        if state != OK
+                    ]
+                )
+                assert cluster.healthz_json()["alerts"]["firing"] == sorted(
+                    rule for rule, state in states.items() if state == FIRING
+                )
+                snapshot = registry.snapshot()
+                counters, gauges = snapshot["counters"], snapshot["gauges"]
+                assert counters["obs_alert_evaluations_total"] == tick + 1
+                for rule in self.RULES:
+                    assert gauges[f"obs_alert_state{{rule={rule}}}"] == (
+                        self.STATE_VALUE[states[rule]]
+                    )
+                    for to in (OK, PENDING, FIRING):
+                        key = f"obs_alert_transitions_total{{rule={rule},to={to}}}"
+                        assert counters.get(key, 0) == moved.get((rule, to), 0)
 
 
 class TestClusterViews:
@@ -131,7 +314,7 @@ class TestClusterViews:
         with make_cluster() as cluster:
             payload = cluster.alerts_json()
             assert payload["schema"] == "repro-alerts/1"
-            assert payload["summary"]["ok"] == 3
+            assert payload["summary"]["ok"] == 4
 
     def test_alerts_prometheus_lists_firing_rules(self):
         with make_cluster() as cluster:
@@ -149,7 +332,7 @@ class TestBackgroundThread:
     def test_no_thread_by_default(self):
         with make_cluster() as cluster:
             assert cluster._watch_thread is None
-            assert cluster.watch_sampler.ticks == 0
+            assert evaluations(cluster) == 0
 
     def test_interval_zero_rejected(self):
         with pytest.raises(ValueError, match="watch_interval"):
@@ -167,16 +350,29 @@ class TestBackgroundThread:
         try:
             thread = cluster._watch_thread
             assert thread is not None and thread.daemon
-            deadline = time.time() + 5.0
-            while cluster.watch_sampler.ticks == 0 and time.time() < deadline:
-                time.sleep(0.01)
-            assert cluster.watch_sampler.ticks > 0
+            assert wait_until(lambda: evaluations(cluster) > 0)
         finally:
             cluster.close()
         assert cluster._watch_thread is None
         assert not any(
             t.name == "serve-watch" for t in threading.enumerate()
         )
+
+
+    def test_wall_clock_step_back_keeps_the_watcher_ticking(
+        self, monkeypatch
+    ):
+        cluster = make_cluster(watch_interval=0.01)
+        try:
+            wall = time.time
+            before = evaluations(cluster)
+            assert wait_until(lambda: evaluations(cluster) > before)
+            monkeypatch.setattr(time, "time", lambda: wall() - 120.0)
+            stepped = evaluations(cluster)
+            assert wait_until(lambda: evaluations(cluster) > stepped + 3)
+            assert cluster._watch_thread.is_alive()
+        finally:
+            cluster.close()
 
 
 class TestHttpSurface:
@@ -197,6 +393,7 @@ class TestHttpSurface:
             "queue-saturation",
             "append-latency-p99",
             "backpressure-burn",
+            "worker-down",
         }
 
     def test_alerts_route_reflects_injected_saturation(self, served):
@@ -210,6 +407,27 @@ class TestHttpSurface:
         assert 'alertname="queue-saturation"' in text
         health = client.health()
         assert health["alerts"]["firing"] == ["queue-saturation"]
+
+    # the injected SystemExit ends the worker thread unhandled, by design
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_dead_worker_fires_worker_down(self, served):
+        server, client = served
+        client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        assert 'serve_worker_up{shard="shard-0"} 1' in client.metrics_text()
+        dead = kill_worker(server.cluster)
+        server.cluster.watch_tick(now=0.0)
+        rows = {row["rule"]: row for row in client.alerts()["alerts"]}
+        assert rows["worker-down"]["state"] == FIRING
+        assert rows["worker-down"]["condition"] == "min(serve_worker_up) < 1"
+        assert rows["worker-down"]["value"] == 0.0
+        health = client.health()
+        assert health["ok"] is False
+        assert health["dead_shards"] == [dead.name]
+        assert health["alerts"]["firing"] == ["worker-down"]
+        text = client.metrics_text()
+        assert f'serve_worker_up{{shard="{dead.name}"}} 0' in text
 
     def test_metrics_exposition_is_self_describing(self, served):
         server, client = served
