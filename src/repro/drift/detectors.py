@@ -46,7 +46,7 @@ from collections import deque
 import numpy as np
 
 from ..detectors.registry import DetectorSpec
-from ..stream.windows import TrailingStats
+from ..stream.windows import TrailingStats, prefixed, unprefixed
 
 __all__ = [
     "DriftDetector",
@@ -458,45 +458,36 @@ class ZShift(DriftDetector):
             return True
         return False
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        def stats_state(stats: TrailingStats, prefix: str):
-            return (
-                {
-                    f"{prefix}_shift": stats._shift,
-                    f"{prefix}_sum": stats._sum,
-                    f"{prefix}_sum_sq": stats._sum_sq,
-                },
-                np.asarray(stats._window, dtype=float),
-            )
+    def _windows(self) -> "tuple[tuple[str, TrailingStats], ...]":
+        return (("recent_", self._recent), ("reference_", self._reference))
 
-        recent_scalars, recent_window = stats_state(self._recent, "recent")
-        ref_scalars, ref_window = stats_state(self._reference, "reference")
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
         scalars = {
-            **recent_scalars,
-            **ref_scalars,
             "recent_mean": self._recent_mean,
             "recent_std": self._recent_std,
             "ref_mean": self._ref_mean,
             "ref_std": self._ref_std,
         }
-        arrays = {
-            "delay": np.asarray(self._delay, dtype=float),
-            "recent_window": recent_window,
-            "reference_window": ref_window,
-        }
+        arrays = {"delay": np.asarray(self._delay, dtype=float)}
+        for prefix, stats in self._windows():
+            stats_scalars, stats_arrays = stats.state()
+            scalars.update(prefixed(prefix, stats_scalars))
+            arrays.update(prefixed(prefix, stats_arrays))
         return scalars, arrays
 
     def load_state(self, scalars: dict, arrays: dict[str, np.ndarray]) -> None:
-        def load_stats(stats: TrailingStats, prefix: str, window) -> None:
-            shift = scalars[f"{prefix}_shift"]
-            stats._shift = None if shift is None else float(shift)
-            stats._sum = float(scalars[f"{prefix}_sum"])
-            stats._sum_sq = float(scalars[f"{prefix}_sum_sq"])
-            stats._window = deque(float(value) for value in window)
-
         self._delay = deque(float(value) for value in arrays["delay"])
-        load_stats(self._recent, "recent", arrays["recent_window"])
-        load_stats(self._reference, "reference", arrays["reference_window"])
+        for prefix, stats in self._windows():
+            stats.load_state(
+                unprefixed(prefix, scalars), unprefixed(prefix, arrays)
+            )
+        # the delay line holds the recent window's values: a longer one
+        # would never feed the reference window again
+        if len(self._delay) != self._recent.count:
+            raise ValueError(
+                "corrupt snapshot: zshift's delay line does not match its "
+                "recent window"
+            )
         self._recent_mean = float(scalars["recent_mean"])
         self._recent_std = float(scalars["recent_std"])
         self._ref_mean = float(scalars["ref_mean"])

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..detectors.registry import DetectorSpec
 from ..obs import get_registry
+from ..stream.windows import prefixed, unprefixed
 from .detectors import DRIFT_DETECTORS, DriftDetector, make_drift_detector
 
 __all__ = [
@@ -105,13 +106,9 @@ class RefitPolicy(ABC):
         arrays: dict[str, np.ndarray] = {}
         detector = getattr(self, "detector", None)
         if detector is not None:
-            d_scalars, d_arrays = detector.state()
-            scalars.update(
-                {f"detector_{key}": value for key, value in d_scalars.items()}
-            )
-            arrays.update(
-                {f"detector_{key}": value for key, value in d_arrays.items()}
-            )
+            detector_scalars, detector_arrays = detector.state()
+            scalars.update(prefixed("detector_", detector_scalars))
+            arrays.update(prefixed("detector_", detector_arrays))
         return scalars, arrays
 
     def load_state(self, scalars: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -121,18 +118,9 @@ class RefitPolicy(ABC):
         self.refits = int(scalars["refits"])
         detector = getattr(self, "detector", None)
         if detector is not None:
-            prefix = "detector_"
             detector.load_state(
-                {
-                    key[len(prefix) :]: value
-                    for key, value in scalars.items()
-                    if key.startswith(prefix)
-                },
-                {
-                    key[len(prefix) :]: value
-                    for key, value in arrays.items()
-                    if key.startswith(prefix)
-                },
+                unprefixed("detector_", scalars),
+                unprefixed("detector_", arrays),
             )
 
     def __repr__(self) -> str:

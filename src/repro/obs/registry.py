@@ -13,7 +13,7 @@ instead of growing another bespoke counter class.  The design contract:
   metric, exactly the Prometheus model, so one registry can hold
   per-tenant, per-shard and global series side by side.
 * **quantiles are exact over a bounded window.**  Histograms keep the
-  newest ``reservoir`` samples in a deque and compute p50/p95/p99 at
+  newest :data:`RESERVOIR` samples in a deque and compute p50/p95/p99 at
   read time by sorting — a sliding window, not a decaying sketch, which
   keeps the numbers inspectable at the cost of only remembering the
   recent past.
@@ -43,6 +43,9 @@ __all__ = [
     "push_registry",
     "pop_registry",
 ]
+
+#: samples a histogram keeps for its quantiles (the newest ones)
+RESERVOIR = 4096
 
 
 def quantile(samples: "list[float]", q: float) -> float | None:
@@ -117,7 +120,7 @@ class Histogram:
     """Bounded reservoir of observations with exact window quantiles.
 
     ``count`` is the lifetime observation count; the reservoir holds
-    only the newest ``reservoir`` samples, from which p50/p95/p99 are
+    only the newest :data:`RESERVOIR` samples, from which p50/p95/p99 are
     computed at read time.  ``min``/``max`` are exact **lifetime**
     extremes — tracked on the write path, not recovered from the
     reservoir, so an early outlier stays visible after it ages out of
@@ -128,12 +131,10 @@ class Histogram:
 
     QUANTILES = ((0.50, "p50"), (0.95, "p95"), (0.99, "p99"))
 
-    def __init__(self, *, reservoir: int = 4096) -> None:
-        if reservoir < 1:
-            raise ValueError(f"reservoir must be >= 1, got {reservoir}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._count = 0
-        self._samples: deque[float] = deque(maxlen=reservoir)
+        self._samples: deque[float] = deque(maxlen=RESERVOIR)
         self._min: float | None = None
         self._max: float | None = None
 
@@ -244,8 +245,7 @@ class MetricsRegistry:
     name+labels raises, which catches instrumentation typos early.
     """
 
-    def __init__(self, *, reservoir: int = 4096) -> None:
-        self._reservoir = reservoir
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._series: dict[tuple, object] = {}
         self._help: dict[str, str] = {}
@@ -274,12 +274,12 @@ class MetricsRegistry:
         with self._lock:
             return self._help.get(name)
 
-    def _get(self, cls, name: str, labels: dict, **kwargs):
+    def _get(self, cls, name: str, labels: dict):
         key = _series_key(_validate_name(name), labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = cls(**kwargs)
+                series = cls()
                 self._series[key] = series
             elif not isinstance(series, cls):
                 raise ValueError(
@@ -294,15 +294,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, *, reservoir: int | None = None, **labels
-    ) -> Histogram:
-        return self._get(
-            Histogram,
-            name,
-            labels,
-            reservoir=self._reservoir if reservoir is None else reservoir,
-        )
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     # -- read path ----------------------------------------------------
 

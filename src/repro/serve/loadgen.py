@@ -53,6 +53,12 @@ _DETECTORS = (
     "streaming_range(k=48)",
     "diff",
 )
+# series length bounds sized for the bench: long enough for the UCR-sim
+# injection geometry (the widest injection needs n > ~2500), short
+# enough that a thousand streams fit a bench budget
+_MIN_LENGTH = 2600
+_MAX_LENGTH = 3600
+_SLOP = 100  # the scoreboards' detection slop, in points
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,8 @@ class LoadConfig:
     queue_size: int = 4096
     batch_size: int = 50
     seed: int = 23
-    # length bounds sized for the bench: long enough for the UCR-sim
-    # injection geometry (the widest injection needs n > ~2500), short
-    # enough that a thousand streams fit a bench budget
     unique_series: int = 24
-    min_length: int = 2600
-    max_length: int = 3600
-    detectors: "tuple[str, ...]" = _DETECTORS
     max_delay: int | None = 250
-    slop: int = 100
     snapshot_checks: int = 3  # streams given the snapshot/restore drill
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class LoadConfig:
             raise ValueError(f"streams must be >= 1, got {self.streams}")
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if not self.detectors:
-            raise ValueError("need at least one detector spec")
         if self.snapshot_checks < 0:
             raise ValueError("snapshot_checks must be >= 0")
 
@@ -121,7 +118,7 @@ class LoadResult:
             "tenants": self.config.tenants,
             "shards": self.config.shards,
             "batch_size": self.config.batch_size,
-            "detectors": list(self.config.detectors),
+            "detectors": list(_DETECTORS),
             "points_streamed": self.points_streamed,
             "seconds": round(self.seconds, 4),
             "points_per_second": round(self.points_per_second, 1),
@@ -156,8 +153,8 @@ def default_archive(config: LoadConfig):
         UcrSimConfig(
             seed=config.seed,
             size=min(config.unique_series, config.streams),
-            min_length=config.min_length,
-            max_length=config.max_length,
+            min_length=_MIN_LENGTH,
+            max_length=_MAX_LENGTH,
         )
     )
 
@@ -186,7 +183,7 @@ def _plan(config: LoadConfig, archive) -> "list[_StreamPlan]":
             _StreamPlan(
                 tenant=f"t{index % config.tenants:03d}",
                 stream=f"s{index:05d}",
-                detector=config.detectors[index % len(config.detectors)],
+                detector=_DETECTORS[index % len(_DETECTORS)],
                 series=archive.series[index % len(archive.series)],
                 batch_size=config.batch_size,
             )
@@ -405,7 +402,7 @@ def _traces(config, plans, served) -> "list[ReplayTrace]":
                 detector_label=plan.detector,
                 batch_size=config.batch_size,
                 max_delay=config.max_delay,
-                slop=config.slop,
+                slop=_SLOP,
             )
         )
     return traces

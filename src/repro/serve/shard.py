@@ -50,7 +50,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
-from ..drift.policies import validate_stream_options
+from ..drift.policies import _check_cadence, validate_stream_options
 from ..obs.alerts import AlertManager, AlertRule, BurnRateRule, ThresholdRule
 from ..obs.registry import MetricsRegistry, quantile
 from ..stream.adapters import StreamingDetector, as_streaming
@@ -711,7 +711,20 @@ class StreamCluster:
         )
 
     def restore_stream(self, payload: dict) -> dict:
-        """Register a stream from a :meth:`snapshot_stream` payload."""
+        """Register a stream from a :meth:`snapshot_stream` payload.
+
+        ``state`` must be a string and ``points_seen`` and
+        ``scores_total`` integers >= 0 (bools and floats refused); any
+        other payload raises ``ValueError`` here, before the op is
+        queued.
+        """
+        if not isinstance(payload["state"], str):
+            raise ValueError(
+                f"'state' must be a base64 string, got "
+                f"{type(payload['state']).__name__}"
+            )
+        for name in ("points_seen", "scores_total"):
+            _check_cadence(name, payload[name], minimum=0)
         tenant = payload["tenant"]
         key = payload["stream"]
         stream = key.split("/", 1)[1] if "/" in key else key

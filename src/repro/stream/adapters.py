@@ -39,7 +39,7 @@ from ..detectors.matrix_profile import MatrixProfileDetector
 from ..detectors.registry import DetectorSpec, make_detector
 from ..obs import get_registry, get_tracer
 from .profile import StreamingMatrixProfile
-from .windows import TrailingExtremum, TrailingStats
+from .windows import TrailingExtremum, TrailingStats, prefixed, unprefixed
 
 __all__ = [
     "StreamingDetector",
@@ -96,6 +96,13 @@ class StreamingDetector(ABC):
         (warm-up, incomplete windows) must be ``-inf``, never NaN.
         """
 
+    # -- snapshot support (repro.serve.state) -------------------------
+    # A detector that can move between workers returns its parameters
+    # and state, bit-exactly, from ``state() -> (scalars, arrays)`` and
+    # is rebuilt by the classmethod ``from_state(scalars, arrays)``,
+    # which raises ValueError("corrupt snapshot: ...") for state that no
+    # sequence of appends can produce.
+
     def __repr__(self) -> str:
         return f"<{self.name}>"
 
@@ -151,12 +158,10 @@ class BatchStreamingAdapter(StreamingDetector):
         # snapshots are unchanged
         self.refit_policy = None if refit_policy is None else policy.spec
         # the registry spec the wrapped detector was built from, when
-        # known — snapshot/restore (repro.serve.state) rebuilds the
-        # batch detector from it, so only spec-built adapters can
-        # migrate between workers
+        # known — from_state rebuilds the batch detector from it, so
+        # only spec-built adapters can migrate between workers
         self.spec = spec
         self._history = np.empty(0)
-        self._since_fit = 0
         self._fitted_len = 0  # leading history points of the last fit
         self.num_refits = 0  # refits since fit() (policy-driven)
 
@@ -166,7 +171,6 @@ class BatchStreamingAdapter(StreamingDetector):
 
     def reset(self) -> "BatchStreamingAdapter":
         self._history = np.empty(0)
-        self._since_fit = 0
         self._fitted_len = 0
         self.num_refits = 0
         if self.policy is not None:
@@ -186,7 +190,6 @@ class BatchStreamingAdapter(StreamingDetector):
         if values.size == 0:
             return values.copy()
         self._history = np.concatenate([self._history, values])
-        self._since_fit += values.size
         if self.policy is not None and self.policy.observe(values):
             with get_tracer().span(
                 "stream.refit",
@@ -198,7 +201,6 @@ class BatchStreamingAdapter(StreamingDetector):
             get_registry().counter(
                 "stream_refits", detector=self.detector.name
             ).inc()
-            self._since_fit = 0
             self._fitted_len = int(self._history.size)
             self.num_refits += 1
         scored = self._history
@@ -216,6 +218,61 @@ class BatchStreamingAdapter(StreamingDetector):
             )
         tail = scores[-values.size :]
         return np.where(np.isnan(tail), -np.inf, tail)
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        if self.spec is None:
+            raise ValueError(
+                "cannot snapshot a BatchStreamingAdapter built from a bare "
+                "detector instance; build it from a registry spec "
+                "(as_streaming('name(...)')) so restore can rebuild the "
+                "wrapped detector"
+            )
+        scalars = {
+            "spec": self.spec.label,
+            "window": self.window,
+            "refit_every": self.refit_every,
+            "fitted_len": self._fitted_len,
+            "policy": self.refit_policy,
+            "num_refits": self.num_refits,
+        }
+        arrays = {"history": self._history}
+        if self.policy is not None:
+            policy_scalars, policy_arrays = self.policy.state()
+            scalars["policy_state"] = policy_scalars
+            arrays.update(prefixed("policy_", policy_arrays))
+        return scalars, arrays
+
+    @classmethod
+    def from_state(
+        cls, scalars: dict, arrays: dict[str, np.ndarray]
+    ) -> "BatchStreamingAdapter":
+        spec = DetectorSpec.parse(scalars["spec"])
+        adapter = cls(
+            make_detector(spec),
+            window=scalars["window"],
+            refit_every=scalars["refit_every"],
+            refit_policy=scalars["policy"],
+            spec=spec,
+        )
+        history = np.array(arrays["history"], dtype=float)
+        fitted_len = int(scalars["fitted_len"])
+        if history.ndim != 1 or not 0 <= fitted_len <= history.size:
+            raise ValueError(
+                f"corrupt snapshot: the adapter's history must be 1-D with "
+                f"0 <= fitted_len <= its length, got shape {history.shape} "
+                f"and fitted_len {fitted_len}"
+            )
+        # refit on the recorded prefix: deterministic for every registry
+        # detector, so the rebuilt batch state matches the captured one
+        adapter.detector.fit(history[:fitted_len])
+        adapter._history = history
+        adapter._fitted_len = fitted_len
+        adapter.num_refits = int(scalars["num_refits"])
+        if adapter.policy is not None:
+            adapter.policy.load_state(
+                scalars["policy_state"], unprefixed("policy_", arrays)
+            )
+        return adapter
 
 
 class StreamingMatrixProfileDetector(StreamingDetector):
@@ -283,6 +340,27 @@ class StreamingMatrixProfileDetector(StreamingDetector):
             scores[values.size - arrivals.size :] = finite
         return scores
 
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        scalars, arrays = self._profile.state()
+        scalars["detector_w"] = self.w
+        scalars["detector_exclusion"] = self.exclusion
+        scalars["detector_max_history"] = self.max_history
+        return scalars, arrays
+
+    @classmethod
+    def from_state(
+        cls, scalars: dict, arrays: dict[str, np.ndarray]
+    ) -> "StreamingMatrixProfileDetector":
+        exclusion = scalars["detector_exclusion"]
+        max_history = scalars["detector_max_history"]
+        detector = cls(
+            w=int(scalars["detector_w"]),
+            exclusion=None if exclusion is None else int(exclusion),
+            max_history=None if max_history is None else int(max_history),
+        )
+        detector._profile = StreamingMatrixProfile.from_state(scalars, arrays)
+        return detector
+
 
 class StreamingZScoreDetector(StreamingDetector):
     """Causal z-score against a trailing window, O(1) per point.
@@ -322,6 +400,18 @@ class StreamingZScoreDetector(StreamingDetector):
             mean, std = self._stats.push(value)
             scores[index] = abs(value - mean) / (std + self.epsilon)
         return scores
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        scalars, arrays = self._stats.state()
+        return {"k": self.k, "epsilon": self.epsilon, **scalars}, arrays
+
+    @classmethod
+    def from_state(
+        cls, scalars: dict, arrays: dict[str, np.ndarray]
+    ) -> "StreamingZScoreDetector":
+        detector = cls(k=int(scalars["k"]), epsilon=float(scalars["epsilon"]))
+        detector._stats.load_state(scalars, arrays)
+        return detector
 
 
 class StreamingRangeDetector(StreamingDetector):
@@ -367,6 +457,28 @@ class StreamingRangeDetector(StreamingDetector):
         for index, value in enumerate(values):
             scores[index] = self._high.push(value) - self._low.push(value)
         return scores
+
+    def _extrema(self) -> "tuple[tuple[str, TrailingExtremum], ...]":
+        return (("high_", self._high), ("low_", self._low))
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        scalars, arrays = {"k": self.k}, {}
+        for prefix, extremum in self._extrema():
+            part_scalars, part_arrays = extremum.state()
+            scalars.update(prefixed(prefix, part_scalars))
+            arrays.update(prefixed(prefix, part_arrays))
+        return scalars, arrays
+
+    @classmethod
+    def from_state(
+        cls, scalars: dict, arrays: dict[str, np.ndarray]
+    ) -> "StreamingRangeDetector":
+        detector = cls(k=int(scalars["k"]))
+        for prefix, extremum in detector._extrema():
+            extremum.load_state(
+                unprefixed(prefix, scalars), unprefixed(prefix, arrays)
+            )
+        return detector
 
 
 # streaming-native specs: names resolvable by as_streaming (and hence

@@ -102,6 +102,14 @@ class _FrontArray:
             raise ValueError("replace must preserve length")
         self._data[self._lo : self._hi] = values
 
+    def load(self, values: np.ndarray) -> None:
+        """Make the 1-D ``values`` the live slice: the inverse of
+        :attr:`view`, for a snapshot restore."""
+        data = np.empty(max(16, values.size), dtype=self._data.dtype)
+        data[: values.size] = values
+        self._data = data
+        self._lo, self._hi = 0, int(values.size)
+
 
 class StreamingMatrixProfile:
     """Append-only self-join matrix profile with bounded-memory egress.
@@ -212,6 +220,81 @@ class StreamingMatrixProfile:
             registry.counter("stream_egress_points").inc(int(block.size))
             registry.counter("stream_egress_drains").inc()
         return start, block
+
+    # -- snapshot support (repro.serve.state) -------------------------
+
+    _FRONTS = ("x", "mean", "inv", "const", "best")
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """``(scalars, arrays)`` capturing the whole state bit-exactly."""
+        scalars = {
+            "w": self.w,
+            "exclusion": self.exclusion,
+            "max_history": self.max_history,
+            "count": self.count,
+            "shift": self._shift,
+            "scale": self._scale,
+            "run": self._run,
+            "last_raw": self._last_raw,
+            "point_base": self._point_base,
+            "win_base": self._win_base,
+            "egress_base": self._egress_base,
+        }
+        arrays = {
+            name: getattr(self, f"_{name}").view for name in self._FRONTS
+        }
+        arrays["qt"] = self._qt
+        arrays["egress"] = np.asarray(self._egress, dtype=float)
+        return scalars, arrays
+
+    @classmethod
+    def from_state(
+        cls, scalars: dict, arrays: dict[str, np.ndarray]
+    ) -> "StreamingMatrixProfile":
+        """Rebuild the profile :meth:`state` captured, field for field."""
+        max_history = scalars["max_history"]
+        last_raw = scalars["last_raw"]
+        profile = cls(
+            int(scalars["w"]),
+            int(scalars["exclusion"]),
+            max_history=None if max_history is None else int(max_history),
+        )
+        profile.count = int(scalars["count"])
+        profile._shift = float(scalars["shift"])
+        profile._scale = float(scalars["scale"])
+        profile._run = int(scalars["run"])
+        profile._last_raw = None if last_raw is None else float(last_raw)
+        profile._point_base = int(scalars["point_base"])
+        profile._win_base = int(scalars["win_base"])
+        profile._egress_base = int(scalars["egress_base"])
+        # the counters index into 1-D arrays: state whose arrays are not
+        # 1-D or disagree with the counters would load, then fail on its
+        # first append
+        names = (*cls._FRONTS, "qt", "egress")
+        if not all(np.ndim(arrays[name]) == 1 for name in names):
+            raise ValueError(
+                "corrupt snapshot: the profile's arrays are not 1-D"
+            )
+        for name in cls._FRONTS:
+            getattr(profile, f"_{name}").load(arrays[name])
+        profile._qt = np.array(arrays["qt"], dtype=float)
+        profile._egress = [float(value) for value in arrays["egress"]]
+        windows = max(profile.count - profile.w + 1, 0) - profile._win_base
+        fronts = (profile._mean, profile._inv, profile._const, profile._best)
+        if not (
+            profile._point_base == profile._win_base
+            and len(profile._x) == profile.count - profile._point_base
+            and windows >= 0
+            and profile._qt.size == windows
+            and all(len(front) == windows for front in fronts)
+            and profile._egress_base + len(profile._egress)
+            == profile._win_base
+        ):
+            raise ValueError(
+                "corrupt snapshot: the profile's arrays disagree with its "
+                "counters"
+            )
+        return profile
 
     # -- ingestion ----------------------------------------------------
 

@@ -42,6 +42,7 @@ class TestDocsSite:
             "kernel.md",
             "streaming.md",
             "observability.md",
+            "serve.md",
             "cli.md",
         ):
             assert os.path.exists(os.path.join(DOCS, page)), page

@@ -33,6 +33,7 @@ from repro.obs import (
     tracing_session,
     write_trace,
 )
+from repro.obs import registry as registry_module
 from repro.runner import EvalEngine
 from repro.types import Archive, LabeledSeries, Labels
 
@@ -86,8 +87,9 @@ class TestSeries:
         gauge.add(-1.5)
         assert gauge.value == 1.5
 
-    def test_histogram_digest_and_lifetime_count(self):
-        histogram = MetricsRegistry().histogram("lat", reservoir=4)
+    def test_histogram_digest_and_lifetime_count(self, monkeypatch):
+        monkeypatch.setattr(registry_module, "RESERVOIR", 4)
+        histogram = MetricsRegistry().histogram("lat")
         digest = histogram.digest()
         assert digest == {
             "count": 0,

@@ -15,6 +15,7 @@ from repro.serve import (
     format_load,
     run_load,
 )
+from repro.serve.loadgen import _DETECTORS, _SLOP
 from repro.stream import replay
 
 
@@ -62,10 +63,10 @@ class TestRunLoad:
             series = archive.series[index % len(archive.series)]
             expected = replay(
                 series,
-                config.detectors[index % len(config.detectors)],
+                _DETECTORS[index % len(_DETECTORS)],
                 batch_size=config.batch_size,
                 max_delay=config.max_delay,
-                slop=config.slop,
+                slop=_SLOP,
             )
             np.testing.assert_array_equal(trace.scores, expected.scores)
             assert trace.location == expected.location
@@ -80,14 +81,14 @@ class TestRunLoad:
         assert payload["snapshot_parity"] is True
         assert payload["points_per_second"] > 0
         assert 0.0 <= payload["accuracy"] <= 1.0
-        assert set(payload["by_detector"]) == set(config.detectors)
+        assert set(payload["by_detector"]) == set(_DETECTORS)
 
     def test_format_load_mentions_everything(self, small_run):
-        config, result = small_run
+        _, result = small_run
         text = format_load(result)
         assert "serve bench" in text
         assert "snapshot/restore parity: ok" in text
-        for detector in config.detectors:
+        for detector in _DETECTORS:
             assert detector in text
 
     def test_zero_snapshot_checks_reports_none(self):
@@ -178,8 +179,6 @@ class TestConfig:
             LoadConfig(streams=0)
         with pytest.raises(ValueError, match="tenants"):
             LoadConfig(tenants=0)
-        with pytest.raises(ValueError, match="detector"):
-            LoadConfig(detectors=())
         with pytest.raises(ValueError, match="snapshot_checks"):
             LoadConfig(snapshot_checks=-1)
 

@@ -171,6 +171,21 @@ class TestRestoreOverHttp:
             client.restore(snap)
         assert caught.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value", [("state", 5), ("scores_total", -7)]
+    )
+    def test_restore_payload_contract_is_400(self, served, field, value):
+        # these were a 500 with a server traceback and a 201 whose later
+        # score reads were misnumbered
+        client, _ = served
+        client.create_stream("acme", "s1", "diff", np.arange(30.0))
+        snap = client.snapshot("acme", "s1")
+        snap.update({"stream": "acme/s2", field: value})
+        with pytest.raises(ServeError) as caught:
+            client.restore(snap)
+        assert caught.value.status == 400
+        assert field in str(caught.value)
+
 
 def counter(server, name):
     return server.cluster.registry.counter(name).value

@@ -235,6 +235,35 @@ class TestSnapshotBarrier:
             with pytest.raises(ValueError, match="already exists"):
                 cluster.restore_stream(snap)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("state", 5),
+            ("state", None),
+            ("state", ["UlNOQVA="]),
+            ("points_seen", -1),
+            ("points_seen", 1.9),
+            ("points_seen", True),
+            ("points_seen", "40"),
+            ("scores_total", -7),
+            ("scores_total", True),
+            ("scores_total", 3.0),
+        ],
+    )
+    def test_restore_payload_contract(self, field, value):
+        # unchecked, a non-string state crashed the worker op
+        # (AttributeError) and the counts restored as given or truncated:
+        # scores_total=-7 misnumbered every later score read
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", "diff", np.arange(30.0))
+            snap = cluster.snapshot_stream("acme", "s1")
+            snap.update({"stream": "acme/s2", field: value})
+            with pytest.raises(ValueError, match=field):
+                cluster.restore_stream(snap)
+            with pytest.raises(KeyError):
+                cluster.scores("acme", "s2")
+            assert cluster.metrics_json()["totals"]["restores"] == 0
+
     def test_stream_stats(self):
         with StreamCluster(num_shards=1) as cluster:
             cluster.create_stream("acme", "s1", "diff", np.arange(30.0))

@@ -9,9 +9,12 @@ lengths, and snapshot points taken mid-egress.
 
 import base64
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import SNAPSHOT_VERSION, StreamCluster, restore, snapshot
 from repro.serve.state import _pack, _unpack
@@ -29,6 +32,13 @@ from test_stream_profile import FAMILIES, make_family
 
 def continuation(detector, tail):
     return np.asarray(detector.update(tail), dtype=float)
+
+
+def feed(obj, batches):
+    """Each batch's output: a profile's arrivals or a detector's scores."""
+    if isinstance(obj, StreamingMatrixProfile):
+        return [obj.append(batch) for batch in batches]
+    return [obj.update(batch) for batch in batches]
 
 
 class TestProfileRoundTrip:
@@ -150,6 +160,137 @@ class TestDetectorRoundTrip:
         assert a.tobytes() == b.tobytes()
 
 
+ZSHIFT = "zshift(recent=16, reference=48)"
+
+#: every snapshot kind, and every refit policy a batch adapter carries
+PROPERTY_KINDS = {
+    "profile": lambda: StreamingMatrixProfile(9),
+    "profile_bounded": lambda: StreamingMatrixProfile(9, max_history=80),
+    "zscore": lambda: StreamingZScoreDetector(k=24),
+    "range": lambda: StreamingRangeDetector(k=15),
+    "mpx": lambda: StreamingMatrixProfileDetector(w=16),
+    "mpx_bounded": lambda: StreamingMatrixProfileDetector(
+        w=16, max_history=120
+    ),
+    "adapter": lambda: as_streaming("moving_zscore(k=25)"),
+    "adapter_fixed": lambda: as_streaming(
+        "diff", refit_policy="fixed(every=60)"
+    ),
+    "adapter_zshift": lambda: as_streaming(
+        "moving_zscore(k=25)", refit_policy=f"drift(on='{ZSHIFT}')"
+    ),
+    "adapter_adwin": lambda: as_streaming(
+        "diff", refit_policy="drift(on='adwin')"
+    ),
+    "adapter_page_hinkley": lambda: as_streaming(
+        "moving_zscore(k=25)", refit_policy="page_hinkley"
+    ),
+    "adapter_hybrid": lambda: as_streaming(
+        "moving_zscore(k=25)", refit_policy=f"hybrid(on='{ZSHIFT}', every=80)"
+    ),
+}
+
+
+class TestContinuationProperty:
+    """Snapshot anywhere, restore, append in any batching: the restored
+    object continues byte-identically, and a restored object snapshots
+    back to the blob it came from."""
+
+    @pytest.mark.parametrize("name", PROPERTY_KINDS)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_restore_continues_byte_identically(
+        self, name, family, seed, data
+    ):
+        values = make_family(family, seed, 300)
+        live = PROPERTY_KINDS[name]()
+        if isinstance(live, StreamingMatrixProfile):
+            cut = data.draw(st.integers(0, values.size), label="cut")
+            live.append(values[:cut])  # egress queue left undrained
+        else:
+            cut = data.draw(st.integers(60, values.size), label="cut")
+            live.fit(values[:60])
+            live.update(values[60:cut])
+        edges = data.draw(
+            st.lists(st.integers(cut, values.size), max_size=5),
+            label="batch edges",
+        )
+        edges = [cut, *sorted(set(edges) - {cut, values.size}), values.size]
+        batches = [values[a:b] for a, b in zip(edges, edges[1:])]
+
+        blob = snapshot(live)
+        restored = restore(blob)
+        assert snapshot(restored) == blob
+        a = np.concatenate([np.empty(0), *feed(live, batches)])
+        b = np.concatenate([np.empty(0), *feed(restored, batches)])
+        assert a.tobytes() == b.tobytes()
+        if isinstance(live, StreamingMatrixProfile):
+            start_a, egress_a = live.drain_egress()
+            start_b, egress_b = restored.drain_egress()
+            assert start_a == start_b
+            assert egress_a.tobytes() == egress_b.tobytes()
+        assert snapshot(live) == snapshot(restored)
+
+
+def _prepend(arrays, name, index, value):
+    arrays[f"{name}_idx"] = np.r_[index, arrays[f"{name}_idx"]]
+    arrays[f"{name}_val"] = np.r_[value, arrays[f"{name}_val"]]
+
+
+#: detector factory and an edit of its snapshot state that no sequence
+#: of appends can produce
+IMPOSSIBLE_STATES = {
+    "zscore-window-over-k": (
+        lambda: StreamingZScoreDetector(k=24),
+        lambda s, a: a.update(window=np.tile(a["window"], 2)),
+    ),
+    "range-count-below-newest-index": (
+        lambda: StreamingRangeDetector(k=15),
+        lambda s, a: s.update(high_count=s["high_count"] - 1),
+    ),
+    "range-repeated-index": (
+        lambda: StreamingRangeDetector(k=15),
+        lambda s, a: _prepend(a, "high", a["high_idx"][0], a["high_val"][0]),
+    ),
+    "range-index-older-than-window": (
+        lambda: StreamingRangeDetector(k=15),
+        lambda s, a: _prepend(
+            a, "low", s["low_count"] - 16, a["low_val"][0] - 1.0
+        ),
+    ),
+    "adapter-2d-history": (
+        lambda: as_streaming("diff"),
+        lambda s, a: a.update(history=a["history"].reshape(-1, 1)),
+    ),
+    "adapter-negative-fitted-len": (
+        lambda: as_streaming("diff"),
+        lambda s, a: s.update(fitted_len=-5),
+    ),
+    "adapter-fitted-len-past-history": (
+        lambda: as_streaming("diff"),
+        lambda s, a: s.update(fitted_len=10**6),
+    ),
+    "zshift-policy-window-over-k": (
+        lambda: as_streaming("diff", refit_policy=f"drift(on='{ZSHIFT}')"),
+        lambda s, a: a.update(
+            policy_detector_recent_window=np.tile(
+                a["policy_detector_recent_window"], 2
+            )
+        ),
+    ),
+    "zshift-policy-delay-line-over-recent": (
+        lambda: as_streaming("diff", refit_policy=f"drift(on='{ZSHIFT}')"),
+        lambda s, a: a.update(
+            policy_detector_delay=np.tile(a["policy_detector_delay"], 2)
+        ),
+    ),
+}
+
+
 class TestCodecFormat:
     def make_blob(self):
         profile = StreamingMatrixProfile(8)
@@ -200,6 +341,22 @@ class TestCodecFormat:
         with pytest.raises(ValueError, match="corrupt snapshot"):
             restore(_pack(kind, scalars, arrays))
 
+    @pytest.mark.parametrize("case", IMPOSSIBLE_STATES)
+    def test_state_no_append_sequence_produces_is_refused(self, case):
+        # unchecked, each of these restores: the zscore, range and zshift
+        # edits then behave differently from any real stream for good,
+        # the adapter edits fail the stream on its first append or refit
+        make, edit = IMPOSSIBLE_STATES[case]
+        detector = make()
+        values = make_family("walk", 3, 160)
+        detector.fit(values[:100])
+        detector.update(values[100:])
+        kind, scalars, arrays = _unpack(snapshot(detector))
+        scalars, arrays = dict(scalars), dict(arrays)
+        edit(scalars, arrays)
+        with pytest.raises(ValueError, match="corrupt snapshot"):
+            restore(_pack(kind, scalars, arrays))
+
     def test_infinite_scalar_is_value_error(self):
         # JSON carries Infinity, and int(inf) raises OverflowError
         detector = StreamingMatrixProfileDetector(w=20)
@@ -216,6 +373,65 @@ class TestCodecFormat:
         restored = restore(snapshot(profile))
         tail = make_family("constant", 5, 40)
         assert profile.append(tail).tobytes() == restored.append(tail).tobytes()
+
+
+SNAPSHOTS_V1 = Path(__file__).parent / "data" / "snapshots_v1"
+
+
+class TestEarlierBuildBlobs:
+    """Blobs an earlier build wrote still restore.
+
+    ``tests/data/snapshots_v1`` holds the blobs of a fixed seeded set —
+    :func:`detector_zoo`, a bounded profile with its egress queue
+    undrained, and adapters under each refit policy, 200 points each —
+    as the build before each class captured its own state wrote them.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "mpx_bounded",
+            "mpx",
+            "zscore",
+            "range",
+            "adapter",
+            "adapter_refit_every",
+            "profile_bounded",
+            "adapter_fixed",
+            "adapter_drift_zshift",
+            "adapter_drift_adwin",
+            "adapter_page_hinkley",
+            "adapter_hybrid",
+        ],
+    )
+    def test_restores_and_snapshots_back_to_the_same_state(self, name):
+        blob = (SNAPSHOTS_V1 / f"{name}.rsnap").read_bytes()
+        kind, scalars, arrays = _unpack(blob)
+        # adapter blobs carried a refit counter that only the snapshot
+        # read; nothing writes it any more
+        scalars.pop("since_fit", None)
+        restored = restore(blob)
+        assert snapshot(restored) == _pack(kind, scalars, arrays)
+        tail = make_family("walk", 5, 30)
+        scores = feed(restored, [tail])[0]
+        assert scores.size == tail.size
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("adapter_refit_every", "policy_state"),
+            ("adapter_fixed", "policy_state"),
+            ("adapter_fixed", "policy"),
+            ("adapter_fixed", "num_refits"),
+        ],
+    )
+    def test_adapter_blob_without_policy_keys_is_refused(self, name, key):
+        # each key is state the adapter cannot rebuild without guessing
+        blob = (SNAPSHOTS_V1 / f"{name}.rsnap").read_bytes()
+        kind, scalars, arrays = _unpack(blob)
+        del scalars[key]
+        with pytest.raises(ValueError, match="corrupt snapshot"):
+            restore(_pack(kind, scalars, arrays))
 
 
 FUZZ_SPECS = (
