@@ -25,11 +25,6 @@ Commands mirror the paper's workflow:
   stdlib HTTP front over sharded workers with consistent-hash tenant
   routing, bounded queues with backpressure (``429 Retry-After``),
   per-tenant metrics and snapshot/restore of live stream state.
-* ``serve-bench`` — drive N interleaved UCR-sim streams over HTTP
-  through an embedded server and report sustained points/sec, p50/p99
-  arrival-to-score latency, backpressure counts, the mid-drive
-  snapshot/restore parity verdict and the delay-aware + NAB-windowed
-  detection scoreboard.
 * ``detectors`` — list the registry (names + constructor parameters).
 * ``cache <dir>`` — inspect or clear a content-addressed result cache.
 * ``obs <dump|rollup> TRACE.jsonl`` — inspect a trace file written by
@@ -66,12 +61,12 @@ coverage changes scores and so belongs in manifests and cache keys.
 their output is byte-identical across repeated invocations and across
 serial vs parallel source runs.
 
-``run``, ``stream`` and ``serve-bench`` accept ``--trace OUT.jsonl``:
-the command executes inside a fresh :mod:`repro.obs` tracing session
-and exports every span (engine cells, kernel chunk sweeps, replay
-batches) plus the session's counters as deterministic JSON Lines —
-two identical invocations differ only in the timing fields.  ``repro
-obs rollup`` folds such a file into a self-time profile.
+``run`` and ``stream`` accept ``--trace OUT.jsonl``: the command
+executes inside a fresh :mod:`repro.obs` tracing session and exports
+every span (engine cells, kernel chunk sweeps, replay batches) plus the
+session's counters as deterministic JSON Lines — two identical
+invocations differ only in the timing fields.  ``repro obs rollup``
+folds such a file into a self-time profile.
 
 Each subparser names its handler (``set_defaults(handler=_cmd_...)``)
 and :func:`main` calls it.  A flag several commands share is declared
@@ -151,23 +146,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="content-addressed result cache directory (default: no cache)",
-    )
-
-
-def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="worker shards; tenants are consistent-hashed across them "
-        "(default: 4)",
-    )
-    parser.add_argument(
-        "--queue-size",
-        type=_positive_int,
-        default=4096,
-        help="bounded per-shard op queue; a full queue answers 429 with "
-        "Retry-After (default: 4096)",
     )
 
 
@@ -441,7 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=8765,
         help="bind port; 0 picks a free one (default: 8765)",
     )
-    _add_cluster_options(serve)
+    serve.add_argument(
+        "--shards",
+        type=_positive_int,
+        default=4,
+        help="worker shards; tenants are consistent-hashed across them "
+        "(default: 4)",
+    )
+    serve.add_argument(
+        "--queue-size",
+        type=_positive_int,
+        default=4096,
+        help="bounded per-shard op queue; a full queue answers 429 with "
+        "Retry-After (default: 4096)",
+    )
     serve.add_argument(
         "--watch-interval",
         type=float,
@@ -452,68 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "feeding /alerts and /healthz; 0 disables the watcher "
         "(default: 1.0)",
     )
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="drive N interleaved UCR-sim streams over HTTP through an "
-        "embedded server and report throughput, latency and detection "
-        "quality",
-    )
-    serve_bench.set_defaults(handler=_cmd_serve_bench)
-    serve_bench.add_argument(
-        "--streams",
-        type=_positive_int,
-        default=1000,
-        help="concurrent streams to interleave (default: 1000)",
-    )
-    serve_bench.add_argument(
-        "--tenants",
-        type=_positive_int,
-        default=32,
-        help="tenants the streams are spread over (default: 32)",
-    )
-    _add_cluster_options(serve_bench)
-    serve_bench.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=50,
-        help="points per append micro-batch (default: 50)",
-    )
-    serve_bench.add_argument(
-        "--unique-series",
-        type=_positive_int,
-        default=24,
-        help="distinct UCR-sim series cycled over the streams "
-        "(default: 24)",
-    )
-    serve_bench.add_argument(
-        "--seed",
-        type=int,
-        default=23,
-        help="seed for the generated load archive (default: 23)",
-    )
-    serve_bench.add_argument(
-        "--max-delay",
-        type=_nonnegative_int,
-        default=250,
-        metavar="POINTS",
-        help="latency budget for the delay-aware scoreboard "
-        "(default: 250)",
-    )
-    serve_bench.add_argument(
-        "--snapshot-checks",
-        type=_nonnegative_int,
-        default=3,
-        help="streams given the mid-drive snapshot/restore parity "
-        "drill (default: 3)",
-    )
-    serve_bench.add_argument(
-        "--out",
-        default=None,
-        help="also write the JSON report to this path (default: none)",
-    )
-    _add_format_option(serve_bench)
-    _add_trace_option(serve_bench)
 
     detectors = sub.add_parser(
         "detectors",
@@ -1131,41 +1060,6 @@ def _cmd_serve(args) -> int:
     finally:
         server.close()
     return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    from .bench import write_bench
-    from .serve import LoadConfig, format_load, run_load
-
-    def execute() -> int:
-        try:
-            config = LoadConfig(
-                streams=args.streams,
-                tenants=args.tenants,
-                shards=args.shards,
-                queue_size=args.queue_size,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                unique_series=args.unique_series,
-                max_delay=args.max_delay,
-                snapshot_checks=args.snapshot_checks,
-            )
-            result = run_load(config)
-        except (ValueError, RuntimeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        payload = result.to_json()
-        if args.out:
-            print(f"wrote {write_bench(payload, args.out)}", file=sys.stderr)
-        if args.format == "json":
-            _print_json(payload)
-        else:
-            print(format_load(result))
-        # a failed parity drill is a correctness failure, not a perf
-        # number
-        return 0 if result.snapshot_parity in (None, True) else 1
-
-    return _traced(args, execute)
 
 
 def _cmd_detectors(args) -> int:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -355,16 +355,35 @@ class AdwinLite(DriftDetector):
         )
 
     def load_state(self, scalars: dict, arrays: dict[str, np.ndarray]) -> None:
+        columns = [
+            np.asarray(arrays[name])
+            for name in ("bucket_counts", "bucket_sums", "bucket_sum_sqs")
+        ]
+        counts = columns[0]
+        # a push appends a size-1 bucket at the newest end and merges the
+        # two oldest buckets of a size that then holds more than
+        # max_buckets; a cut only drops the oldest bucket, and the first
+        # push sets the shift
+        if not (
+            counts.ndim == 1
+            and all(column.shape == counts.shape for column in columns)
+            and counts.dtype.kind in "iu"
+            and all(count > 0 and count & (count - 1) == 0 for count in counts)
+            and all(old >= new for old, new in zip(counts, counts[1:]))
+            and max(Counter(counts.tolist()).values(), default=0)
+            <= self.max_buckets
+            and (scalars["shift"] is None) == (counts.size == 0)
+        ):
+            raise ValueError(
+                "corrupt snapshot: adwin's buckets are not a histogram "
+                "that pushes produce"
+            )
         self._shift = (
             None if scalars["shift"] is None else float(scalars["shift"])
         )
         self._buckets = [
             [int(count), float(total), float(square)]
-            for count, total, square in zip(
-                arrays["bucket_counts"],
-                arrays["bucket_sums"],
-                arrays["bucket_sum_sqs"],
-            )
+            for count, total, square in zip(*columns)
         ]
 
 

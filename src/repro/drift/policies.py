@@ -60,6 +60,23 @@ def _check_cadence(name: str, value, *, minimum: int) -> int:
     return int(value)
 
 
+def _restored_count(
+    name: str, value, *, minimum: int = 0, below: int | None = None
+) -> int:
+    """A counter read back from a snapshot: an integer >= ``minimum``
+    and, when ``below`` is given, < ``below``.  Anything else is state
+    no sequence of ``observe`` calls produces."""
+    try:
+        value = _check_cadence(name, value, minimum=minimum)
+    except ValueError as error:
+        raise ValueError(f"corrupt snapshot: {error}") from None
+    if below is not None and value >= below:
+        raise ValueError(
+            f"corrupt snapshot: {name} must be < {below}, got {value}"
+        )
+    return value
+
+
 class RefitPolicy(ABC):
     """Decide, per arriving micro-batch, whether to refit now.
 
@@ -112,10 +129,16 @@ class RefitPolicy(ABC):
         return scalars, arrays
 
     def load_state(self, scalars: dict, arrays: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`state` on a same-spec instance."""
-        self._since = int(scalars["since"])
-        self.triggers = int(scalars["triggers"])
-        self.refits = int(scalars["refits"])
+        """Inverse of :meth:`state` on a same-spec instance.
+
+        A cadence policy resets ``since`` once it reaches ``every``, so
+        a restored ``since`` must be below it.
+        """
+        self._since = _restored_count(
+            "since", scalars["since"], below=getattr(self, "every", None)
+        )
+        self.triggers = _restored_count("triggers", scalars["triggers"])
+        self.refits = _restored_count("refits", scalars["refits"])
         detector = getattr(self, "detector", None)
         if detector is not None:
             detector.load_state(
@@ -196,8 +219,16 @@ class _Triggered(RefitPolicy):
 
     def load_state(self, scalars: dict, arrays: dict[str, np.ndarray]) -> None:
         super().load_state(scalars, arrays)
-        due = scalars.get("settle_due")
-        self._settle_due = None if due is None else int(due)
+        # a triggered refit schedules the settle refit `settle` points
+        # ahead, and it fires (clearing the schedule) once they arrived
+        due = scalars["settle_due"]
+        self._settle_due = (
+            None
+            if due is None
+            else _restored_count(
+                "settle_due", due, minimum=1, below=self.settle + 1
+            )
+        )
 
     def _cadence_due(self) -> bool:
         return False

@@ -3,7 +3,7 @@
 The streaming subsystem (:mod:`repro.stream`) can score one stream;
 this package turns it into a *service*: many tenants, many streams,
 bounded memory and explicit overload behaviour, in one process with
-nothing beyond the standard library.  Four layers:
+nothing beyond the standard library.  Three layers:
 
 * :mod:`~repro.serve.state` — versioned, deterministic snapshot/restore
   for every streaming detector.  The contract is byte-identical
@@ -18,22 +18,11 @@ nothing beyond the standard library.  Four layers:
 * :mod:`~repro.serve.server` — a stdlib JSON-over-HTTP front
   (:class:`ServeServer`) and blocking client (:class:`ServeClient`);
   backpressure maps to ``429 Retry-After``.
-* :mod:`~repro.serve.loadgen` — the serve bench: N interleaved UCR-sim
-  streams driven over HTTP through an embedded :class:`ServeServer`,
-  scored back through the replay trace machinery so service-path
-  detection quality is directly comparable to local replay, plus a
-  mid-drive snapshot/restore parity drill on the same server.
 
-See ``docs/serve.md`` for the architecture and the bench methodology.
+See ``docs/serve.md`` for the architecture; perfbench's ``serve-http``
+workload measures the service over HTTP.
 """
 
-from .loadgen import (
-    LoadConfig,
-    LoadResult,
-    default_archive,
-    format_load,
-    run_load,
-)
 from .server import ServeClient, ServeError, ServeServer
 from .shard import (
     Backpressure,
@@ -56,9 +45,4 @@ __all__ = [
     "ServeServer",
     "ServeClient",
     "ServeError",
-    "LoadConfig",
-    "LoadResult",
-    "default_archive",
-    "format_load",
-    "run_load",
 ]

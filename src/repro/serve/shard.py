@@ -21,9 +21,9 @@ shape, small enough to read in one sitting:
   read observes exactly the appends submitted before it.
 * **Backpressure** — a full queue raises :class:`Backpressure` with a
   ``retry_after`` hint instead of blocking the caller or buffering
-  unboundedly.  The HTTP front turns it into ``429 Retry-After``; the
-  load generator treats it as a signal to back off.  Lost work is
-  visible (the rejection counter), never silent.
+  unboundedly.  The HTTP front turns it into ``429 Retry-After``, and
+  :class:`~repro.serve.server.ServeClient` retries after that pause.
+  Lost work is visible (the rejection counter), never silent.
 * **Failure isolation** — a detector that raises fails its own stream
   (:class:`StreamFailed`, counted per tenant), never the worker: the
   shard's other streams keep being scored.
@@ -100,6 +100,9 @@ _DESCRIPTIONS = {
     "serve_uptime_seconds": "Seconds since the cluster started.",
     "serve_worker_up": (
         "0 once the shard's worker thread died without being closed, else 1."
+    ),
+    "obs_watch_errors_total": (
+        "Watch ticks that raised; the watcher logs each and keeps ticking."
     ),
 }
 # the per-tenant counters: ``/metrics`` row key -> ``serve_<key>`` series
@@ -605,6 +608,8 @@ class StreamCluster:
         self.registry = MetricsRegistry()
         for name, text in _DESCRIPTIONS.items():
             self.registry.describe(name, text)
+        # present from start-up: a scrape reads 0, not a missing series
+        self.registry.counter("obs_watch_errors_total")
         self.ring = HashRing(names)
         self.workers = {
             name: ShardWorker(name, self.registry, queue_size=queue_size)
@@ -763,7 +768,13 @@ class StreamCluster:
 
     def _watch_loop(self) -> None:
         while not self._watch_stop.wait(self.watch_interval):
-            self.watch_tick()
+            try:
+                self.watch_tick()
+            except Exception as error:
+                # one bad tick must not end the watcher: log it the way
+                # a failed stream is logged, count it, keep ticking
+                traceback.print_exception(error)
+                self.registry.counter("obs_watch_errors_total").inc()
 
     def alerts_json(self) -> dict:
         return self.watch.to_json()
@@ -831,12 +842,17 @@ class StreamCluster:
         """Liveness plus the overload signals CI asserts on.
 
         ``ok`` is false while any shard worker's thread has died without
-        being closed; ``dead_shards`` names them.
+        being closed (``dead_shards`` names them), and while a requested
+        watch thread is not running on an open cluster.
         """
         alerts = self.alerts_json()
         dead = [name for name, worker in self.workers.items() if worker.dead]
+        watcher = self._watch_thread  # None when not requested or closed
+        watch_dead = (
+            watcher is not None and not self._closed and not watcher.is_alive()
+        )
         return {
-            "ok": not dead,
+            "ok": not dead and not watch_dead,
             "uptime_seconds": round(self.uptime_seconds(), 3),
             "shards": len(self.workers),
             "dead_shards": dead,

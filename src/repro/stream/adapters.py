@@ -163,16 +163,19 @@ class BatchStreamingAdapter(StreamingDetector):
         self.spec = spec
         self._history = np.empty(0)
         self._fitted_len = 0  # leading history points of the last fit
-        self.num_refits = 0  # refits since fit() (policy-driven)
 
     @property
     def name(self) -> str:
         return f"streaming[{self.detector.name}]"
 
+    @property
+    def num_refits(self) -> int:
+        """Refits since :meth:`fit`: the policy's count, 0 without one."""
+        return 0 if self.policy is None else self.policy.refits
+
     def reset(self) -> "BatchStreamingAdapter":
         self._history = np.empty(0)
         self._fitted_len = 0
-        self.num_refits = 0
         if self.policy is not None:
             self.policy.reset()
         return self
@@ -202,7 +205,6 @@ class BatchStreamingAdapter(StreamingDetector):
                 "stream_refits", detector=self.detector.name
             ).inc()
             self._fitted_len = int(self._history.size)
-            self.num_refits += 1
         scored = self._history
         if self.window is not None and scored.size > self.window:
             scored = scored[-self.window :]
@@ -267,10 +269,15 @@ class BatchStreamingAdapter(StreamingDetector):
         adapter.detector.fit(history[:fitted_len])
         adapter._history = history
         adapter._fitted_len = fitted_len
-        adapter.num_refits = int(scalars["num_refits"])
         if adapter.policy is not None:
             adapter.policy.load_state(
                 scalars["policy_state"], unprefixed("policy_", arrays)
+            )
+        if scalars["num_refits"] != adapter.num_refits:
+            raise ValueError(
+                f"corrupt snapshot: the adapter's num_refits "
+                f"{scalars['num_refits']!r} is not its policy's refits "
+                f"{adapter.num_refits}"
             )
         return adapter
 

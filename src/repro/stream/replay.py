@@ -197,11 +197,12 @@ def trace_from_scores(
     training region must be ``-inf``), appended in micro-batches of
     ``batch_size`` starting at ``series.train_len`` — the structure
     :func:`replay` produces while driving a detector itself, and the
-    structure the serve load generator reproduces when it collects
-    scores back from a cluster.  The running-argmax walk, the UCR
-    verdict and the first-hit/commit/delay latencies are computed here,
-    identically for both callers, so a trace built from served scores
-    is byte-for-byte the trace a local replay would have produced.
+    structure a caller reproduces when it collects arrival scores some
+    other way (scores read back from a served stream, say).  The
+    running-argmax walk, the UCR verdict and the first-hit/commit/delay
+    latencies are computed here, identically for every caller, so a
+    trace built from collected scores is byte-for-byte the trace a
+    local replay would have produced.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

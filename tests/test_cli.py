@@ -737,28 +737,6 @@ class TestTraceFlag:
         assert names.count("replay.cell") == 4
         assert trace["metrics"]["counters"]["replay_points"] > 0
 
-    def test_serve_bench_trace_carries_serve_series(self, tmp_path, capsys):
-        trace_path = tmp_path / "sb.jsonl"
-        assert main(["serve-bench", "--streams", "4", "--tenants", "2",
-                     "--shards", "2", "--unique-series", "2",
-                     "--snapshot-checks", "0", "--batch-size", "200",
-                     "--trace", str(trace_path)]) == 0
-        capsys.readouterr()
-        from repro.obs import load_trace
-
-        trace = load_trace(trace_path)
-        assert [s["name"] for s in trace["spans"]].count("serve.load") == 1
-        counters = trace["metrics"]["counters"]
-        ingested = sum(
-            value for key, value in counters.items()
-            if key.startswith("serve_points_ingested")
-        )
-        assert ingested > 0
-        # the drive went over HTTP: one kept-alive connection carried
-        # each stream's create, its appends and its read
-        assert counters["serve_http_connections_total"] == 1
-        assert counters["serve_http_requests_total"] > 2 * 4
-
 
 class TestObsEdgeCases:
     def write_trace(self, path, spans=(), metrics=None):
@@ -1138,4 +1116,4 @@ class TestDispatch:
                 assert args.handler is expected, path
                 checked.append(handler)
         assert "bench_compare" in checked
-        assert len(checked) == 15
+        assert len(checked) == 14

@@ -12,7 +12,8 @@ streams here are half that length, so the bounds are conservative):
   detector that has not flagged in the 240 points before it;
 * z-shift flags are at least one window restart apart;
 * decisions are deterministic and invariant to chunk boundaries
-  (``update`` is definitionally a loop of ``push``).
+  (``update`` is definitionally a loop of ``push``), and every state
+  the pushes reach passes the detector's restore self-checks.
 """
 
 import numpy as np
@@ -132,10 +133,11 @@ class TestInvariances:
         one = make_drift_detector(name)
         point_flags = np.array([one.push(float(v)) for v in values])
         blocked = make_drift_detector(name)
-        parts = [
-            blocked.update(values[i : i + chunk])
-            for i in range(0, values.size, chunk)
-        ]
+        parts = []
+        for i in range(0, values.size, chunk):
+            parts.append(blocked.update(values[i : i + chunk]))
+            # every state pushes reach passes the restore self-checks
+            make_drift_detector(name).load_state(*blocked.state())
         np.testing.assert_array_equal(point_flags, np.concatenate(parts))
 
     @pytest.mark.parametrize("name", DETECTORS)

@@ -5,12 +5,15 @@ The load-bearing equivalence: ``refit_every=k`` and
 registry streaming adapter — the policy extraction moved the legacy
 counter, it did not reinterpret it.  Plus: triggered/settle/hybrid
 refit semantics on scripted flags, policy state through serve
-snapshots cut mid-drift, option validation at the cluster/HTTP/CLI
+snapshots cut mid-drift (every state ``observe`` reaches passes the
+restore self-checks), option validation at the cluster/HTTP/CLI
 boundaries, and adapter ``reset()`` after a triggered refit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detectors import available_detectors
 from repro.drift import (
@@ -32,6 +35,8 @@ from repro.serve import (
     snapshot,
 )
 from repro.stream import BatchStreamingAdapter, as_streaming, replay
+
+from test_stream_profile import FAMILIES, make_family
 
 #: small-parameter spec per registry name, sized for ~300-point series
 SPECS = {
@@ -177,6 +182,36 @@ class TestTriggeredSemantics:
         assert policy.refits == 0 and policy.triggers == 0
         assert policy._settle_due is None
         assert policy.detector._index == 0
+
+
+#: one policy of each kind; small cadences, so a few hundred points
+#: cross every refit path (cadence, trigger, cooldown, settle)
+PROPERTY_POLICIES = (
+    "fixed(every=60)",
+    "hybrid(on='zshift(recent=16, reference=48)', every=80, cooldown=20)",
+    "drift(on='adwin', settle=40)",
+    "page_hinkley(cooldown=30)",
+)
+
+
+class TestRestorableState:
+    @pytest.mark.parametrize("spec", PROPERTY_POLICIES)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=60),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_state_observe_reaches_passes_the_restore_checks(
+        self, spec, family, seed, sizes
+    ):
+        values = make_family(family, seed, 9 * 60)
+        policy = parse_policy(spec)
+        start = 0
+        for size in sizes:
+            policy.observe(values[start : start + size])
+            start += size
+            parse_policy(spec).load_state(*policy.state())
 
 
 class TestParsePolicy:

@@ -23,8 +23,14 @@ from repro.serve import (
     ServeServer,
     StreamCluster,
 )
+from repro.stream import replay
 
-from test_serve_shard import kill_worker, relabelled
+from test_serve_shard import (
+    SERVED_DETECTORS,
+    kill_worker,
+    relabelled,
+    spiked,
+)
 
 
 @pytest.fixture()
@@ -101,6 +107,22 @@ class TestRoutes:
         assert payload["totals"]["scores_emitted"] == 15
         assert {row["tenant"] for row in payload["tenants"]} == {"acme"}
         assert set(payload["queue_depths"]) == {"shard-0", "shard-1"}
+
+    @pytest.mark.parametrize("detector", SERVED_DETECTORS)
+    def test_served_scores_match_local_replay(self, served, detector):
+        # every score survives the JSON round trip: the scores read
+        # over HTTP equal a local left-to-right replay of the detector
+        client, _ = served
+        series = spiked(seed=3)
+        trace = replay(series, detector, batch_size=64)
+        client.create_stream("acme", "s1", detector, series.train)
+        for start in range(250, 900, 64):
+            client.append("acme", "s1", series.values[start : start + 64])
+        served_scores = client.scores("acme", "s1")["scores"]
+        np.testing.assert_array_equal(
+            np.where(np.isfinite(served_scores), served_scores, -np.inf),
+            trace.scores[250:],
+        )
 
 
 class TestBackpressureMapping:

@@ -22,12 +22,39 @@ from repro.stream import replay
 from repro.types import LabeledSeries, Labels
 
 
+#: a batch detector through the adapter, both native streaming
+#: detectors and the adapter-wrapped ``diff``
+SERVED_DETECTORS = (
+    "moving_zscore(k=25)",
+    "streaming_zscore(k=48)",
+    "streaming_range(k=48)",
+    "diff",
+)
+
+
 def spiked(name="s", n=900, seed=0, at=700, width=6, train=250):
     rng = np.random.default_rng(seed)
     values = np.sin(2 * np.pi * np.arange(n) / 90) + 0.05 * rng.standard_normal(n)
     values[at : at + width] += 9.0
     return LabeledSeries(
         name, values, Labels.single(n, at, at + width), train_len=train
+    )
+
+
+def assert_served_equals_replay(detector):
+    """The service is a transport, not a different algorithm: the scores
+    a stream emits through the cluster equal a local left-to-right
+    replay of the same detector."""
+    series = spiked(seed=3)
+    trace = replay(series, detector, batch_size=64)
+    with StreamCluster(num_shards=2) as cluster:
+        cluster.create_stream("acme", "s1", detector, series.train)
+        for start in range(250, 900, 64):
+            cluster.append("acme", "s1", series.values[start : start + 64])
+        served = cluster.scores("acme", "s1")["scores"]
+    expected = trace.scores[250:]
+    np.testing.assert_array_equal(
+        np.where(np.isfinite(served), served, -np.inf), expected
     )
 
 
@@ -78,24 +105,11 @@ class TestClusterLifecycle:
             assert paged["start"] == 600 and len(paged["scores"]) == 50
 
     def test_served_scores_match_local_replay(self):
-        # the service is a transport, not a different algorithm: the
-        # scores a stream emits through the cluster must equal a local
-        # left-to-right replay of the same detector
-        series = spiked(seed=3)
-        trace = replay(series, "moving_zscore(k=25)", batch_size=64)
-        with StreamCluster(num_shards=2) as cluster:
-            cluster.create_stream(
-                "acme", "s1", "moving_zscore(k=25)", series.train
-            )
-            for start in range(250, 900, 64):
-                cluster.append(
-                    "acme", "s1", series.values[start : start + 64]
-                )
-            served = cluster.scores("acme", "s1")["scores"]
-        expected = trace.scores[250:]
-        np.testing.assert_array_equal(
-            np.where(np.isfinite(served), served, -np.inf), expected
-        )
+        assert_served_equals_replay("moving_zscore(k=25)")
+
+    @pytest.mark.parametrize("detector", SERVED_DETECTORS[1:])
+    def test_served_scores_match_local_replay_for(self, detector):
+        assert_served_equals_replay(detector)
 
     def test_native_streaming_spec(self):
         with StreamCluster(num_shards=1) as cluster:

@@ -9,6 +9,7 @@ lengths, and snapshot points taken mid-egress.
 
 import base64
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -234,12 +235,36 @@ class TestContinuationProperty:
             assert start_a == start_b
             assert egress_a.tobytes() == egress_b.tobytes()
         assert snapshot(live) == snapshot(restored)
+        # the state after the tail passes every restore self-check too
+        assert snapshot(restore(snapshot(live))) == snapshot(live)
 
 
 def _prepend(arrays, name, index, value):
     arrays[f"{name}_idx"] = np.r_[index, arrays[f"{name}_idx"]]
     arrays[f"{name}_val"] = np.r_[value, arrays[f"{name}_val"]]
 
+
+def _buckets(arrays, counts, sums=None):
+    """Replace an adwin policy's bucket histogram in adapter arrays."""
+    counts = np.asarray(counts, dtype=np.int64)
+    arrays["policy_detector_bucket_counts"] = counts
+    arrays["policy_detector_bucket_sums"] = (
+        np.zeros(counts.size) if sums is None else sums
+    )
+    arrays["policy_detector_bucket_sum_sqs"] = np.zeros(counts.size)
+
+
+def _policy(scalars, **fields):
+    scalars["policy_state"].update(fields)
+
+
+ADWIN = partial(as_streaming, "diff", refit_policy="drift(on='adwin')")
+HYBRID = partial(
+    as_streaming, "diff", refit_policy=f"hybrid(on='{ZSHIFT}', every=80)"
+)
+SETTLING = partial(
+    as_streaming, "diff", refit_policy=f"drift(on='{ZSHIFT}', settle=50)"
+)
 
 #: detector factory and an edit of its snapshot state that no sequence
 #: of appends can produce
@@ -287,6 +312,65 @@ IMPOSSIBLE_STATES = {
         lambda s, a: a.update(
             policy_detector_delay=np.tile(a["policy_detector_delay"], 2)
         ),
+    ),
+    # unchecked, this restored a 1015-point adwin window
+    "adwin-bucket-counts-3-5-7-1000": (
+        ADWIN,
+        lambda s, a: _buckets(a, [3, 5, 7, 1000]),
+    ),
+    "adwin-counts-rise-toward-newest": (
+        ADWIN,
+        lambda s, a: _buckets(a, [1, 2]),
+    ),
+    "adwin-more-than-max-buckets-of-one-size": (
+        ADWIN,
+        lambda s, a: _buckets(a, [1] * 6),
+    ),
+    "adwin-columns-of-different-lengths": (
+        ADWIN,
+        lambda s, a: _buckets(a, [2, 1], sums=np.zeros(3)),
+    ),
+    "adwin-shift-without-buckets": (
+        ADWIN,
+        lambda s, a: _buckets(a, []),
+    ),
+    "adwin-buckets-without-shift": (
+        ADWIN,
+        lambda s, a: _policy(s, detector_shift=None),
+    ),
+    # unchecked, this restored and then skipped the cadence refits the
+    # uninterrupted stream makes
+    "policy-since-minus-1e9": (
+        HYBRID,
+        lambda s, a: _policy(s, since=-1e9),
+    ),
+    "fixed-since-reaching-every": (
+        lambda: as_streaming("diff", refit_policy="fixed(every=60)"),
+        lambda s, a: _policy(s, since=60),
+    ),
+    "hybrid-since-reaching-every": (
+        HYBRID,
+        lambda s, a: _policy(s, since=80),
+    ),
+    "policy-negative-triggers": (
+        HYBRID,
+        lambda s, a: _policy(s, triggers=-1),
+    ),
+    "policy-fractional-refits": (
+        HYBRID,
+        lambda s, a: _policy(s, refits=1.5),
+    ),
+    "settle-due-zero": (
+        SETTLING,
+        lambda s, a: _policy(s, settle_due=0),
+    ),
+    "settle-due-past-settle": (
+        SETTLING,
+        lambda s, a: _policy(s, settle_due=51),
+    ),
+    "adapter-num-refits-not-policy-refits": (
+        HYBRID,
+        lambda s, a: s.update(num_refits=s["num_refits"] + 1),
     ),
 }
 
@@ -343,9 +427,10 @@ class TestCodecFormat:
 
     @pytest.mark.parametrize("case", IMPOSSIBLE_STATES)
     def test_state_no_append_sequence_produces_is_refused(self, case):
-        # unchecked, each of these restores: the zscore, range and zshift
-        # edits then behave differently from any real stream for good,
-        # the adapter edits fail the stream on its first append or refit
+        # unchecked, each of these restores: the zscore, range, zshift,
+        # adwin and policy edits then behave differently from any real
+        # stream for good, the adapter edits fail the stream on its
+        # first append or refit, or misreport its refits
         make, edit = IMPOSSIBLE_STATES[case]
         detector = make()
         values = make_family("walk", 3, 160)

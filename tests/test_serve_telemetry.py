@@ -39,6 +39,11 @@ FAMILIES = {
         "Current alert state per rule (0 ok, 1 pending, 2 firing).",
         {"rule"},
     ),
+    "obs_watch_errors_total": (
+        "counter",
+        "Watch ticks that raised; the watcher logs each and keeps ticking.",
+        set(),
+    ),
     "serve_append_batches": (
         "counter",
         "Scored append groups, per tenant.",

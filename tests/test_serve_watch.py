@@ -8,8 +8,8 @@ The integration contracts on top of repro.obs.alerts:
 * ``/alerts`` and ``/healthz`` expose the same state machine over
   HTTP, in JSON and in the Prometheus ``ALERTS`` exposition;
 * the background heartbeat thread only exists when asked for, ticks on
-  its own — also after the wall clock steps back — and dies with
-  ``close()``;
+  its own — also after the wall clock steps back or a tick raises —
+  dies with ``close()``, and ``/healthz`` is not ok while it is dead;
 * the Prometheus ``/metrics`` exposition is self-describing: ``# HELP``
   for every serve family, lifetime min/max for latency histograms.
 """
@@ -22,7 +22,6 @@ import pytest
 
 from repro.obs.alerts import FIRING, OK, PENDING
 from repro.serve import ServeClient, ServeServer, StreamCluster
-from repro.serve.loadgen import _latencies
 from repro.serve.shard import default_watch_rules
 from test_serve_shard import kill_worker
 
@@ -44,6 +43,10 @@ def saturate(cluster, depth=95):
 
 def evaluations(cluster):
     return cluster.registry.counter("obs_alert_evaluations_total").value
+
+
+def watch_errors(cluster):
+    return cluster.registry.counter("obs_watch_errors_total").value
 
 
 def wait_until(condition, timeout=5.0):
@@ -374,6 +377,53 @@ class TestBackgroundThread:
         finally:
             cluster.close()
 
+    def test_a_raising_tick_is_counted_and_the_watcher_keeps_ticking(
+        self, capsys
+    ):
+        # unguarded, the third evaluation's error ended the serve-watch
+        # thread, and evaluations stopped for good
+        cluster = make_cluster(watch_interval=0.01)
+        try:
+            evaluate = cluster.watch.evaluate
+            calls = []
+
+            def raises_once(**kwargs):
+                calls.append(kwargs)
+                if len(calls) == 3:
+                    raise RuntimeError("injected")
+                return evaluate(**kwargs)
+
+            cluster.watch.evaluate = raises_once
+            before = evaluations(cluster)
+            assert wait_until(lambda: evaluations(cluster) > before + 5)
+            assert watch_errors(cluster) == 1
+            assert cluster._watch_thread.is_alive()
+            assert cluster.healthz_json()["ok"] is True
+        finally:
+            cluster.close()
+        assert "RuntimeError: injected" in capsys.readouterr().err
+
+    # the injected SystemExit ends the watch thread unhandled, by design
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_a_dead_watcher_is_not_ok(self):
+        cluster = make_cluster(watch_interval=0.01)
+        try:
+            assert cluster.healthz_json()["ok"] is True
+
+            def die(**kwargs):
+                raise SystemExit("injected")
+
+            cluster.watch.evaluate = die
+            cluster._watch_thread.join(timeout=5.0)
+            assert not cluster._watch_thread.is_alive()
+            assert cluster.healthz_json()["ok"] is False
+        finally:
+            cluster.close()
+        # a closed cluster's stopped watcher is not a failure
+        assert cluster.healthz_json()["ok"] is True
+
 
 class TestHttpSurface:
     @pytest.fixture()
@@ -457,21 +507,3 @@ class TestLatencyExtremes:
             [row] = cluster.metrics_json()["tenants"]
             assert row["append_min_ms"] is not None
             assert row["append_max_ms"] >= row["append_min_ms"]
-
-    def test_cluster_extremes_pool_tenants(self):
-        with make_cluster() as cluster:
-            latency = cluster.registry.histogram
-            latency("serve_append_seconds", tenant="a").observe(0.002)
-            latency("serve_append_seconds", tenant="b").observe(0.5)
-            pooled = _latencies(cluster.registry)
-            assert pooled["append_min_ms"] == pytest.approx(2.0)
-            assert pooled["append_max_ms"] == pytest.approx(500.0)
-
-    def test_extremes_on_an_idle_cluster_are_none(self):
-        with make_cluster() as cluster:
-            assert _latencies(cluster.registry)["append_min_ms"] is None
-            # a tenant whose stream never appended has series, no data
-            cluster.create_stream("t0", "s", "moving_zscore", TRAIN)
-            pooled = _latencies(cluster.registry)
-            assert pooled["append_min_ms"] is None
-            assert pooled["append_max_ms"] is None
