@@ -157,6 +157,8 @@ def _timing_noise_pct() -> float | None:
 
 def _host_block() -> dict:
     """The uniform per-report host identity ``bench compare`` keys on."""
+    from .detectors import native
+
     overrides = {
         key: os.environ[key]
         for key in sorted(os.environ)
@@ -166,6 +168,7 @@ def _host_block() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "kernel_backend": native.backend(),
         "env_overrides": overrides,
         "timing_noise_pct": None,  # filled after the sections ran
     }
@@ -977,7 +980,8 @@ def _run_obs(quick, repeats, w, budget):
     """Price the telemetry layer on the kernel hot path.
 
     Three timings of the same profile: the sweep+finalize pipeline with
-    no telemetry calls at all (``bare``), through
+    no telemetry calls at all (``bare``, through the same sweep
+    dispatcher, so both sides run one kernel backend), through
     :func:`matrix_profile` with the shipped *disabled* tracer
     (``disabled`` — the default every untraced run pays), and inside an
     enabled tracing session (``enabled`` — what ``--trace`` costs).
@@ -988,9 +992,9 @@ def _run_obs(quick, repeats, w, budget):
     """
     from .detectors import matrix_profile
     from .detectors.matrix_profile import (
-        _diagonal_sweep,
         _finalize,
         _resolve_chunk,
+        _sweep,
         _validated,
     )
     from .detectors.sliding import SlidingStats
@@ -1009,7 +1013,7 @@ def _run_obs(quick, repeats, w, budget):
         chunk = _resolve_chunk(
             s.n - w + 1, exclusion, None, None, need_indices=False
         )
-        best, bestj, _ = _diagonal_sweep(
+        best, bestj, _ = _sweep(
             s.shifted, w, exclusion, mean, inv,
             need_indices=False, chunk=chunk,
         )

@@ -33,6 +33,14 @@ chunk that fits a byte budget, tracked by exact allocation accounting
 (see docs/kernel.md for the memory model and the chunk-carry
 derivation).
 
+Where a C compiler is available, each block is swept by the compiled
+kernel in ``_mpx.c`` instead (built on first use and loaded by
+:mod:`repro.detectors.native`): the same additions in the same order,
+O(m) scratch with no chunks, bit-identical profiles and indices, about
+eight times the pairs per second of the numpy sweep on one core.  The
+numpy sweep stays as the fallback and as the tests' oracle; ``_sweep``
+picks between them.
+
 Exactly-constant windows have no z-normalization; they are fixed up in a
 vectorized post-pass with the same convention as before: distance 0
 between two constant windows, ``sqrt(w)`` between a constant and a
@@ -48,6 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..obs import get_registry, get_tracer
+from . import native
 from .base import Detector
 from .sliding import SlidingStats, moving_mean_std, sliding_max
 
@@ -317,12 +326,13 @@ class MatrixProfileResult:
     ``with_indices=False`` (the fast path detectors use — nothing on the
     scoring path reads neighbour locations).  ``chunk_width`` and
     ``workspace_bytes`` record how the sweep was tiled: the column-chunk
-    width actually used (``None`` = one full-width chunk; sharded sweeps
-    derive a width per shard, so only an explicit ``chunk_width`` is
-    echoed back) and the exact bytes of sweep scratch it allocated, from
-    the kernel's allocation accounting — for a sharded sweep the
-    *largest single shard*, the per-worker number ``max_memory_bytes``
-    divides by ``jobs`` to bound.
+    width resolved for the numpy sweep (``None`` = one full-width chunk;
+    sharded sweeps derive a width per shard, so only an explicit
+    ``chunk_width`` is echoed back; the compiled sweep needs no chunks)
+    and the exact bytes of sweep scratch it allocated, from the kernel's
+    allocation accounting — for a sharded sweep the *largest single
+    shard*, the per-worker number ``max_memory_bytes`` divides by
+    ``jobs`` to bound.
 
     ``jobs``/``shards`` record how a parallel sweep executed (``None``/
     ``0`` for the single-sweep path); ``report`` is the anytime mode's
@@ -502,6 +512,44 @@ def _alive_min(best: np.ndarray, exclusion: int) -> float:
     return min(candidates) if candidates else np.inf
 
 
+def _sweep_inputs(
+    x: np.ndarray,
+    w: int,
+    mean: np.ndarray,
+    inv: np.ndarray,
+    ws: _Workspace,
+    block: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """The O(n) inputs both sweeps read: ``dfp``, ``dgp``, ``invp``, ``c0``.
+
+    The three recurrence vectors are zero-padded by ``block`` so a
+    block's rows may read past the last subsequence without a bounds
+    check; ``c0[d]`` is the raw covariance of window 0 with window
+    ``d``, the start of diagonal ``d``'s running sum.
+    """
+    n = x.size
+    m = n - w + 1
+    # differential update terms (the mpx formulation): along diagonal d,
+    # cov(i, i+d) = cov(i-1, i-1+d) + df[i]·dg[i+d] + df[i+d]·dg[i]
+    dfp = ws.zeros(m + block)
+    dgp = ws.zeros(m + block)
+    invp = ws.zeros(m + block)
+    dfp[1:m] = 0.5 * (x[w:] - x[: n - w])
+    dgp[1:m] = (x[w:] - mean[1:]) + (x[: m - 1] - mean[: m - 1])
+    invp[:m] = inv
+
+    # exact anchor covariance per diagonal; np.correlate keeps full
+    # double precision (an FFT here would cost ~1e-8 relative noise on
+    # large-amplitude series)
+    q = x[:w] - mean[0]
+    c0 = np.correlate(x, q, mode="valid")
+    ws.bytes += c0.nbytes
+    anchor = ws.empty(m)
+    np.multiply(mean, q.sum(), out=anchor)
+    c0 -= anchor
+    return dfp, dgp, invp, c0
+
+
 def _diagonal_sweep(
     x: np.ndarray,
     w: int,
@@ -549,32 +597,13 @@ def _diagonal_sweep(
     paying the full O(m²) sweep; the partial ``best`` it returns is
     *not* a valid profile.
     """
-    n = x.size
-    m = n - w + 1
+    m = x.size - w + 1
     ws = _Workspace()
     best = ws.full(m, -np.inf)
     bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
     if exclusion >= m:
         return best, bestj, ws.bytes
-
-    # differential update terms (the mpx formulation): along diagonal d,
-    # cov(i, i+d) = cov(i-1, i-1+d) + df[i]·dg[i+d] + df[i+d]·dg[i]
-    dfp = ws.zeros(m + block)
-    dgp = ws.zeros(m + block)
-    invp = ws.zeros(m + block)
-    dfp[1:m] = 0.5 * (x[w:] - x[: n - w])
-    dgp[1:m] = (x[w:] - mean[1:]) + (x[: m - 1] - mean[: m - 1])
-    invp[:m] = inv
-
-    # exact anchor covariance per diagonal; np.correlate keeps full
-    # double precision (an FFT here would cost ~1e-8 relative noise on
-    # large-amplitude series)
-    q = x[:w] - mean[0]
-    c0 = np.correlate(x, q, mode="valid")
-    ws.bytes += c0.nbytes
-    anchor = ws.empty(m)
-    np.multiply(mean, q.sum(), out=anchor)
-    c0 -= anchor
+    dfp, dgp, invp, c0 = _sweep_inputs(x, w, mean, inv, ws, block)
 
     L0 = m - exclusion
     B0 = min(block, L0)
@@ -695,6 +724,90 @@ def _diagonal_sweep(
         if abandon is not None and _alive_min(best, exclusion) >= abandon:
             return None
     return best, bestj, ws.bytes
+
+
+def _compiled_sweep(
+    lib,
+    x: np.ndarray,
+    w: int,
+    exclusion: int,
+    mean: np.ndarray,
+    inv: np.ndarray,
+    *,
+    need_indices: bool,
+    abandon: float | None = None,
+    block: int = _DIAG_BLOCK,
+    diag_limit: int | None = None,
+    tracer=None,
+) -> tuple[np.ndarray, np.ndarray | None, int] | None:
+    """:func:`_diagonal_sweep` with each block swept by the C kernel.
+
+    Same inputs, same block loop (``mpx.block`` spans, the per-block
+    ``abandon`` check, ``diag_limit``) and bit-identical results; the
+    kernel needs O(m) scratch, so there are no column chunks to tile.
+    """
+    m = x.size - w + 1
+    ws = _Workspace()
+    best = ws.full(m, -np.inf)
+    bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
+    if exclusion >= m:
+        return best, bestj, ws.bytes
+    dfp, dgp, invp, c0 = _sweep_inputs(x, w, mean, inv, ws, block)
+    L0 = m - exclusion
+    sums = ws.empty(min(block, L0))
+    head = (dfp.ctypes.data, dgp.ctypes.data, invp.ctypes.data, c0.ctypes.data)
+    if need_indices:
+        colval = ws.empty(L0)
+        colarg = ws.empty(L0, dtype=np.int64)
+        tail = (sums.ctypes.data, best.ctypes.data, bestj.ctypes.data,
+                colval.ctypes.data, colarg.ctypes.data)
+        kernel = lib.mpx_block_argmax
+    else:
+        tail = (sums.ctypes.data, best.ctypes.data)
+        kernel = lib.mpx_block_max
+
+    stop = m if diag_limit is None else min(m, exclusion + int(diag_limit))
+    for d in range(exclusion, stop, block):
+        B = min(block, m - d)
+        if tracer is not None:
+            block_span = tracer.start_span("mpx.block", d=d, rows=B)
+        kernel(*head, m, d, B, *tail)
+        if tracer is not None:
+            tracer.end_span(block_span)
+        if abandon is not None and _alive_min(best, exclusion) >= abandon:
+            return None
+    return best, bestj, ws.bytes
+
+
+def _sweep(
+    x: np.ndarray,
+    w: int,
+    exclusion: int,
+    mean: np.ndarray,
+    inv: np.ndarray,
+    *,
+    need_indices: bool,
+    abandon: float | None = None,
+    chunk: int | None = None,
+    diag_limit: int | None = None,
+    tracer=None,
+) -> tuple[np.ndarray, np.ndarray | None, int] | None:
+    """One diagonal sweep on the compiled kernel, else on numpy.
+
+    The arguments and the result are :func:`_diagonal_sweep`'s; the
+    compiled kernel ignores ``chunk`` (its results are chunk-independent
+    anyway, and it needs no chunks to stay within a budget).
+    """
+    lib = native.load()
+    if lib is None:
+        return _diagonal_sweep(
+            x, w, exclusion, mean, inv, need_indices=need_indices,
+            abandon=abandon, chunk=chunk, diag_limit=diag_limit, tracer=tracer,
+        )
+    return _compiled_sweep(
+        lib, x, w, exclusion, mean, inv, need_indices=need_indices,
+        abandon=abandon, diag_limit=diag_limit, tracer=tracer,
+    )
 
 
 def _finalize(
@@ -850,8 +963,10 @@ def matrix_profile(
     sets the width directly (testing/tuning knob) and wins over any
     budget.  With neither, the process-wide default from
     :func:`set_default_memory_budget` / ``REPRO_MAX_MEMORY`` applies;
-    unbounded means one full-width chunk, the fastest layout.  Results
-    are bit-identical for every chunk width.
+    unbounded means one full-width chunk, the fastest numpy layout.
+    Results are bit-identical for every chunk width.  The compiled
+    sweep ignores the width: its O(m) scratch never exceeds the
+    chunk-width-1 floor, so any budget accepted here bounds it too.
 
     ``jobs`` shards the diagonal sweep across that many worker
     processes (``jobs=1``: the same shard plan, in-process).  Shards
@@ -893,10 +1008,11 @@ def matrix_profile(
             w=w,
             chunk=chunk,
             with_indices=with_indices,
+            backend=native.backend(),
         ) as span:
             if span is not None and report is not None:
                 span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-            best, bestj, workspace = _diagonal_sweep(
+            best, bestj, workspace = _sweep(
                 stats.shifted,
                 w,
                 exclusion,
@@ -920,6 +1036,7 @@ def matrix_profile(
             chunk=chunk_width,
             with_indices=with_indices,
             jobs=jobs,
+            backend=native.backend(),
         ) as span:
             if span is not None and report is not None:
                 span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
@@ -1012,8 +1129,10 @@ def discord_search(
             chunk_width,
             need_indices=False,
         )
-        with tracer.span("mpx.discord_search", n=stats.n, w=w) as span:
-            swept = _diagonal_sweep(
+        with tracer.span(
+            "mpx.discord_search", n=stats.n, w=w, backend=native.backend()
+        ) as span:
+            swept = _sweep(
                 stats.shifted,
                 w,
                 exclusion,
@@ -1035,7 +1154,8 @@ def discord_search(
 
         _budget, per_worker = _worker_budget(max_memory_bytes, jobs)
         with tracer.span(
-            "mpx.discord_search", n=stats.n, w=w, jobs=jobs
+            "mpx.discord_search", n=stats.n, w=w, jobs=jobs,
+            backend=native.backend(),
         ) as span:
             outcome = sharded_sweep(
                 stats.values,

@@ -6,8 +6,9 @@ depends only on the O(n) recurrence vectors (``dfp``/``dgp``/``invp``),
 the anchor covariances ``c0`` and the block's own buffers — never on
 another block's running state.  This module partitions the diagonal
 range into contiguous, *block-aligned* shards, sweeps each shard with
-the existing chunk-carry kernel (in a ``ProcessPoolExecutor`` or
-in-process), and merges the per-shard running maxima back together.
+the kernel's own dispatcher (compiled or numpy, in a
+``ProcessPoolExecutor`` or in-process), and merges the per-shard
+running maxima back together.
 
 Three invariants make the merged result **bit-identical** to the
 single-sweep kernel for every ``jobs`` value:
@@ -193,10 +194,10 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
     or ``None`` when the shard's own early-abandon check fired.  The
     shard is traced inside its own session so the records travel by
     value; the span tree (``mpx.shard`` wrapping the kernel's
-    ``mpx.block``/``mpx.chunk`` spans) is identical in-process and in a
-    pool worker.
+    ``mpx.block`` spans, and ``mpx.chunk`` spans on the numpy backend)
+    is identical in-process and in a pool worker.
     """
-    from .matrix_profile import _diagonal_sweep
+    from .matrix_profile import _sweep
     from ..obs import tracing_session
 
     chunk = _shard_chunk(
@@ -204,7 +205,7 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
         context.need_indices,
     )
     if not context.traced:
-        swept = _diagonal_sweep(
+        swept = _sweep(
             context.x,
             context.w,
             d_lo,
@@ -220,7 +221,7 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
         with tracer.span(
             "mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi, chunk=chunk
         ) as span:
-            swept = _diagonal_sweep(
+            swept = _sweep(
                 context.x,
                 context.w,
                 d_lo,

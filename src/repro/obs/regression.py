@@ -137,9 +137,19 @@ def host_block(report: dict) -> dict:
 
 
 def hosts_match(a: dict, b: dict) -> bool:
-    """Same machine for gating purposes: python, platform, cpu count."""
+    """Same machine for gating purposes: python, platform, cpu count.
+
+    Reports that both name their ``kernel_backend`` must also agree on
+    it, so a numpy-fallback run never gates against a compiled one;
+    reports from before the key match as they always did.
+    """
     first, second = host_block(a), host_block(b)
-    return all(
+    same_backend = (
+        "kernel_backend" not in first
+        or "kernel_backend" not in second
+        or first["kernel_backend"] == second["kernel_backend"]
+    )
+    return same_backend and all(
         first.get(key) is not None
         and first.get(key) == second.get(key)
         for key in ("python", "platform", "cpu_count")

@@ -50,10 +50,15 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
+from ..detectors.registry import DetectorSpec
 from ..drift.policies import _check_cadence, validate_stream_options
 from ..obs.alerts import AlertManager, AlertRule, BurnRateRule, ThresholdRule
 from ..obs.registry import MetricsRegistry, quantile
-from ..stream.adapters import StreamingDetector, as_streaming
+from ..stream.adapters import (
+    BatchStreamingAdapter,
+    StreamingDetector,
+    as_streaming,
+)
 from .state import restore as restore_state
 from .state import snapshot as snapshot_state
 
@@ -548,6 +553,7 @@ class ShardWorker:
         detector = restore_state(
             base64.b64decode(payload["state"].encode("ascii"))
         )
+        _check_label(payload["detector"], detector)
         state = _Stream(
             payload["tenant"],
             payload["stream"],
@@ -575,6 +581,44 @@ class ShardWorker:
             "scores_total": state.score_offset + len(state.scores),
             "shard": self.name,
         }
+
+
+def _label_params(detector) -> dict:
+    # a native detector's constructor parameters are its public
+    # attributes; max_history comes from the create's window, not the
+    # label, so it is not compared
+    return {
+        name: value
+        for name, value in vars(detector).items()
+        if not name.startswith("_") and name != "max_history"
+    }
+
+
+def _check_label(label: str, detector) -> None:
+    """Refuse a restore whose ``detector`` label names another detector.
+
+    An adapter blob carries its registry spec, so the canonical spec
+    labels must agree (its ``name`` reads the same for every ``k``); a
+    native blob carries its parameters, so they must equal those of
+    ``as_streaming(label)``.  Otherwise ``stream_stats`` and every later
+    snapshot would report one detector while the stream scores another.
+    """
+    spec = DetectorSpec.parse(label)
+    if isinstance(detector, BatchStreamingAdapter):
+        held = detector.spec.label
+        if held == spec.label:
+            return
+    else:
+        fresh = as_streaming(spec)
+        held = f"{type(detector).__name__}{_label_params(detector)}"
+        if type(fresh) is type(detector) and (
+            _label_params(fresh) == _label_params(detector)
+        ):
+            return
+    raise ValueError(
+        f"restore label {label!r} names another detector than the "
+        f"snapshot holds: {held}"
+    )
 
 
 class StreamCluster:

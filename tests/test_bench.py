@@ -304,6 +304,12 @@ class TestRunBench:
         # repeats >= 2 would calibrate; a single repeat leaves it None
         assert "timing_noise_pct" in host
 
+    def test_host_block_names_the_kernel_backend(self, tiny_kernel):
+        from repro.detectors import native
+
+        report = run_bench(quick=True, repeats=1, sections=("kernel",))
+        assert report["host"]["kernel_backend"] == native.backend()
+
 
 class TestOutput:
     def test_write_bench_creates_parents(self, tmp_path, tiny_kernel):

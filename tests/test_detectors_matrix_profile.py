@@ -19,6 +19,8 @@ from repro.detectors import (
 )
 from repro.types import LabeledSeries, Labels
 
+from kernel_backends import on_numpy
+
 
 def sine_with_anomaly(n=800, period=40, start=None, seed=0):
     """Sine wave with one cycle flattened — a classic discord."""
@@ -420,3 +422,10 @@ class TestMatrixProfileDetector:
     def test_score_length_matches(self):
         values = sine_with_anomaly(n=300)
         assert MatrixProfileDetector(w=20).score(values).size == 300
+
+
+# the same properties on the numpy fallback sweep (tests/conftest.py)
+TestMatrixProfileOnNumpy = on_numpy(TestMatrixProfile)
+TestDiscordsOnNumpy = on_numpy(TestDiscords)
+TestMpxAgainstReferencesOnNumpy = on_numpy(TestMpxAgainstReferences)
+TestDiscordSearchOnNumpy = on_numpy(TestDiscordSearch)

@@ -31,6 +31,8 @@ from repro.detectors.matrix_profile import (
     set_default_memory_budget,
 )
 
+from kernel_backends import on_numpy
+
 # deliberately awkward widths: 1 (maximal chunking), small primes and
 # powers that do not divide the diagonal lengths, one larger than any row
 CHUNK_WIDTHS = (1, 7, 32, 129, 1000)
@@ -311,3 +313,7 @@ class TestBigSeriesRegression:
         assert unchunked[2] > 6 * budget
         # ... and the bounded sweep is bit-identical
         np.testing.assert_array_equal(chunked[0], unchunked[0])
+
+
+# the same properties on the numpy fallback sweep (tests/conftest.py)
+TestChunkedEqualsUnchunkedOnNumpy = on_numpy(TestChunkedEqualsUnchunked)

@@ -40,6 +40,7 @@ from repro.detectors.matrix_profile import (
 )
 from repro.obs import canonical_records, tracing_session
 
+from kernel_backends import on_numpy
 from test_matrix_profile_chunked import make_family
 
 
@@ -331,3 +332,8 @@ class TestShardTraces:
         assert "mpx.shard" not in names
         assert "mpx.profile" in names
         assert "mpx_shards" not in metrics["counters"]
+
+
+# the same properties on the numpy fallback sweep (tests/conftest.py)
+TestShardedEqualsSerialOnNumpy = on_numpy(TestShardedEqualsSerial)
+TestAnytimeOnNumpy = on_numpy(TestAnytime)

@@ -119,6 +119,16 @@ class TestHostIdentity:
         other = make_report(host={**HOST, "platform": "Darwin-test"})
         assert not hosts_match(make_report(), other)
 
+    def test_hosts_differ_on_kernel_backend(self):
+        # a numpy-fallback run must never gate against a compiled one
+        compiled = make_report(host={**HOST, "kernel_backend": "compiled"})
+        fallback = make_report(host={**HOST, "kernel_backend": "numpy"})
+        assert not hosts_match(compiled, fallback)
+        assert hosts_match(compiled, make_report(host=dict(compiled["host"])))
+        # reports from before the key match either, as they always did
+        assert hosts_match(compiled, make_report())
+        assert hosts_match(make_report(), fallback)
+
     def test_hosts_never_match_on_absent_identity(self):
         blank = {"schema": "repro-bench/1", "sections": {}, "checks": {}}
         assert not hosts_match(blank, blank)

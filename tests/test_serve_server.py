@@ -208,6 +208,30 @@ class TestRestoreOverHttp:
         assert caught.value.status == 400
         assert field in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "held, label",
+        [
+            ("diff", "streaming_zscore(k=48)"),
+            ("moving_zscore(k=25)", "moving_zscore(k=50)"),
+            ("streaming_zscore(k=48)", "streaming_zscore(k=40)"),
+        ],
+    )
+    def test_restore_label_for_another_detector_is_400(
+        self, served, held, label
+    ):
+        # was a 201: the stream reported the label and scored as the blob
+        client, _ = served
+        client.create_stream("acme", "s1", held, wave()[:120])
+        snap = client.snapshot("acme", "s1")
+        snap.update({"stream": "acme/s2", "detector": label})
+        with pytest.raises(ServeError) as caught:
+            client.restore(snap)
+        assert caught.value.status == 400
+        assert "names another detector" in str(caught.value)
+        with pytest.raises(ServeError) as missing:
+            client.scores("acme", "s2")
+        assert missing.value.status == 404
+
 
 def counter(server, name):
     return server.cluster.registry.counter(name).value

@@ -278,6 +278,33 @@ class TestSnapshotBarrier:
                 cluster.scores("acme", "s2")
             assert cluster.metrics_json()["totals"]["restores"] == 0
 
+    @pytest.mark.parametrize(
+        "held, label",
+        [
+            ("diff", "streaming_zscore(k=48)"),
+            ("moving_zscore(k=25)", "moving_zscore(k=50)"),
+            ("streaming_zscore(k=48)", "streaming_zscore(k=40)"),
+        ],
+    )
+    def test_restore_refuses_a_label_for_another_detector(self, held, label):
+        # the label was taken on trust: a diff blob restored as
+        # streaming_zscore(k=48) reported that label while scoring as diff
+        values = np.cumsum(np.random.default_rng(3).standard_normal(80))
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream("acme", "s1", held, values[:60])
+            cluster.append("acme", "s1", values[60:])
+            snap = cluster.snapshot_stream("acme", "s1")
+            snap.update({"stream": "acme/s2", "detector": label})
+            with pytest.raises(ValueError, match="names another detector"):
+                cluster.restore_stream(snap)
+            with pytest.raises(KeyError):
+                cluster.scores("acme", "s2")
+            assert cluster.metrics_json()["totals"]["restores"] == 0
+            # the label the blob holds, spelled canonically, restores
+            snap["detector"] = held.replace("(", "( ")
+            cluster.restore_stream(snap)
+            assert cluster.stream_stats("acme", "s2")["points_seen"] == 80
+
     def test_stream_stats(self):
         with StreamCluster(num_shards=1) as cluster:
             cluster.create_stream("acme", "s1", "diff", np.arange(30.0))

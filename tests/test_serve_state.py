@@ -554,7 +554,7 @@ class TestCorruptBlobs:
     def test_restore_or_value_error_and_the_neighbour_keeps_scoring(self):
         rng = np.random.default_rng(2022)
         values = np.cumsum(rng.standard_normal(160))
-        restored = rejected = 0
+        restored = rejected = mislabelled = 0
         with StreamCluster(num_shards=1) as cluster:
             cluster.create_stream("neighbour", "s", "diff", values[:100])
             for spec in FUZZ_SPECS:
@@ -567,18 +567,27 @@ class TestCorruptBlobs:
                     except ValueError:
                         rejected += 1
                         continue
+                    stream = f"s{restored + 1}"
+                    try:
+                        cluster.restore_stream(
+                            {
+                                "tenant": "fuzz",
+                                "stream": stream,
+                                "detector": spec,
+                                "points_seen": 160,
+                                "scores_total": 60,
+                                "state": base64.b64encode(blob).decode(
+                                    "ascii"
+                                ),
+                            }
+                        )
+                    except ValueError as error:
+                        # a flipped parameter (zscore epsilon 1e-9 → 0.0)
+                        # leaves a blob of another detector than ``spec``
+                        assert "names another detector" in str(error)
+                        mislabelled += 1
+                        continue
                     restored += 1
-                    stream = f"s{restored}"
-                    cluster.restore_stream(
-                        {
-                            "tenant": "fuzz",
-                            "stream": stream,
-                            "detector": spec,
-                            "points_seen": 160,
-                            "scores_total": 60,
-                            "state": base64.b64encode(blob).decode("ascii"),
-                        }
-                    )
                     cluster.append("fuzz", stream, values[:8])
                     cluster.append("neighbour", "s", values[:1])
                     assert cluster.scores("neighbour", "s")["total"] == restored
