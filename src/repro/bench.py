@@ -46,6 +46,7 @@ Methodology
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -114,6 +115,11 @@ _PARALLEL_CASES = ((200_000, (2, 4)), (1_000_000, (4,)))
 _PARALLEL_QUICK_CASES = ((50_000, (2,)),)
 _PARALLEL_W = 100
 
+# obs: rounds of paired (bare, disabled, enabled) calls, each round
+# giving every variant at least three calls and about this much time
+_OBS_ROUNDS = 12
+_OBS_ROUND_SECONDS = 0.15
+
 # drift: DriftSimConfig fields of the quick ablation (full runs use the
 # config's defaults)
 _DRIFT_QUICK_CONFIG = {"n": 2400, "per_kind": 1, "stationary": 2}
@@ -164,7 +170,7 @@ def _host_block() -> dict:
         for key in sorted(os.environ)
         if key.startswith("REPRO_")
     }
-    return {
+    host = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
@@ -172,6 +178,10 @@ def _host_block() -> dict:
         "env_overrides": overrides,
         "timing_noise_pct": None,  # filled after the sections ran
     }
+    simd = native.simd()
+    if simd is not None:
+        host["kernel_simd"] = simd
+    return host
 
 
 def _walk(n: int, seed: int = _SEED) -> np.ndarray:
@@ -373,10 +383,10 @@ def _traced_peak(fn):
 def _scaling_case(
     n: int, w: int, budget: int, pair_cap: int, repeats: int
 ) -> dict:
-    from .detectors import matrix_profile
+    from .detectors import matrix_profile, native
     # accounting only: the analytic footprint of a hypothetical
-    # unchunked sweep, reported next to the chunked one.  The sweeps
-    # themselves all go through the public entry point.
+    # unchunked numpy sweep, reported next to the chunked one.  The
+    # sweeps themselves all go through the public entry point.
     from .detectors.matrix_profile import _sweep_allocation_bytes
     from .detectors.sliding import SlidingStats
 
@@ -406,12 +416,6 @@ def _scaling_case(
 
     probe = sweep(fraction)
     report = probe.report
-    chunk = probe.chunk_width
-    chunked_workspace = probe.workspace_bytes
-    unchunked_workspace = _sweep_allocation_bytes(
-        m, exclusion, need_indices=False, chunk=None
-    )
-
     seconds_timed = _timed(lambda: sweep(fraction), repeats)
     estimated = not report.exact
     if estimated:
@@ -435,7 +439,7 @@ def _scaling_case(
 
     # measured peak of the whole pipeline (stats + kernel stats + sweep),
     # in a fresh untraced-data pass so only this case's allocations count
-    chunked_run, peak = _traced_peak(
+    measured_run, peak = _traced_peak(
         lambda: matrix_profile(
             values,
             w,
@@ -445,15 +449,16 @@ def _scaling_case(
         )
     )
 
+    compiled = native.backend() == "compiled"
     row = {
         "n": n,
         "w": w,
         "num_subsequences": m,
         "max_memory_bytes": budget,
-        "chunk_width": chunk,
-        "chunked_workspace_bytes": int(chunked_workspace),
-        "unchunked_workspace_bytes": int(unchunked_workspace),
-        "measured_workspace_bytes": int(chunked_run.workspace_bytes),
+        "backend": native.backend(),
+        # the compiled sweep needs O(m) scratch and tiles nothing
+        "chunk_width": None if compiled else probe.chunk_width,
+        "measured_workspace_bytes": int(measured_run.workspace_bytes),
         "tracemalloc_peak_bytes": int(peak),
         "series_bytes": int(values.nbytes),
         "seconds": float(seconds),
@@ -465,6 +470,13 @@ def _scaling_case(
         "pairs_timed": int(report.pairs_swept),
         "pairs_total": int(report.pairs_total),
     }
+    if compiled:
+        return row
+    unchunked_workspace = _sweep_allocation_bytes(
+        m, exclusion, need_indices=False, chunk=None
+    )
+    row["chunked_workspace_bytes"] = int(probe.workspace_bytes)
+    row["unchunked_workspace_bytes"] = int(unchunked_workspace)
     if unchunked_workspace <= _SCALING_UNCHUNKED_MEASURE_LIMIT:
         # cross-check: the same coverage in one full-width chunk (the
         # public spelling of the unchunked footprint) must be
@@ -472,10 +484,10 @@ def _scaling_case(
         unchunked_run, unchunked_peak = _traced_peak(
             lambda: sweep(fraction, chunk_width=m)
         )
-        if not np.array_equal(chunked_run.profile, unchunked_run.profile):
+        if not np.array_equal(measured_run.profile, unchunked_run.profile):
             raise AssertionError(
                 f"chunked sweep diverged from the full-width kernel at "
-                f"n={n}, chunk={chunk}"
+                f"n={n}, chunk={row['chunk_width']}"
             )
         row["unchunked_peak_bytes"] = int(unchunked_peak)
         row["profiles_equal"] = True
@@ -524,10 +536,19 @@ def _render_scaling(scaling):
         seconds = f"{row['seconds']:.1f}s" + (
             "*" if row["seconds_estimated"] else ""
         )
+        if row["chunk_width"] is None:  # compiled: O(m) scratch, no tiles
+            sweep = (
+                f"{row['backend']:<13} workspace "
+                f"{row['measured_workspace_bytes'] // mib}MiB"
+            )
+        else:
+            sweep = (
+                f"chunk={row['chunk_width']:<7} "
+                f"workspace {row['chunked_workspace_bytes'] // mib}MiB "
+                f"(unchunked {row['unchunked_workspace_bytes'] // mib}MiB)"
+            )
         lines.append(
-            f"  n={row['n']:<9} chunk={row['chunk_width']:<7} "
-            f"workspace {row['chunked_workspace_bytes'] // mib}MiB "
-            f"(unchunked {row['unchunked_workspace_bytes'] // mib}MiB)  "
+            f"  n={row['n']:<9} {sweep}  "
             f"peak {row['tracemalloc_peak_bytes'] // mib}MiB  {seconds}"
         )
     if any(row["seconds_estimated"] for row in scaling["results"]):
@@ -985,8 +1006,11 @@ def _run_obs(quick, repeats, w, budget):
     :func:`matrix_profile` with the shipped *disabled* tracer
     (``disabled`` — the default every untraced run pays), and inside an
     enabled tracing session (``enabled`` — what ``--trace`` costs).
-    The disabled-vs-bare gap is the advisory
-    ``obs_disabled_overhead_pct`` check: instrumentation must stay
+    The three run call by call in rounds; each round gives one paired
+    disabled/bare sample, and ``disabled_overhead_pct`` is their mean
+    with a bootstrap interval (:func:`repro.stats.bootstrap_ci`).
+    The advisory ``obs_disabled_overhead_ok`` check holds when the
+    interval's upper bound is under 5%: instrumentation must stay
     within a few percent when nobody asked for it.  Span and counter
     microbenchmarks give the per-operation prices behind those totals.
     """
@@ -999,13 +1023,12 @@ def _run_obs(quick, repeats, w, budget):
     )
     from .detectors.sliding import SlidingStats
     from .obs import MetricsRegistry, Tracer, tracing_session
+    from .stats import bootstrap_ci
 
     n = 8_192 if quick else 20_000
     values = _walk(n)
     stats = SlidingStats(values)
-    # overhead is a small difference of two medians; extra repeats keep
-    # scheduler noise from swamping the few registry/tracer calls
-    reps = max(repeats, 5)
+    rounds = max(repeats, _OBS_ROUNDS)
 
     def bare():
         s, exclusion = _validated(values, w, None, stats)
@@ -1029,23 +1052,38 @@ def _run_obs(quick, repeats, w, budget):
     # warm every variant once first: the first sweep of the session pays
     # allocator/cache warmup that would otherwise be billed to whichever
     # variant happens to run first
-    if not np.array_equal(bare()[0], disabled().profile):
+    start = time.perf_counter()
+    profile = bare()[0]
+    warm = time.perf_counter() - start
+    calls = max(3, math.ceil(_OBS_ROUND_SECONDS / warm))
+    if not np.array_equal(profile, disabled().profile):
         raise AssertionError("instrumented kernel changed the profile")
     enabled()
-    # interleave the variants round-robin rather than timing each in a
-    # contiguous block: on a busy (or thermally drifting) host a block
-    # layout bills any monotonic slowdown to whichever variant ran
-    # first, which dwarfs the few-percent signal being measured
-    runs: dict[str, list[float]] = {"bare": [], "disabled": [], "enabled": []}
-    for _ in range(reps):
-        for label, fn in (("bare", bare), ("disabled", disabled),
-                          ("enabled", enabled)):
-            start = time.perf_counter()
-            fn()
-            runs[label].append(time.perf_counter() - start)
-    bare_seconds = float(median(runs["bare"]))
-    disabled_seconds = float(median(runs["disabled"]))
-    enabled_seconds = float(median(runs["enabled"]))
+
+    # a round is `calls` cycles of the three variants, one call each,
+    # and its sample is the median over its cycles of the adjacent
+    # calls' ratio: on a shared host the speed of a core can change
+    # between calls (by a third, on a 2-vCPU VM), and only a cycle that
+    # straddles such a change skews its ratio, which the median drops.
+    # Every other cycle runs in reverse, so no variant always goes first.
+    variants = (("bare", bare), ("disabled", disabled), ("enabled", enabled))
+    runs: dict[str, list[float]] = {label: [] for label, _ in variants}
+    disabled_pct, enabled_pct = [], []
+    for _ in range(rounds):
+        cycles: dict[str, list[float]] = {label: [] for label in runs}
+        for cycle in range(calls):
+            for label, fn in variants[:: 1 if cycle % 2 else -1]:
+                start = time.perf_counter()
+                fn()
+                cycles[label].append(time.perf_counter() - start)
+        bare_cycles = np.array(cycles["bare"])
+        for label, pct in (("disabled", disabled_pct),
+                           ("enabled", enabled_pct)):
+            ratio = np.median(np.array(cycles[label]) / bare_cycles)
+            pct.append(100.0 * (float(ratio) - 1.0))
+        for label in runs:
+            runs[label].extend(cycles[label])
+    interval = bootstrap_ci(disabled_pct, seed=_SEED, stream=("bench.obs",))
 
     iters = 20_000 if quick else 100_000
     off = Tracer(enabled=False)
@@ -1070,25 +1108,30 @@ def _run_obs(quick, repeats, w, budget):
     span_disabled = _timed(spans_disabled, repeats)
     span_enabled = _timed(spans_enabled, repeats)
     counter_inc = _timed(counter_incs, repeats)
-    disabled_overhead = 100.0 * (_ratio(disabled_seconds, bare_seconds) - 1.0)
     return {
         "n": n,
         "w": w,
-        "kernel_bare_seconds": bare_seconds,
-        "kernel_disabled_seconds": disabled_seconds,
-        "kernel_enabled_seconds": enabled_seconds,
-        "disabled_overhead_pct": disabled_overhead,
-        "enabled_overhead_pct": 100.0
-        * (_ratio(enabled_seconds, bare_seconds) - 1.0),
+        "rounds": rounds,
+        "calls_per_round": calls,
+        "kernel_bare_seconds": float(median(runs["bare"])),
+        "kernel_disabled_seconds": float(median(runs["disabled"])),
+        "kernel_enabled_seconds": float(median(runs["enabled"])),
+        "disabled_overhead_pct": interval.mean,
+        "disabled_overhead_ci_pct": {"lo": interval.lo, "hi": interval.hi},
+        "disabled_overhead_pct_runs": [
+            round(pct, 3) for pct in disabled_pct
+        ],
+        "enabled_overhead_pct": float(np.mean(enabled_pct)),
         "span_iters": iters,
         "span_disabled_ns": 1e9 * span_disabled / iters,
         "span_enabled_ns": 1e9 * span_enabled / iters,
         "counter_inc_ns": 1e9 * counter_inc / iters,
     }, {
         # advisory: disabled instrumentation must stay within a few
-        # percent of the bare kernel (negative = within timing noise)
-        "obs_disabled_overhead_pct": disabled_overhead,
-        "obs_disabled_overhead_ok": bool(disabled_overhead < 5.0),
+        # percent of the bare kernel, at the upper end of the interval
+        "obs_disabled_overhead_pct": interval.mean,
+        "obs_disabled_overhead_hi_pct": interval.hi,
+        "obs_disabled_overhead_ok": bool(interval.hi < 5.0),
     }
 
 
@@ -1097,7 +1140,10 @@ def _render_obs(obs):
         f"obs (kernel n={obs['n']}, w={obs['w']}): bare "
         f"{obs['kernel_bare_seconds']:.3f}s, disabled tracer "
         f"{obs['kernel_disabled_seconds']:.3f}s "
-        f"({obs['disabled_overhead_pct']:+.1f}%), enabled "
+        f"({obs['disabled_overhead_pct']:+.1f}%, 95% interval "
+        f"{obs['disabled_overhead_ci_pct']['lo']:+.1f}% to "
+        f"{obs['disabled_overhead_ci_pct']['hi']:+.1f}% over "
+        f"{obs['rounds']} rounds), enabled "
         f"{obs['kernel_enabled_seconds']:.3f}s "
         f"({obs['enabled_overhead_pct']:+.1f}%)",
         f"  span disabled {obs['span_disabled_ns']:.0f}ns, enabled "

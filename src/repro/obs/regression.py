@@ -140,16 +140,16 @@ def hosts_match(a: dict, b: dict) -> bool:
     """Same machine for gating purposes: python, platform, cpu count.
 
     Reports that both name their ``kernel_backend`` must also agree on
-    it, so a numpy-fallback run never gates against a compiled one;
-    reports from before the key match as they always did.
+    it, so a numpy-fallback run never gates against a compiled one, and
+    likewise ``kernel_simd``, so an AVX2 sweep never gates against an
+    SSE2 one; reports from before a key match as they always did.
     """
     first, second = host_block(a), host_block(b)
-    same_backend = (
-        "kernel_backend" not in first
-        or "kernel_backend" not in second
-        or first["kernel_backend"] == second["kernel_backend"]
+    same_kernel = all(
+        key not in first or key not in second or first[key] == second[key]
+        for key in ("kernel_backend", "kernel_simd")
     )
-    return same_backend and all(
+    return same_kernel and all(
         first.get(key) is not None
         and first.get(key) == second.get(key)
         for key in ("python", "platform", "cpu_count")

@@ -554,6 +554,14 @@ def as_streaming(
         and refit_every is None
         and refit_policy is None
     ):
+        if detector.approx is not None:
+            # the incremental kernel is exact; building it would score
+            # as matrix_profile without approx under this spec's label
+            raise ValueError(
+                f"approx={detector.approx!r} has no streaming kernel: the "
+                f"incremental matrix profile is exact; drop approx, or set "
+                f"a refit policy to re-score with the batch detector"
+            )
         try:
             return StreamingMatrixProfileDetector(
                 w=detector.w, exclusion=detector.exclusion, max_history=window

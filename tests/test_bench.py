@@ -12,6 +12,7 @@ from repro.bench import (
     run_bench,
     write_bench,
 )
+from repro.detectors import native
 
 
 @pytest.fixture
@@ -140,6 +141,9 @@ class TestRunBench:
         assert DEFAULT_OUT.endswith(f"{BENCH_LABEL}.json")
 
     def test_scaling_section_schema_and_bounds(self, monkeypatch):
+        # the chunked tiling under test is the numpy sweep's; the
+        # compiled one tiles nothing (next test)
+        monkeypatch.setattr(native, "load", lambda: None)
         monkeypatch.setattr(bench, "_SCALING_QUICK_SIZES", (20_000,))
         monkeypatch.setattr(bench, "_SCALING_QUICK_PAIR_CAP", 2_000_000)
         budget = 8 << 20
@@ -172,6 +176,31 @@ class TestRunBench:
         assert "scaling" in text
         assert "chunk=" in text
 
+    def test_scaling_rows_report_the_compiled_sweep(self, monkeypatch):
+        # no chunk width and no numpy footprint: the compiled sweep ran
+        # untiled in O(m) scratch, and that is what the row reports
+        if native.load() is None:
+            pytest.skip("no compiled kernel on this host")
+        monkeypatch.setattr(bench, "_SCALING_QUICK_SIZES", (20_000,))
+        monkeypatch.setattr(bench, "_SCALING_QUICK_PAIR_CAP", 2_000_000)
+        report = run_bench(
+            quick=True,
+            repeats=1,
+            sections=("scaling",),
+            max_memory_bytes=8 << 20,
+        )
+        (row,) = report["sections"]["scaling"]["results"]
+        assert row["backend"] == "compiled"
+        assert row["chunk_width"] is None
+        assert 0 < row["measured_workspace_bytes"] < 8 * 8 * row[
+            "num_subsequences"
+        ]
+        for numpy_only in ("chunked_workspace_bytes",
+                           "unchunked_workspace_bytes", "profiles_equal"):
+            assert numpy_only not in row
+        text = format_bench(report)
+        assert "compiled" in text
+        assert "chunk=" not in text and "unchunked" not in text
 
     def test_streaming_section_schema_and_checks(self):
         report = run_bench(quick=True, repeats=1, sections=("streaming",))
@@ -266,6 +295,14 @@ class TestRunBench:
             section["disabled_overhead_pct"]
         )
         assert isinstance(checks["obs_disabled_overhead_ok"], bool)
+        # the advisory judges the interval's upper bound, not the
+        # point estimate, and the interval is over one sample per round
+        interval = section["disabled_overhead_ci_pct"]
+        assert interval["lo"] <= interval["hi"]
+        assert checks["obs_disabled_overhead_hi_pct"] == interval["hi"]
+        assert checks["obs_disabled_overhead_ok"] == (interval["hi"] < 5.0)
+        assert len(section["disabled_overhead_pct_runs"]) == section["rounds"]
+        assert section["rounds"] >= 12 and section["calls_per_round"] >= 3
         text = format_bench(report)
         assert "obs" in text
         assert "disabled tracer" in text
@@ -309,6 +346,10 @@ class TestRunBench:
 
         report = run_bench(quick=True, repeats=1, sections=("kernel",))
         assert report["host"]["kernel_backend"] == native.backend()
+        if native.backend() == "numpy":
+            assert "kernel_simd" not in report["host"]
+        else:
+            assert report["host"]["kernel_simd"] == native.simd()
 
 
 class TestOutput:

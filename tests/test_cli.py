@@ -576,6 +576,16 @@ class TestStreamCommand:
                      "matrix_profile(w=100)", "--window", "150"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_stream_matrix_profile_approx_exits_2(self, tmp_path, capsys):
+        # the incremental kernel is exact, so an approx spec used to be
+        # replayed as the exact profile under the approx label
+        assert main(["build-archive", str(tmp_path / "a"), "--size", "4",
+                     "--max-trivial", "1.0"]) == 0
+        capsys.readouterr()
+        assert main(["stream", str(tmp_path / "a"), "--detectors",
+                     "matrix_profile(w=100, approx=0.05)"]) == 2
+        assert "approx" in capsys.readouterr().err
+
 
 class TestMaxMemory:
     def test_parser_accepts_max_memory(self):

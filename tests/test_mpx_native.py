@@ -1,9 +1,11 @@
 """The compiled mpx block kernel: bit-identity with numpy, and its loader.
 
-The compiled sweep must equal the numpy sweep it replaces bit for bit —
-running maxima *and* neighbour indices — on every input family the
-kernel suites use, exact ties and NaN included.  The numpy sweep stays
-as the fallback and as the oracle here.  The loader tests run in fresh
+The compiled sweep must equal the numpy sweep it replaces — running
+maxima in value (the sign of a zero aside, see ``assert_same_sweep``),
+neighbour indices and finalized profiles bit for bit — on every input
+family the kernel suites use, exact ties and NaN included, and so must
+each body of the fast path (scalar, SSE2, AVX2) that this CPU can
+execute.  The numpy sweep stays as the fallback and as the oracle here.  The loader tests run in fresh
 interpreters with their own ``XDG_CACHE_HOME``, so nothing here touches
 the user's cache or the library this process loaded.
 """
@@ -21,9 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import bench
 from repro.bench import _run_obs
 from repro.detectors import SlidingStats, matrix_profile, native
 from repro.obs import Tracer, tracing_session
+
+from kernel_backends import on_body
 
 # the package re-exports the matrix_profile *function* under the
 # submodule's name
@@ -100,6 +105,11 @@ def compiled_workspace(m: int, exclusion: int, need_indices: bool) -> int:
 
 
 def assert_same_sweep(numpy_swept, compiled_swept, need_indices):
+    """Raw sweeps agree in value, not in bits: a maximum over zeros of
+    both signs (the constant-window pairs) keeps whichever zero its
+    order met first, and numpy's order is not any body's.  ``_finalize``
+    erases the sign (``1 - corr``), so finalized profiles are compared
+    bit for bit in ``test_property_finalized_profile_is_numpy_bits``."""
     if numpy_swept is None or compiled_swept is None:
         assert numpy_swept is None and compiled_swept is None
         return
@@ -143,6 +153,33 @@ class TestCompiledEqualsNumpy:
             need_indices=need_indices,
         )
         assert_same_sweep(numpy_swept, compiled_swept, need_indices)
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 2**16),
+        st.integers(3, 40),
+        st.integers(0, 300),
+        st.sampled_from(["zero", "one", "half_w", "w"]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_finalized_profile_is_numpy_bits(
+        self, kind, seed, w, extra, exclusion, with_indices
+    ):
+        values = family(kind, seed, 2 * w + extra)
+        options = dict(
+            exclusion=exclusion_for(exclusion, w, values.size - w + 1),
+            with_indices=with_indices,
+        )
+        compiled = matrix_profile(values, w, **options)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "load", lambda: None)
+            expected = matrix_profile(values, w, **options)
+        np.testing.assert_array_equal(
+            compiled.profile.view(np.uint64), expected.profile.view(np.uint64)
+        )
+        if with_indices:
+            np.testing.assert_array_equal(compiled.indices, expected.indices)
 
     @given(
         st.sampled_from(FAMILIES),
@@ -241,6 +278,34 @@ class TestCompiledEqualsNumpy:
         assert profile["attrs"]["backend"] == "compiled"
 
 
+TestCompiledEqualsNumpyOnScalar = on_body(TestCompiledEqualsNumpy, "scalar")
+TestCompiledEqualsNumpyOnSse2 = on_body(TestCompiledEqualsNumpy, "sse2")
+TestCompiledEqualsNumpyOnAvx2 = on_body(TestCompiledEqualsNumpy, "avx2")
+
+
+@needs_compiler
+class TestSimdQuery:
+    def test_the_named_body_is_exported(self):
+        body = native.simd()
+        assert body in ("avx2", "sse2", "scalar")
+        assert hasattr(native.load(), f"mpx_block_max_{body}")
+
+    def test_avx2_exactly_when_the_cpu_reports_it(self):
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo")
+        flags = {
+            flag
+            for line in cpuinfo.splitlines()
+            if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()
+        }
+        if "sse2" not in flags:
+            pytest.skip("not an x86 CPU")
+        assert (native.simd() == "avx2") == ("avx2" in flags)
+
+
 class TestFallbackFixture:
     def test_numpy_backend_fixture_sweeps_with_numpy(self, numpy_backend):
         assert native.backend() == "numpy"
@@ -267,6 +332,8 @@ class TestObsSectionComparesLikeWithLike:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(mp, name, recorder)
+        # one round: which sweep serves does not depend on how many
+        monkeypatch.setattr(bench, "_OBS_ROUNDS", 1)
         _run_obs(True, 1, 100, None)
         assert len(set(served)) == 1
         expected = {"compiled": "_compiled_sweep", "numpy": "_diagonal_sweep"}

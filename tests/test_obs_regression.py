@@ -129,6 +129,17 @@ class TestHostIdentity:
         assert hosts_match(compiled, make_report())
         assert hosts_match(make_report(), fallback)
 
+    def test_hosts_differ_on_kernel_simd(self):
+        # an AVX2 sweep must never gate against an SSE2 one
+        compiled = {**HOST, "kernel_backend": "compiled"}
+        avx2 = make_report(host={**compiled, "kernel_simd": "avx2"})
+        sse2 = make_report(host={**compiled, "kernel_simd": "sse2"})
+        assert not hosts_match(avx2, sse2)
+        assert hosts_match(avx2, make_report(host=dict(avx2["host"])))
+        # reports from before the key match either, as they always did
+        assert hosts_match(avx2, make_report(host=compiled))
+        assert hosts_match(make_report(), sse2)
+
     def test_hosts_never_match_on_absent_identity(self):
         blank = {"schema": "repro-bench/1", "sections": {}, "checks": {}}
         assert not hosts_match(blank, blank)

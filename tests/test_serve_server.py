@@ -971,6 +971,28 @@ class TestInputContract:
         assert client.scores(neighbour, "s1")["total"] == 2
 
 
+class TestStreamingApproxOverHttp:
+    def test_matrix_profile_approx_create_is_400(self, served):
+        client, server = served
+        with pytest.raises(ServeError) as caught:
+            client.create_stream(
+                "acme", "s1", "matrix_profile(w=20, approx=0.05)",
+                wave(n=200, seed=1),
+            )
+        assert caught.value.status == 400
+        assert "approx" in str(caught.value)
+        with pytest.raises(ServeError) as caught:
+            client.append("acme", "s1", [1.0])
+        assert caught.value.status == 404
+        # the exact spec still streams on the same connection
+        client.create_stream(
+            "acme", "s2", "matrix_profile(w=20)", wave(n=200, seed=1)
+        )
+        client.append("acme", "s2", wave(n=50, seed=2))
+        assert client.scores("acme", "s2")["total"] == 50
+        assert counter(server, "serve_http_connections_total") == 1
+
+
 class TestNonFiniteOverHttp:
     """``json.loads`` parses NaN and ±Infinity; the cluster refuses them."""
 

@@ -86,6 +86,24 @@ class TestAsStreaming:
         streaming = as_streaming(MatrixProfileDetector(w=16), refit_every=50)
         assert isinstance(streaming, BatchStreamingAdapter)
 
+    @pytest.mark.parametrize(
+        "detector",
+        ["matrix_profile(w=20, approx=0.05)",
+         MatrixProfileDetector(w=20, approx=1.0)],
+        ids=["spec", "detector"],
+    )
+    def test_matrix_profile_approx_is_refused(self, detector):
+        # the incremental kernel is exact: it used to be built anyway and
+        # scored as matrix_profile(w=20) under the approx spec's label
+        with pytest.raises(ValueError, match="approx"):
+            as_streaming(detector)
+        with pytest.raises(ValueError, match="approx"):
+            as_streaming(detector, window=500)
+        # re-scoring with the batch detector honours approx
+        assert isinstance(
+            as_streaming(detector, refit_every=50), BatchStreamingAdapter
+        )
+
     def test_rejects_non_detectors(self):
         with pytest.raises(TypeError, match="cannot stream"):
             as_streaming(object())
