@@ -84,15 +84,10 @@ _NAIVE_ROWS = 256
 _SCALING_SIZES = (100_000, 500_000, 1_000_000)
 _SCALING_QUICK_SIZES = (100_000,)
 _SCALING_W = 100
-# sweep-workspace cap handed to the kernel: half the 256 MB end-to-end
-# target, leaving room for the O(n) series/stats/recurrence vectors
-_SCALING_KERNEL_BUDGET = 128 << 20
+# end-to-end peak target: series, stats and the sweep's scratch together
 _SCALING_TARGET_BYTES = 256 << 20
 _SCALING_PAIR_CAP = 150_000_000
 _SCALING_QUICK_PAIR_CAP = 30_000_000
-# measure the unchunked kernel's real peak only where its O(block·n)
-# buffers stay modest; above this we report the analytic footprint
-_SCALING_UNCHUNKED_MEASURE_LIMIT = 600 << 20
 
 # anytime: fixtures where the leading-diagonal upper bound is measured
 # against the exact profile.  The top fraction stays a hair under 10%
@@ -197,7 +192,7 @@ def _ratio(numerator: float, denominator: float) -> float:
 # kernel: mpx next to the brute-force oracle
 
 
-def _run_kernel(quick, repeats, w, budget):
+def _run_kernel(quick, repeats, w):
     from .detectors import matrix_profile
     from .detectors.reference import naive_profile
 
@@ -254,7 +249,7 @@ def _render_kernel(kernel):
 # MERLIN: shared stats, exact and with early abandon
 
 
-def _run_merlin(quick, repeats, w, budget):
+def _run_merlin(quick, repeats, w):
     from .datasets import make_taxi
     from .detectors import merlin
 
@@ -306,7 +301,7 @@ def _render_merlin(merlin):
 # kNN: full-series and short-segment scoring
 
 
-def _run_knn(quick, repeats, w, budget):
+def _run_knn(quick, repeats, w):
     from .detectors import KnnDistanceDetector
 
     n = 4_096 if quick else 10_000
@@ -342,7 +337,7 @@ def _render_knn(knn):
 # one-liner primitives: O(n) sliding extrema
 
 
-def _run_oneliner(quick, repeats, w, budget):
+def _run_oneliner(quick, repeats, w):
     from .oneliner.primitives import movmax
 
     n = 50_000 if quick else 200_000
@@ -360,7 +355,7 @@ def _render_oneliner(oneliner):
 
 
 # ---------------------------------------------------------------------------
-# scaling: bounded-memory column-chunked profiles at 1e5..1e6 points
+# scaling: bounded-memory profiles at 1e5..1e6 points
 
 
 def _traced_peak(fn):
@@ -380,14 +375,8 @@ def _traced_peak(fn):
     return result, peak
 
 
-def _scaling_case(
-    n: int, w: int, budget: int, pair_cap: int, repeats: int
-) -> dict:
+def _scaling_case(n: int, w: int, pair_cap: int, repeats: int) -> dict:
     from .detectors import matrix_profile, native
-    # accounting only: the analytic footprint of a hypothetical
-    # unchunked numpy sweep, reported next to the chunked one.  The
-    # sweeps themselves all go through the public entry point.
-    from .detectors.matrix_profile import _sweep_allocation_bytes
     from .detectors.sliding import SlidingStats
 
     values = _walk(n)
@@ -402,16 +391,9 @@ def _scaling_case(
 
     stats = SlidingStats(values)
 
-    def sweep(frac: float, chunk_width: int | None = None):
+    def sweep(frac: float):
         return matrix_profile(
-            values,
-            w,
-            stats=stats,
-            with_indices=False,
-            approx=frac,
-            # an explicit chunk width overrides the budget-derived one
-            max_memory_bytes=None if chunk_width is not None else budget,
-            chunk_width=chunk_width,
+            values, w, stats=stats, with_indices=False, approx=frac
         )
 
     probe = sweep(fraction)
@@ -440,24 +422,13 @@ def _scaling_case(
     # measured peak of the whole pipeline (stats + kernel stats + sweep),
     # in a fresh untraced-data pass so only this case's allocations count
     measured_run, peak = _traced_peak(
-        lambda: matrix_profile(
-            values,
-            w,
-            with_indices=False,
-            approx=fraction,
-            max_memory_bytes=budget,
-        )
+        lambda: matrix_profile(values, w, with_indices=False, approx=fraction)
     )
-
-    compiled = native.backend() == "compiled"
-    row = {
+    return {
         "n": n,
         "w": w,
         "num_subsequences": m,
-        "max_memory_bytes": budget,
         "backend": native.backend(),
-        # the compiled sweep needs O(m) scratch and tiles nothing
-        "chunk_width": None if compiled else probe.chunk_width,
         "measured_workspace_bytes": int(measured_run.workspace_bytes),
         "tracemalloc_peak_bytes": int(peak),
         "series_bytes": int(values.nbytes),
@@ -470,31 +441,9 @@ def _scaling_case(
         "pairs_timed": int(report.pairs_swept),
         "pairs_total": int(report.pairs_total),
     }
-    if compiled:
-        return row
-    unchunked_workspace = _sweep_allocation_bytes(
-        m, exclusion, need_indices=False, chunk=None
-    )
-    row["chunked_workspace_bytes"] = int(probe.workspace_bytes)
-    row["unchunked_workspace_bytes"] = int(unchunked_workspace)
-    if unchunked_workspace <= _SCALING_UNCHUNKED_MEASURE_LIMIT:
-        # cross-check: the same coverage in one full-width chunk (the
-        # public spelling of the unchunked footprint) must be
-        # bit-identical, and its measured peak shows the O(block·n) cost
-        unchunked_run, unchunked_peak = _traced_peak(
-            lambda: sweep(fraction, chunk_width=m)
-        )
-        if not np.array_equal(measured_run.profile, unchunked_run.profile):
-            raise AssertionError(
-                f"chunked sweep diverged from the full-width kernel at "
-                f"n={n}, chunk={row['chunk_width']}"
-            )
-        row["unchunked_peak_bytes"] = int(unchunked_peak)
-        row["profiles_equal"] = True
-    return row
 
 
-def _run_scaling(quick, repeats, w, budget):
+def _run_scaling(quick, repeats, w):
     sizes = _SCALING_QUICK_SIZES if quick else _SCALING_SIZES
     pair_cap = _SCALING_QUICK_PAIR_CAP if quick else _SCALING_PAIR_CAP
     try:
@@ -506,7 +455,7 @@ def _run_scaling(quick, repeats, w, budget):
     except (ImportError, ValueError):  # pragma: no cover - non-POSIX
         ru_maxrss_kb = None
     results = [
-        _scaling_case(n, _SCALING_W, budget, pair_cap, repeats) for n in sizes
+        _scaling_case(n, _SCALING_W, pair_cap, repeats) for n in sizes
     ]
     top = results[-1]
     checks = {
@@ -518,7 +467,6 @@ def _run_scaling(quick, repeats, w, budget):
     }
     return {
         "w": _SCALING_W,
-        "max_memory_bytes": budget,
         "target_peak_bytes": _SCALING_TARGET_BYTES,
         "ru_maxrss_kb_before": ru_maxrss_kb,
         "results": results,
@@ -528,27 +476,16 @@ def _run_scaling(quick, repeats, w, budget):
 def _render_scaling(scaling):
     mib = 1 << 20
     lines = [
-        f"scaling (w={scaling['w']}, kernel budget "
-        f"{scaling['max_memory_bytes'] // mib}MiB, end-to-end target "
+        f"scaling (w={scaling['w']}, end-to-end target "
         f"{scaling['target_peak_bytes'] // mib}MiB)"
     ]
     for row in scaling["results"]:
         seconds = f"{row['seconds']:.1f}s" + (
             "*" if row["seconds_estimated"] else ""
         )
-        if row["chunk_width"] is None:  # compiled: O(m) scratch, no tiles
-            sweep = (
-                f"{row['backend']:<13} workspace "
-                f"{row['measured_workspace_bytes'] // mib}MiB"
-            )
-        else:
-            sweep = (
-                f"chunk={row['chunk_width']:<7} "
-                f"workspace {row['chunked_workspace_bytes'] // mib}MiB "
-                f"(unchunked {row['unchunked_workspace_bytes'] // mib}MiB)"
-            )
         lines.append(
-            f"  n={row['n']:<9} {sweep}  "
+            f"  n={row['n']:<9} {row['backend']:<9} workspace "
+            f"{row['measured_workspace_bytes'] // mib}MiB  "
             f"peak {row['tracemalloc_peak_bytes'] // mib}MiB  {seconds}"
         )
     if any(row["seconds_estimated"] for row in scaling["results"]):
@@ -571,7 +508,7 @@ def _anytime_fixtures(n: int) -> dict:
     return {"periodic": periodic, "walk": _walk(n)}
 
 
-def _run_anytime(quick, repeats, w, budget):
+def _run_anytime(quick, repeats, w):
     """Measure how fast the ``approx=`` upper bound approaches exact.
 
     The anytime mode guarantees an upper bound on every distance; how
@@ -712,7 +649,7 @@ def _parallel_model(shard_pairs, jobs: int) -> float:
     return _ratio(sum(shard_pairs), max(free))
 
 
-def _run_parallel(quick, repeats, w, budget):
+def _run_parallel(quick, repeats, w):
     """Full exact sweeps, serial vs ``jobs=N``, identity asserted.
 
     Every case runs the complete profile with indices — no slices, no
@@ -738,24 +675,20 @@ def _run_parallel(quick, repeats, w, budget):
             (hi - lo) * (2 * m - lo - hi + 1) // 2 for lo, hi in shards
         ]
         start = time.perf_counter()
-        serial = matrix_profile(values, w, max_memory_bytes=budget)
+        serial = matrix_profile(values, w)
         serial_seconds = time.perf_counter() - start
         row = {
             "n": n,
             "w": w,
-            "max_memory_bytes": budget,
             "shards": len(shards),
             "pairs_total": int(sum(shard_pairs)),
             "serial_seconds": float(serial_seconds),
-            "serial_chunk_width": serial.chunk_width,
             "serial_workspace_bytes": int(serial.workspace_bytes),
             "runs": [],
         }
         for jobs in jobs_list:
             start = time.perf_counter()
-            sharded = matrix_profile(
-                values, w, max_memory_bytes=budget, jobs=jobs
-            )
+            sharded = matrix_profile(values, w, jobs=jobs)
             seconds = time.perf_counter() - start
             if not (
                 np.array_equal(serial.profile, sharded.profile)
@@ -768,11 +701,6 @@ def _run_parallel(quick, repeats, w, budget):
                 raise AssertionError(
                     f"shard plan changed under jobs={jobs} at n={n}: "
                     f"{sharded.shards} != {len(shards)}"
-                )
-            if sharded.workspace_bytes * jobs > budget:
-                raise AssertionError(
-                    f"per-worker workspace {sharded.workspace_bytes} x "
-                    f"{jobs} jobs exceeds the {budget} byte budget"
                 )
             row["runs"].append(
                 {
@@ -838,7 +766,7 @@ _STREAMING_BOUNDED_HISTORY = 2_048
 _STREAMING_QUICK_BOUNDED_HISTORY = 1_024
 
 
-def _run_streaming(quick, repeats, w, budget):
+def _run_streaming(quick, repeats, w):
     from .detectors import matrix_profile
     from .stream import StreamingMatrixProfile, replay
     from .types import LabeledSeries, Labels
@@ -997,7 +925,7 @@ def _render_streaming(streaming):
 # obs: what the instrumentation itself costs
 
 
-def _run_obs(quick, repeats, w, budget):
+def _run_obs(quick, repeats, w):
     """Price the telemetry layer on the kernel hot path.
 
     Three timings of the same profile: the sweep+finalize pipeline with
@@ -1015,12 +943,7 @@ def _run_obs(quick, repeats, w, budget):
     microbenchmarks give the per-operation prices behind those totals.
     """
     from .detectors import matrix_profile
-    from .detectors.matrix_profile import (
-        _finalize,
-        _resolve_chunk,
-        _sweep,
-        _validated,
-    )
+    from .detectors.matrix_profile import _finalize, _sweep, _validated
     from .detectors.sliding import SlidingStats
     from .obs import MetricsRegistry, Tracer, tracing_session
     from .stats import bootstrap_ci
@@ -1033,12 +956,8 @@ def _run_obs(quick, repeats, w, budget):
     def bare():
         s, exclusion = _validated(values, w, None, stats)
         mean, inv, constant = s.kernel_stats(w)
-        chunk = _resolve_chunk(
-            s.n - w + 1, exclusion, None, None, need_indices=False
-        )
         best, bestj, _ = _sweep(
-            s.shifted, w, exclusion, mean, inv,
-            need_indices=False, chunk=chunk,
+            s.shifted, w, exclusion, mean, inv, need_indices=False
         )
         return _finalize(best, bestj, w, exclusion, constant)
 
@@ -1156,7 +1075,7 @@ def _render_obs(obs):
 # watch: what self-monitoring costs, and that it actually alarms
 
 
-def _run_watch(quick, repeats, w, budget):
+def _run_watch(quick, repeats, w):
     """Price the watch layer and prove its alerting contract.
 
     Three measurements: (1) the cost of one watch tick — evaluate the
@@ -1314,7 +1233,7 @@ def _render_watch(watch):
 # drift: the refit-policy trade-off under concept drift
 
 
-def _run_drift(quick, repeats, w, budget):
+def _run_drift(quick, repeats, w):
     """Record the drift ablation as this trajectory's measured point.
 
     Replays the drift scenarios (step/ramp/variance/period regime
@@ -1363,7 +1282,7 @@ def _render_drift(drift):
 
 
 class _Section(NamedTuple):
-    """One bench section: ``run(quick, repeats, w, budget)`` returns
+    """One bench section: ``run(quick, repeats, w)`` returns
     ``(payload, checks)``; ``render(payload)`` its text lines."""
 
     name: str
@@ -1392,15 +1311,11 @@ def run_bench(
     quick: bool = False,
     repeats: int | None = None,
     sections: tuple[str, ...] | None = None,
-    max_memory_bytes: int | None = None,
 ) -> dict:
     """Run the selected sections and return the machine-readable report.
 
     Sections run in table order (see ``SECTIONS``) whatever order
-    ``sections`` names them in.  ``max_memory_bytes`` is the kernel
-    workspace budget the ``scaling`` and ``parallel`` sections hand to
-    the column-chunked sweep (default 128 MiB, ``repro bench
-    --max-memory``).
+    ``sections`` names them in.
     """
     chosen = SECTIONS if sections is None else tuple(sections)
     unknown = set(chosen) - set(SECTIONS)
@@ -1412,9 +1327,6 @@ def run_bench(
     if repeats is None:
         repeats = 3 if quick else 5
     w = _QUICK_W if quick else _FULL_W
-    budget = (
-        _SCALING_KERNEL_BUDGET if max_memory_bytes is None else max_memory_bytes
-    )
     _NOISE_LOG.clear()  # host noise floor is per-report
 
     report: dict = {
@@ -1433,7 +1345,7 @@ def run_bench(
     }
     for section in _TABLE:
         if section.name in chosen:
-            payload, checks = section.run(quick, repeats, w, budget)
+            payload, checks = section.run(quick, repeats, w)
             report["sections"][section.name] = payload
             report["checks"].update(checks)
     # uniform host block: lets ``repro bench compare`` refuse cross-host

@@ -50,13 +50,11 @@ Commands mirror the paper's workflow:
 
 ``score`` and ``run`` both execute through :mod:`repro.runner`, so
 ``--jobs`` parallelizes and ``--cache-dir`` makes re-runs skip every
-already-computed cell; ``--max-memory`` caps the matrix-profile
-family's sweep workspace in every worker (the kernel column-chunks its
-block buffers to fit, bit-identically) and ``--kernel-jobs`` shards
-each sweep itself across processes (also bit-identical; the budget is
-split per worker).  Anytime profiles are a *detector spec* parameter,
-not a flag — ``matrix_profile(w=100, approx=0.1)`` — because partial
-coverage changes scores and so belongs in manifests and cache keys.
+already-computed cell, and ``--kernel-jobs`` shards each
+matrix-profile sweep itself across processes (bit-identical).  Anytime
+profiles are a *detector spec* parameter, not a flag —
+``matrix_profile(w=100, approx=0.1)`` — because partial coverage
+changes scores and so belongs in manifests and cache keys.
 ``compare`` and ``run --stats`` execute through :mod:`repro.stats`;
 their output is byte-identical across repeated invocations and across
 serial vs parallel source runs.
@@ -113,24 +111,14 @@ def _add_archive_options(parser: argparse.ArgumentParser) -> None:
         help="minimum UCR scoring slop in points (default: 100)",
     )
     parser.add_argument(
-        "--max-memory",
-        default=None,
-        metavar="SIZE",
-        help="cap the batch matrix-profile sweep workspace per process, "
-        "e.g. 256M or 1G (default: unbounded); results are "
-        "bit-identical.  In stream it applies where a batch kernel runs "
-        "(wrapped detectors, --refit-every); the native streaming "
-        "kernel's memory is bounded by --window instead",
-    )
-    parser.add_argument(
         "--kernel-jobs",
         type=_positive_int,
         default=None,
         metavar="N",
         help="shard every batch matrix-profile sweep across N worker "
-        "processes (bit-identical profiles and indices; a --max-memory "
-        "budget is split per worker; engine --jobs workers cap this to 1 "
-        "to avoid oversubscription; default: in-process)",
+        "processes (bit-identical profiles and indices; engine --jobs "
+        "workers cap this to 1 to avoid oversubscription; default: "
+        "in-process)",
     )
     _add_format_option(parser)
 
@@ -526,13 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the perf trajectory and never overwritten; '-' skips writing)",
     )
     bench.add_argument(
-        "--max-memory",
-        default=None,
-        metavar="SIZE",
-        help="kernel workspace budget for the scaling section, e.g. "
-        "128M or 1G (default: 128M)",
-    )
-    bench.add_argument(
         "--repeats",
         type=_positive_int,
         default=None,
@@ -656,20 +637,6 @@ def _parse_sections(text: str):
     return sections
 
 
-def _memory_size(text):
-    """``--max-memory`` text → bytes (0 when unset), or None after an
-    exit-2 message; ``args.max_memory`` itself keeps the text given."""
-    if not text:
-        return 0
-    from .detectors import parse_memory_size
-
-    try:
-        return parse_memory_size(text)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
-
-
 def _cmd_table1(args) -> int:
     from .datasets import YahooConfig, make_yahoo
     from .oneliner import build_table1
@@ -740,31 +707,25 @@ def _cmd_build_archive(args) -> int:
 def _open_archive(args):
     """The start-up ``score``, ``run`` and ``stream`` share.
 
-    Installs ``--max-memory`` and ``--kernel-jobs`` as the process-wide
-    kernel defaults before any engine builds its worker pool: both are
-    mirrored into the environment (``REPRO_MAX_MEMORY``,
-    ``REPRO_KERNEL_JOBS``), so forked and spawned workers inherit them,
-    and each engine pool worker caps the inherited kernel jobs back to
-    1 so engine-level and kernel-level parallelism do not multiply.
-    Then loads the archive and validates the line-up: an unknown
-    registry name (or bad parameters) must not escape as a traceback,
-    so print what went wrong plus the available names.  Returns
-    ``(archive, specs)``, or the exit code after its message: 2 for a
-    bad flag or line-up, 1 for a directory without archive files.
+    Installs ``--kernel-jobs`` as the process-wide kernel default
+    before any engine builds its worker pool: it is mirrored into the
+    environment (``REPRO_KERNEL_JOBS``), so forked and spawned workers
+    inherit it, and each engine pool worker caps it back to 1 so
+    engine-level and kernel-level parallelism do not multiply.  Then
+    loads the archive and validates the line-up by building every
+    spec: an unknown registry name or parameters a detector refuses
+    must not escape as a traceback, so print what went wrong plus the
+    available names.  Returns ``(archive, specs)``, or the exit code
+    after its message: 2 for a bad line-up, 1 for a directory without
+    archive files.
     """
     from .archive import load_archive
     from .detectors import (
         available_detectors,
         parse_detectors,
         set_default_kernel_jobs,
-        set_default_memory_budget,
     )
 
-    budget = _memory_size(args.max_memory)
-    if budget is None:
-        return 2
-    if budget:
-        set_default_memory_budget(budget)
     if args.kernel_jobs:
         set_default_kernel_jobs(args.kernel_jobs)
     archive = load_archive(args.directory)
@@ -1100,9 +1061,6 @@ def _cmd_bench(args) -> int:
     sections = _parse_sections(args.sections)
     if sections is None:
         return 2
-    max_memory = _memory_size(args.max_memory)
-    if max_memory is None:
-        return 2
     out = args.out if args.out is not None else BENCH_DEFAULT_OUT
     if args.out is None and os.path.exists(out):
         # the default name is the committed trajectory point that
@@ -1115,10 +1073,7 @@ def _cmd_bench(args) -> int:
         return 2
     try:
         report = run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            sections=sections,
-            max_memory_bytes=max_memory or None,
+            quick=args.quick, repeats=args.repeats, sections=sections
         )
     except (ValueError, AssertionError) as error:
         # AssertionError: a correctness cross-check inside a section

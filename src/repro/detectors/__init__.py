@@ -16,14 +16,11 @@ from .matrix_profile import (
     MatrixProfileDetector,
     MatrixProfileResult,
     default_kernel_jobs,
-    default_memory_budget,
     discord_search,
     discords,
     matrix_profile,
     moving_mean_std,
-    parse_memory_size,
     set_default_kernel_jobs,
-    set_default_memory_budget,
     sliding_dot_products,
     subsequence_to_point_scores,
 )
@@ -71,9 +68,6 @@ __all__ = [
     "chunk_spans",
     "sliding_max",
     "sliding_min",
-    "parse_memory_size",
-    "set_default_memory_budget",
-    "default_memory_budget",
     "set_default_kernel_jobs",
     "default_kernel_jobs",
     "naive_profile",

@@ -21,22 +21,20 @@ faster at n = 20,000 on one core (see the committed ``BENCH_<n>.json``
 trajectory under ``benchmarks/perf/``); compared with the O(n²·w) brute
 force it is ~50× faster, at identical profiles to ~1e-10.
 
-Each block's column sweep is **chunked**: the reusable row buffer covers
-a fixed-width column window instead of the whole series, and the raw
-covariance cumsum is carried across chunk boundaries.  Because
-``np.cumsum`` accumulates strictly sequentially, the carried sum enters
-the next chunk as exactly the addition the unchunked cumsum would have
-performed, so profiles are *bit-identical* for every chunk width.  The
-working set drops from O(block · n) (~2 GB at n = 1e6) to
-O(block · chunk); pass ``max_memory_bytes=`` to auto-derive the widest
-chunk that fits a byte budget, tracked by exact allocation accounting
-(see docs/kernel.md for the memory model and the chunk-carry
-derivation).
+Each block's column sweep is **tiled**: the reusable row buffer covers
+a fixed-width column window (``_CHUNK`` columns) instead of the whole
+series, and the raw covariance cumsum is carried across chunk
+boundaries.  Because ``np.cumsum`` accumulates strictly sequentially,
+the carried sum enters the next chunk as exactly the addition the
+unchunked cumsum would have performed, so profiles are *bit-identical*
+for every chunk width.  The working set is O(block · chunk) on top of
+the O(n) recurrence vectors, bounded by construction (see
+docs/kernel.md for the memory model and the chunk-carry derivation).
 
 Where a C compiler is available, each block is swept by the compiled
 kernel in ``_mpx.c`` instead (built on first use and loaded by
 :mod:`repro.detectors.native`): the same additions in the same order,
-O(m) scratch with no chunks, bit-identical profiles and indices, about
+O(m) scratch with no tiles, bit-identical profiles and indices, about
 eight times the pairs per second of the numpy sweep on one core.  The
 numpy sweep stays as the fallback and as the tests' oracle; ``_sweep``
 picks between them.
@@ -70,92 +68,27 @@ __all__ = [
     "discords",
     "subsequence_to_point_scores",
     "MatrixProfileDetector",
-    "parse_memory_size",
-    "set_default_memory_budget",
-    "default_memory_budget",
     "set_default_kernel_jobs",
     "default_kernel_jobs",
 ]
 
-# diagonals per kernel block, large enough to amortize numpy dispatch.
-# The block buffers are column-chunked (see _diagonal_sweep): with an
-# explicit chunk width (or a max_memory_bytes budget) the working set is
-# O(block · chunk); with neither it degenerates to one full-width chunk,
-# i.e. the historical O(block · n) footprint (~2 GB at n = 1e6).
+# diagonals per kernel block, large enough to amortize numpy dispatch
 _DIAG_BLOCK = 128
 _ELEM = np.dtype(float).itemsize
-
-# process-wide default for matrix_profile(..., max_memory_bytes=); the
-# environment variable lets `repro score/run --max-memory` reach engine
-# worker processes whatever their start method is.
-_MEMORY_ENV = "REPRO_MAX_MEMORY"
-_default_memory_budget: int | None = None
-
-_MEMORY_UNITS = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-
-
-def parse_memory_size(text: "str | int") -> int:
-    """``268435456``, ``"256M"``, ``"0.5G"``, ``"64MiB"`` → bytes."""
-    if isinstance(text, (int, np.integer)):
-        value = int(text)
-    else:
-        cleaned = str(text).strip().lower()
-        if cleaned.endswith("ib"):
-            cleaned = cleaned[:-2]
-        elif cleaned.endswith("b"):
-            cleaned = cleaned[:-1]
-        factor = 1
-        if cleaned and cleaned[-1] in _MEMORY_UNITS:
-            factor = _MEMORY_UNITS[cleaned[-1]]
-            cleaned = cleaned[:-1]
-        try:
-            value = int(float(cleaned) * factor)
-        except ValueError:
-            raise ValueError(
-                f"unparseable memory size {text!r}; use plain bytes or a "
-                f"K/M/G/T suffix (e.g. 256M, 1G)"
-            ) from None
-    if value <= 0:
-        raise ValueError(f"memory size must be positive, got {text!r}")
-    return value
-
-
-def set_default_memory_budget(max_memory_bytes: "int | None") -> None:
-    """Set the process-wide default matrix-profile memory budget.
-
-    ``None`` removes the cap.  The value is mirrored into the
-    ``REPRO_MAX_MEMORY`` environment variable so evaluation-engine
-    worker processes inherit it (fork *and* spawn start methods); this
-    is how ``repro score/run --max-memory`` bounds every cell.
-    """
-    global _default_memory_budget
-    if max_memory_bytes is not None:
-        max_memory_bytes = int(max_memory_bytes)
-        if max_memory_bytes <= 0:
-            raise ValueError(
-                f"max_memory_bytes must be positive, got {max_memory_bytes}"
-            )
-    _default_memory_budget = max_memory_bytes
-    if max_memory_bytes is None:
-        os.environ.pop(_MEMORY_ENV, None)
-    else:
-        os.environ[_MEMORY_ENV] = str(max_memory_bytes)
-
-
-def default_memory_budget() -> "int | None":
-    """The active default budget: explicit setting, else environment."""
-    if _default_memory_budget is not None:
-        return _default_memory_budget
-    raw = os.environ.get(_MEMORY_ENV)
-    if not raw:
-        return None
-    return parse_memory_size(raw)
+# columns per tile of the numpy sweep's block buffers (_diagonal_sweep),
+# so its working set is O(block · _CHUNK) on top of the O(n) recurrence
+# vectors whatever n is.  Timed interleaved on the numpy sweep at
+# n = 30,000, w = 100 (2 vCPUs, medians of 3): 2,048 columns took 1.43x
+# the time of 4,096, 8,192 and 16,384 took 0.98x and 1.10x, and 4,096
+# took 0.89x the time of one full-width tile (0.76x with indices).  At
+# n = 2e5 and 1e6 the full-width tile is 401 MiB and 2.0 GiB of scratch.
+_CHUNK = 4096
 
 
 # process-wide default for matrix_profile(..., jobs=); mirrored into the
-# environment exactly like the memory budget so `repro ... --kernel-jobs`
-# reaches engine worker processes, where the engine caps it back to 1 to
-# keep one level of process parallelism (no nested pools).
+# environment so `repro ... --kernel-jobs` reaches engine worker
+# processes whatever their start method is, where the engine caps it
+# back to 1 to keep one level of process parallelism (no nested pools).
 _JOBS_ENV = "REPRO_KERNEL_JOBS"
 _default_kernel_jobs: int | None = None
 
@@ -287,9 +220,7 @@ def _resolve_approx(
     """
     if approx is None:
         return None, None
-    fraction = float(approx)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"approx must be in (0, 1], got {approx!r}")
+    fraction = float(approx)  # range checked by _check_params
     L = int(total_diagonals)
     if L <= 0:
         return None, ApproxReport(
@@ -324,15 +255,10 @@ class MatrixProfileResult:
 
     ``indices`` is ``None`` when the profile was computed with
     ``with_indices=False`` (the fast path detectors use — nothing on the
-    scoring path reads neighbour locations).  ``chunk_width`` and
-    ``workspace_bytes`` record how the sweep was tiled: the column-chunk
-    width resolved for the numpy sweep (``None`` = one full-width chunk;
-    sharded sweeps derive a width per shard, so only an explicit
-    ``chunk_width`` is echoed back; the compiled sweep needs no chunks)
-    and the exact bytes of sweep scratch it allocated, from the kernel's
-    allocation accounting — for a sharded sweep the *largest single
-    shard*, the per-worker number ``max_memory_bytes`` divides by
-    ``jobs`` to bound.
+    scoring path reads neighbour locations).  ``workspace_bytes`` is the
+    exact bytes of sweep scratch, from the kernel's allocation
+    accounting — for a sharded sweep the *largest single shard*, what
+    one worker holds.
 
     ``jobs``/``shards`` record how a parallel sweep executed (``None``/
     ``0`` for the single-sweep path); ``report`` is the anytime mode's
@@ -345,7 +271,6 @@ class MatrixProfileResult:
     w: int
     profile: np.ndarray  # nearest-neighbour distance per subsequence
     indices: np.ndarray | None  # nearest-neighbour location per subsequence
-    chunk_width: int | None = None
     workspace_bytes: int | None = None
     jobs: int | None = None
     shards: int = 0
@@ -361,8 +286,8 @@ class _Workspace:
     """Accounting allocator for one diagonal sweep's scratch arrays.
 
     Every array the sweep allocates goes through here, so the recorded
-    byte total *is* the sweep's working set — ``max_memory_bytes`` and
-    the budget regression tests key off it rather than off wall-clock
+    byte total *is* the sweep's working set — ``workspace_bytes`` and
+    the memory regression tests key off it rather than off wall-clock
     or RSS sampling.  The O(n) inputs (series, per-window stats) belong
     to the caller and are not counted; docs/kernel.md tabulates the
     full memory model.
@@ -388,110 +313,6 @@ class _Workspace:
 
     def arange(self, stop: int) -> np.ndarray:
         return self._track(np.arange(stop, dtype=np.int64))
-
-
-def _sweep_allocation_bytes(
-    m: int,
-    exclusion: int,
-    *,
-    need_indices: bool,
-    chunk: "int | None" = None,
-    block: int = _DIAG_BLOCK,
-) -> int:
-    """Exact bytes :func:`_diagonal_sweep` will allocate.
-
-    Kept in lockstep with the sweep's ``ws.*`` calls (a tier-1 test
-    asserts equality with the live accounting); the budget solver uses
-    it to derive chunk widths without trial allocations.
-    """
-    total = m * _ELEM  # best
-    if need_indices:
-        total += m * 8  # bestj (int64)
-    if exclusion >= m:
-        return total
-    total += 3 * (m + block) * _ELEM  # dfp, dgp, invp
-    total += 2 * m * _ELEM  # c0 + anchor scratch
-    L0 = m - exclusion
-    B0 = min(block, L0)
-    cw0 = L0 if chunk is None else max(1, min(int(chunk), L0))
-    sw0 = cw0 + B0
-    total += B0 * (cw0 + B0) * _ELEM  # buf (chunk columns + skew padding)
-    total += B0 * cw0 * _ELEM  # tmp (second product term)
-    total += B0 * _ELEM  # carry
-    total += sw0 * _ELEM  # rowval
-    if need_indices:
-        wide = max(sw0, L0)
-        total += sw0 * 8  # rowarg (intp)
-        total += wide * 8  # tmpj (int64)
-        total += wide * 1  # upd (bool)
-        total += L0 * _ELEM  # colval
-        total += L0 * 8  # colarg (intp)
-        total += m * 8  # idx (int64)
-    return total
-
-
-def _chunk_for_budget(
-    m: int,
-    exclusion: int,
-    max_memory_bytes: int,
-    *,
-    need_indices: bool,
-    block: int = _DIAG_BLOCK,
-) -> int:
-    """Widest chunk whose sweep workspace fits ``max_memory_bytes``."""
-    if exclusion >= m:
-        return 1  # degenerate: the sweep allocates no block buffers
-    floor = _sweep_allocation_bytes(
-        m, exclusion, need_indices=need_indices, chunk=1, block=block
-    )
-    if floor > max_memory_bytes:
-        raise ValueError(
-            f"max_memory_bytes={max_memory_bytes} is below the sweep's "
-            f"minimum working set of {floor} bytes (chunk width 1, "
-            f"{m} subsequences); the O(n) recurrence vectors cannot be "
-            f"tiled away"
-        )
-    low, high = 1, m - exclusion
-    while low < high:
-        mid = (low + high + 1) // 2
-        fits = (
-            _sweep_allocation_bytes(
-                m, exclusion, need_indices=need_indices, chunk=mid, block=block
-            )
-            <= max_memory_bytes
-        )
-        if fits:
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
-def _resolve_chunk(
-    m: int,
-    exclusion: int,
-    max_memory_bytes: "int | None",
-    chunk_width: "int | None",
-    *,
-    need_indices: bool,
-) -> "int | None":
-    """Pick the sweep's column-chunk width.
-
-    An explicit ``chunk_width`` wins; otherwise a budget (argument or
-    process-wide default) derives the widest fitting chunk; otherwise
-    ``None`` keeps the historical single full-width chunk.
-    """
-    if chunk_width is not None:
-        chunk_width = int(chunk_width)
-        if chunk_width < 1:
-            raise ValueError(f"chunk_width must be >= 1, got {chunk_width}")
-        return chunk_width
-    budget = (
-        max_memory_bytes if max_memory_bytes is not None else default_memory_budget()
-    )
-    if budget is None:
-        return None
-    return _chunk_for_budget(m, exclusion, int(budget), need_indices=need_indices)
 
 
 def _alive_min(best: np.ndarray, exclusion: int) -> float:
@@ -560,7 +381,7 @@ def _diagonal_sweep(
     need_indices: bool,
     abandon: float | None = None,
     block: int = _DIAG_BLOCK,
-    chunk: int | None = None,
+    chunk: int = _CHUNK,
     diag_limit: int | None = None,
     tracer=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
@@ -581,14 +402,15 @@ def _diagonal_sweep(
     subsequence's running correlation already exceeds it — i.e. no
     subsequence can still beat the corresponding distance floor.
 
-    ``chunk`` bounds the column width of the block buffers: each
-    diagonal block is swept in fixed-width column chunks, the raw
-    covariance cumsum carried across chunk boundaries, shrinking the
-    working set from O(block · n) to O(block · chunk).  The carry is
-    the exact running sum at the boundary and ``np.cumsum`` accumulates
-    strictly sequentially, so the float additions happen in the same
-    order whatever the width — results are bit-identical to the
-    unchunked sweep (``chunk=None``, one full-width chunk).
+    ``chunk`` bounds the column width of the block buffers (``_CHUNK``;
+    tests pass awkward widths): each diagonal block is swept in
+    fixed-width column chunks, the raw covariance cumsum carried across
+    chunk boundaries, so the working set is O(block · chunk) on top of
+    the O(m) recurrence vectors.  The carry is the exact running sum at
+    the boundary and ``np.cumsum`` accumulates strictly sequentially, so
+    the float additions happen in the same order whatever the width —
+    results are bit-identical for every width, one full-width chunk
+    included.
 
     ``diag_limit`` stops after that many diagonals, covering only pairs
     with separation in ``[exclusion, exclusion + diag_limit)``.  The
@@ -607,7 +429,7 @@ def _diagonal_sweep(
 
     L0 = m - exclusion
     B0 = min(block, L0)
-    cw0 = L0 if chunk is None else max(1, min(int(chunk), L0))
+    cw0 = min(chunk, L0)
     sw0 = cw0 + B0  # widest skewed-reduction target
     buf = ws.empty((B0, cw0 + B0))
     tmp = ws.empty((B0, cw0))
@@ -788,21 +610,20 @@ def _sweep(
     *,
     need_indices: bool,
     abandon: float | None = None,
-    chunk: int | None = None,
     diag_limit: int | None = None,
     tracer=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
-    The arguments and the result are :func:`_diagonal_sweep`'s; the
-    compiled kernel ignores ``chunk`` (its results are chunk-independent
-    anyway, and it needs no chunks to stay within a budget).
+    The arguments and the result are :func:`_diagonal_sweep`'s, which
+    tiles at its fixed ``_CHUNK`` width; the compiled kernel needs no
+    tiles.
     """
     lib = native.load()
     if lib is None:
         return _diagonal_sweep(
             x, w, exclusion, mean, inv, need_indices=need_indices,
-            abandon=abandon, chunk=chunk, diag_limit=diag_limit, tracer=tracer,
+            abandon=abandon, diag_limit=diag_limit, tracer=tracer,
         )
     return _compiled_sweep(
         lib, x, w, exclusion, mean, inv, need_indices=need_indices,
@@ -861,13 +682,44 @@ def _finalize(
     return profile, bestj
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """Refuse a non-integer (a bool included) or one below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_params(w, exclusion=None, jobs=None, approx=None) -> None:
+    """The kernel's parameter rules, applied before any sweep.
+
+    Every entry point checks its call here, and the detectors check
+    their parameters here when they are built, so a bad spec fails with
+    the kernel's own message before a series arrives.  A negative
+    ``exclusion`` would start the sweep below the main diagonal, which
+    no sweep indexes safely.
+    """
+    _require_int("window", w, 3)
+    if exclusion is not None:
+        _require_int("exclusion", exclusion, 0)
+    if jobs is not None:
+        _require_int("jobs", jobs, 1)
+    if approx is not None and not 0.0 < float(approx) <= 1.0:
+        raise ValueError(f"approx must be in (0, 1], got {approx!r}")
+
+
 def _validated(
-    values: np.ndarray, w: int, exclusion: int | None, stats: SlidingStats | None
+    values: np.ndarray,
+    w: int,
+    exclusion: int | None,
+    stats: SlidingStats | None,
+    *,
+    jobs: "int | None" = None,
+    approx: "float | None" = None,
 ) -> tuple[SlidingStats, int]:
+    _check_params(w, exclusion, jobs, approx)
     values = np.asarray(values, dtype=float)
     n = values.size
-    if w < 3:
-        raise ValueError(f"window must be >= 3, got {w}")
     if n < 2 * w:
         raise ValueError(
             f"series of length {n} too short for window {w} "
@@ -886,37 +738,13 @@ def _validated(
             "sliding stats were built from a different series than the "
             "values passed in"
         )
-    return stats, w if exclusion is None else exclusion
+    return stats, int(w if exclusion is None else exclusion)
 
 
 def _resolve_jobs(jobs: "int | None") -> "int | None":
-    """Explicit ``jobs`` wins; otherwise the process-wide default."""
-    if jobs is None:
-        return default_kernel_jobs()
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _worker_budget(
-    max_memory_bytes: "int | None", jobs: int
-) -> "tuple[int | None, int | None]":
-    """Split a process-level budget into per-worker shares.
-
-    Returns ``(budget, per_worker)``.  ``max_memory_bytes`` stays an
-    honest *process* cap under parallelism: each of the ``jobs`` workers
-    gets an equal share, so the sum of live shard workspaces never
-    exceeds the budget (``workspace_bytes × jobs <= budget`` — asserted
-    after the sweep against the kernel's exact allocation accounting).
-    """
-    budget = (
-        max_memory_bytes if max_memory_bytes is not None else default_memory_budget()
-    )
-    if budget is None:
-        return None, None
-    budget = int(budget)
-    return budget, budget // jobs
+    """Explicit ``jobs`` (checked by :func:`_validated`) wins; otherwise
+    the process-wide default."""
+    return default_kernel_jobs() if jobs is None else int(jobs)
 
 
 def _adopt_shards(tracer, registry, outcome) -> None:
@@ -940,44 +768,30 @@ def matrix_profile(
     *,
     stats: SlidingStats | None = None,
     with_indices: bool = True,
-    max_memory_bytes: int | None = None,
-    chunk_width: int | None = None,
     jobs: int | None = None,
     approx: float | None = None,
 ) -> MatrixProfileResult:
     """Exact z-normalized self-join matrix profile (mpx diagonal kernel).
 
-    ``exclusion`` is the trivial-match zone half-width; the default ``w``
-    enforces the classic discord requirement of *non-overlapping*
-    nearest neighbours.  Pass a prebuilt :class:`SlidingStats` via
-    ``stats`` to amortize the prefix sums across several window lengths
-    (MERLIN does); pass ``with_indices=False`` to skip neighbour-index
-    tracking when only the distances matter — that is the detector fast
-    path, roughly a third faster.
-
-    ``max_memory_bytes`` caps the sweep's scratch working set: the
-    kernel derives the widest column-chunk width whose allocations fit
-    the budget (exact accounting, reported as
-    :attr:`MatrixProfileResult.workspace_bytes`) and raises
-    ``ValueError`` if even chunk width 1 cannot fit.  ``chunk_width``
-    sets the width directly (testing/tuning knob) and wins over any
-    budget.  With neither, the process-wide default from
-    :func:`set_default_memory_budget` / ``REPRO_MAX_MEMORY`` applies;
-    unbounded means one full-width chunk, the fastest numpy layout.
-    Results are bit-identical for every chunk width.  The compiled
-    sweep ignores the width: its O(m) scratch never exceeds the
-    chunk-width-1 floor, so any budget accepted here bounds it too.
+    ``exclusion`` is the trivial-match zone half-width, an integer
+    >= 0; the default ``w`` enforces the classic discord requirement of
+    *non-overlapping* nearest neighbours.  Pass a prebuilt
+    :class:`SlidingStats` via ``stats`` to amortize the prefix sums
+    across several window lengths (MERLIN does); pass
+    ``with_indices=False`` to skip neighbour-index tracking when only
+    the distances matter — that is the detector fast path, roughly a
+    third faster.  The sweep's scratch is reported, exactly, as
+    :attr:`MatrixProfileResult.workspace_bytes`: O(n) on the compiled
+    kernel, O(n) plus one fixed tile on numpy.
 
     ``jobs`` shards the diagonal sweep across that many worker
     processes (``jobs=1``: the same shard plan, in-process).  Shards
     are block-aligned and merged with the serial first-occurrence tie
     rule, so profiles *and* neighbour indices are bit-identical to the
-    single-sweep kernel for every ``jobs`` value; the memory budget is
-    divided per worker (``workspace_bytes`` then reports the largest
-    single shard, and ``workspace_bytes × jobs`` honours the process
-    cap).  ``None`` defers to :func:`set_default_kernel_jobs` /
-    ``REPRO_KERNEL_JOBS`` (`repro … --kernel-jobs`), else stays on the
-    historical single-sweep path.
+    single-sweep kernel for every ``jobs`` value (``workspace_bytes``
+    then reports the largest single shard).  ``None`` defers to
+    :func:`set_default_kernel_jobs` / ``REPRO_KERNEL_JOBS`` (`repro …
+    --kernel-jobs`), else stays on the historical single-sweep path.
 
     ``approx`` enables the anytime mode: sweep only the leading
     diagonals covering at least that fraction of the pair budget and
@@ -986,7 +800,9 @@ def matrix_profile(
     :class:`ApproxReport`).  The bound is monotone — a larger fraction
     never loosens any entry — and composes with ``jobs``.
     """
-    stats, exclusion = _validated(values, w, exclusion, stats)
+    stats, exclusion = _validated(
+        values, w, exclusion, stats, jobs=jobs, approx=approx
+    )
     mean, inv, constant = stats.kernel_stats(w)
     m = stats.n - w + 1
     jobs = _resolve_jobs(jobs)
@@ -995,18 +811,10 @@ def matrix_profile(
     registry = get_registry()
 
     if jobs is None:
-        chunk = _resolve_chunk(
-            m,
-            exclusion,
-            max_memory_bytes,
-            chunk_width,
-            need_indices=with_indices,
-        )
         with tracer.span(
             "mpx.profile",
             n=stats.n,
             w=w,
-            chunk=chunk,
             with_indices=with_indices,
             backend=native.backend(),
         ) as span:
@@ -1019,7 +827,6 @@ def matrix_profile(
                 mean,
                 inv,
                 need_indices=with_indices,
-                chunk=chunk,
                 diag_limit=diag_limit,
                 tracer=tracer if tracer.enabled else None,
             )
@@ -1028,12 +835,10 @@ def matrix_profile(
     else:
         from .parallel import sharded_sweep
 
-        budget, per_worker = _worker_budget(max_memory_bytes, jobs)
         with tracer.span(
             "mpx.profile",
             n=stats.n,
             w=w,
-            chunk=chunk_width,
             with_indices=with_indices,
             jobs=jobs,
             backend=native.backend(),
@@ -1046,8 +851,6 @@ def matrix_profile(
                 exclusion,
                 need_indices=with_indices,
                 jobs=jobs,
-                chunk_width=chunk_width,
-                worker_budget=per_worker,
                 diag_stop=(
                     None if diag_limit is None else exclusion + diag_limit
                 ),
@@ -1061,12 +864,7 @@ def matrix_profile(
             )
         workspace = outcome.workspace_bytes
         shards = len(outcome.shards)
-        chunk = chunk_width
         registry.counter("mpx_shards").inc(shards)
-        assert budget is None or workspace * jobs <= budget, (
-            f"per-worker budgeting violated: {workspace} bytes/worker × "
-            f"{jobs} jobs exceeds the {budget}-byte process budget"
-        )
 
     registry.counter("mpx_profiles").inc()
     registry.gauge("mpx_workspace_bytes").set(workspace)
@@ -1074,7 +872,6 @@ def matrix_profile(
         w=w,
         profile=profile,
         indices=indices,
-        chunk_width=chunk,
         workspace_bytes=workspace,
         jobs=jobs,
         shards=shards,
@@ -1089,8 +886,6 @@ def discord_search(
     *,
     stats: SlidingStats | None = None,
     normalized_floor: float | None = None,
-    max_memory_bytes: int | None = None,
-    chunk_width: int | None = None,
     jobs: int | None = None,
 ) -> tuple[int, float] | None:
     """Top discord ``(start_index, distance)`` for one window length.
@@ -1099,20 +894,17 @@ def discord_search(
     length-normalized distance (``d / sqrt(w)``), and the sweep aborts —
     returning ``None`` — as soon as *every* subsequence already has a
     neighbour at or below that floor, because the length then cannot
-    improve on the best discord found so far.  ``max_memory_bytes`` /
-    ``chunk_width`` bound the sweep's working set exactly as in
-    :func:`matrix_profile`, so MERLIN's whole length sweep runs inside
-    the budget.
+    improve on the best discord found so far.
 
     ``jobs`` shards the sweep across worker processes exactly as in
-    :func:`matrix_profile` (same bit-identical merge, same per-worker
-    budget split).  Early abandonment stays sound under sharding: a
-    shard that saturates on its own diagonals proves the merged profile
-    saturates too, and the merged result gets the same final
-    all-subsequences check the serial sweep ends on — so the
-    abandoned/not-abandoned answer is identical for every ``jobs``.
+    :func:`matrix_profile` (same bit-identical merge).  Early
+    abandonment stays sound under sharding: a shard that saturates on
+    its own diagonals proves the merged profile saturates too, and the
+    merged result gets the same final all-subsequences check the serial
+    sweep ends on — so the abandoned/not-abandoned answer is identical
+    for every ``jobs``.
     """
-    stats, exclusion = _validated(values, w, exclusion, stats)
+    stats, exclusion = _validated(values, w, exclusion, stats, jobs=jobs)
     mean, inv, constant = stats.kernel_stats(w)
     abandon = None
     if normalized_floor is not None and np.isfinite(normalized_floor):
@@ -1122,13 +914,6 @@ def discord_search(
     tracer = get_tracer()
     registry = get_registry()
     if jobs is None:
-        chunk = _resolve_chunk(
-            stats.n - w + 1,
-            exclusion,
-            max_memory_bytes,
-            chunk_width,
-            need_indices=False,
-        )
         with tracer.span(
             "mpx.discord_search", n=stats.n, w=w, backend=native.backend()
         ) as span:
@@ -1140,7 +925,6 @@ def discord_search(
                 inv,
                 need_indices=False,
                 abandon=abandon,
-                chunk=chunk,
                 tracer=tracer if tracer.enabled else None,
             )
             if swept is None:
@@ -1152,7 +936,6 @@ def discord_search(
     else:
         from .parallel import sharded_sweep
 
-        _budget, per_worker = _worker_budget(max_memory_bytes, jobs)
         with tracer.span(
             "mpx.discord_search", n=stats.n, w=w, jobs=jobs,
             backend=native.backend(),
@@ -1163,8 +946,6 @@ def discord_search(
                 exclusion,
                 need_indices=False,
                 jobs=jobs,
-                chunk_width=chunk_width,
-                worker_budget=per_worker,
                 abandon=abandon,
                 traced=tracer.enabled,
             )
@@ -1237,11 +1018,10 @@ def subsequence_to_point_scores(
 class MatrixProfileDetector(Detector):
     """Discord detector: per-point score from the matrix profile.
 
-    ``max_memory_bytes`` caps the kernel's sweep workspace (chunk width
-    auto-derived); ``None`` defers to the process-wide default set via
-    ``repro score/run --max-memory`` or ``REPRO_MAX_MEMORY``.  ``jobs``
-    shards the sweep across worker processes (``None`` defers to
-    ``--kernel-jobs`` / ``REPRO_KERNEL_JOBS``) — scores are
+    The parameters are checked by the kernel's own rules when the
+    detector is built, so a bad spec fails before any series is scored.
+    ``jobs`` shards the sweep across worker processes (``None`` defers
+    to ``--kernel-jobs`` / ``REPRO_KERNEL_JOBS``) — scores are
     bit-identical either way.  ``approx`` trades exactness for speed:
     scores come from the anytime upper-bound profile over that fraction
     of the pair budget; unlike ``jobs`` it *changes the output*, which
@@ -1252,13 +1032,12 @@ class MatrixProfileDetector(Detector):
         self,
         w: int = 100,
         exclusion: int | None = None,
-        max_memory_bytes: int | None = None,
         jobs: int | None = None,
         approx: float | None = None,
     ) -> None:
+        _check_params(w, exclusion, jobs, approx)
         self.w = w
         self.exclusion = exclusion
-        self.max_memory_bytes = max_memory_bytes
         self.jobs = jobs
         self.approx = approx
 
@@ -1273,7 +1052,6 @@ class MatrixProfileDetector(Detector):
             self.w,
             self.exclusion,
             with_indices=False,
-            max_memory_bytes=self.max_memory_bytes,
             jobs=self.jobs,
             approx=self.approx,
         )

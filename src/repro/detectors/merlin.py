@@ -28,7 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Detector
-from .matrix_profile import discord_search, matrix_profile, subsequence_to_point_scores
+from .matrix_profile import (
+    _require_int,
+    discord_search,
+    matrix_profile,
+    subsequence_to_point_scores,
+)
 from .sliding import SlidingStats
 
 __all__ = ["MerlinResult", "merlin", "MerlinDetector"]
@@ -55,6 +60,7 @@ def candidate_lengths(min_w: int, max_w: int, num: int) -> tuple[int, ...]:
         raise ValueError(f"min_w must be >= 3, got {min_w}")
     if max_w < min_w:
         raise ValueError(f"max_w ({max_w}) < min_w ({min_w})")
+    _require_int("num_lengths", num, 1)
     raw = np.geomspace(min_w, max_w, num=num)
     return tuple(sorted(set(int(round(length)) for length in raw)))
 
@@ -65,17 +71,12 @@ def merlin(
     max_w: int,
     num_lengths: int = 8,
     early_abandon: bool = False,
-    max_memory_bytes: int | None = None,
     jobs: int | None = None,
 ) -> MerlinResult:
     """Discord of every candidate length in ``[min_w, max_w]``.
 
-    ``max_memory_bytes`` caps each length's sweep workspace (the mpx
-    kernel column-chunks its block buffers to fit), so the whole
-    candidate sweep — early-abandoned or not — runs inside one bounded
-    footprint on top of the shared O(n) :class:`SlidingStats`.
     ``jobs`` parallelizes each per-length sweep across worker processes
-    (bit-identical results, budget split per worker — see
+    (bit-identical results — see
     :func:`~repro.detectors.matrix_profile.matrix_profile`).
     """
     values = np.asarray(values, dtype=float)
@@ -93,7 +94,6 @@ def merlin(
             w,
             stats=stats,
             normalized_floor=floor,
-            max_memory_bytes=max_memory_bytes,
             jobs=jobs,
         )
         if found is None:
@@ -117,11 +117,10 @@ def merlin(
 class MerlinDetector(Detector):
     """Per-point score = max over lengths of the normalized profile.
 
-    ``max_memory_bytes`` bounds every per-length kernel sweep; ``None``
-    defers to the process-wide default (``repro run --max-memory`` /
-    ``REPRO_MAX_MEMORY``).  ``jobs`` shards each sweep across worker
-    processes (``None`` defers to ``--kernel-jobs`` /
-    ``REPRO_KERNEL_JOBS``); scores are bit-identical either way.
+    The lengths and ``jobs`` are checked when the detector is built, by
+    the rules :func:`merlin` and the kernel apply.  ``jobs`` shards each
+    sweep across worker processes (``None`` defers to ``--kernel-jobs``
+    / ``REPRO_KERNEL_JOBS``); scores are bit-identical either way.
     """
 
     def __init__(
@@ -129,13 +128,14 @@ class MerlinDetector(Detector):
         min_w: int = 50,
         max_w: int = 200,
         num_lengths: int = 5,
-        max_memory_bytes: int | None = None,
         jobs: int | None = None,
     ) -> None:
+        candidate_lengths(min_w, max_w, num_lengths)
+        if jobs is not None:
+            _require_int("jobs", jobs, 1)
         self.min_w = min_w
         self.max_w = max_w
         self.num_lengths = num_lengths
-        self.max_memory_bytes = max_memory_bytes
         self.jobs = jobs
 
     @property
@@ -154,7 +154,6 @@ class MerlinDetector(Detector):
                 w,
                 stats=stats,
                 with_indices=False,
-                max_memory_bytes=self.max_memory_bytes,
                 jobs=self.jobs,
             )
             points = subsequence_to_point_scores(

@@ -22,7 +22,7 @@ not load (truncated, say) is rebuilt once.
 When no library can be had — no compiler, a refused directory, a failed
 build — :func:`load` returns ``None``, the kernel falls back to the
 numpy sweep (same results; ``repro run`` over an archive of discord
-detectors is about twelve times slower), and one ``RuntimeWarning`` per
+detectors is about fourteen times slower), and one ``RuntimeWarning`` per
 process names the reason.
 """
 
@@ -170,7 +170,7 @@ def load():
             _library = None
             warnings.warn(
                 f"compiled mpx kernel unavailable ({exc}); sweeping with "
-                f"numpy: same results, about twelve times slower",
+                f"numpy: same results, about fourteen times slower",
                 RuntimeWarning,
                 stacklevel=2,
             )

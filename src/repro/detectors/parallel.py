@@ -16,9 +16,8 @@ single-sweep kernel for every ``jobs`` value:
 * **Block alignment.**  Shard boundaries fall on multiples of the
   kernel block size past the exclusion zone, so a shard's internal
   block starts coincide exactly with the serial sweep's.  Every float
-  op inside a block is then the same op the serial sweep performs —
-  chunk widths may differ per worker, but the chunk-carry contract
-  already makes results chunk-width independent.
+  op inside a block is then the same op the serial sweep performs, the
+  numpy sweep's fixed column tiles included.
 * **Jobs-independent planning.**  :func:`plan_shards` derives the
   partition from the problem shape alone (never from ``jobs``), so the
   shard list — and therefore the merge order, the spans each worker
@@ -101,9 +100,8 @@ class ShardOutcome:
 
     ``best``/``bestj`` are the merged running maxima (``bestj`` is
     ``None`` without index tracking), ``workspace_bytes`` the *largest*
-    single-shard scratch footprint — the per-worker number a process
-    budget of ``workspace_bytes × jobs`` bounds.  ``abandoned`` is True
-    when at least one shard's early-abandon check fired; the merged
+    single-shard scratch footprint, what one worker holds.  ``abandoned``
+    is True when at least one shard's early-abandon check fired; the merged
     arrays are still returned so the caller can apply the kernel's
     final-state abandon semantics itself.  ``exports`` holds each
     shard's ``(trace_records, registry_state)`` in shard order (``None``
@@ -121,30 +119,6 @@ class ShardOutcome:
         self.shards = shards
 
 
-def _shard_chunk(
-    m: int,
-    d_lo: int,
-    worker_budget: "int | None",
-    chunk_width: "int | None",
-    need_indices: bool,
-) -> "int | None":
-    """Column-chunk width for one shard's sweep.
-
-    An explicit ``chunk_width`` wins (every shard tiles alike);
-    otherwise the *per-worker* budget derives the widest fitting chunk
-    for this shard's geometry.  Leading shards have the longest
-    diagonals and thus the narrowest chunks; results do not depend on
-    the width either way.
-    """
-    from .matrix_profile import _chunk_for_budget
-
-    if chunk_width is not None:
-        return int(chunk_width)
-    if worker_budget is None:
-        return None
-    return _chunk_for_budget(m, d_lo, int(worker_budget), need_indices=need_indices)
-
-
 class _ShardContext:
     """Everything a worker needs to sweep any shard of one problem."""
 
@@ -153,10 +127,7 @@ class _ShardContext:
         "w",
         "mean",
         "inv",
-        "m",
         "need_indices",
-        "chunk_width",
-        "worker_budget",
         "abandon",
         "traced",
     )
@@ -166,8 +137,6 @@ class _ShardContext:
         values: np.ndarray,
         w: int,
         need_indices: bool,
-        chunk_width: "int | None",
-        worker_budget: "int | None",
         abandon: "float | None",
         traced: bool,
     ) -> None:
@@ -179,10 +148,7 @@ class _ShardContext:
         self.w = w
         self.mean = mean
         self.inv = inv
-        self.m = stats.n - w + 1
         self.need_indices = need_indices
-        self.chunk_width = chunk_width
-        self.worker_budget = worker_budget
         self.abandon = abandon
         self.traced = traced
 
@@ -200,10 +166,6 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
     from .matrix_profile import _sweep
     from ..obs import tracing_session
 
-    chunk = _shard_chunk(
-        context.m, d_lo, context.worker_budget, context.chunk_width,
-        context.need_indices,
-    )
     if not context.traced:
         swept = _sweep(
             context.x,
@@ -213,14 +175,11 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
             context.inv,
             need_indices=context.need_indices,
             abandon=context.abandon,
-            chunk=chunk,
             diag_limit=d_hi - d_lo,
         )
         return swept, None, None
     with tracing_session(enabled=True) as (tracer, registry):
-        with tracer.span(
-            "mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi, chunk=chunk
-        ) as span:
+        with tracer.span("mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi) as span:
             swept = _sweep(
                 context.x,
                 context.w,
@@ -229,7 +188,6 @@ def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
                 context.inv,
                 need_indices=context.need_indices,
                 abandon=context.abandon,
-                chunk=chunk,
                 diag_limit=d_hi - d_lo,
                 tracer=tracer,
             )
@@ -247,8 +205,6 @@ def _pool_init(
     values: np.ndarray,
     w: int,
     need_indices: bool,
-    chunk_width: "int | None",
-    worker_budget: "int | None",
     abandon: "float | None",
     traced: bool,
 ) -> None:
@@ -259,9 +215,7 @@ def _pool_init(
     the parent's because the stats pipeline is deterministic.
     """
     global _POOL_CONTEXT
-    _POOL_CONTEXT = _ShardContext(
-        values, w, need_indices, chunk_width, worker_budget, abandon, traced
-    )
+    _POOL_CONTEXT = _ShardContext(values, w, need_indices, abandon, traced)
 
 
 def _pool_sweep(task: "tuple[int, int, int]"):
@@ -291,8 +245,6 @@ def sharded_sweep(
     *,
     need_indices: bool,
     jobs: int,
-    chunk_width: "int | None" = None,
-    worker_budget: "int | None" = None,
     abandon: "float | None" = None,
     diag_stop: "int | None" = None,
     traced: bool = False,
@@ -301,10 +253,9 @@ def sharded_sweep(
 
     ``jobs`` is the worker-process count; ``jobs=1`` runs the identical
     shard plan in-process (no pool), which is what makes single- and
-    multi-process traces comparable span-for-span.  ``worker_budget``
-    is the *per-worker* scratch cap — the caller divides its process
-    budget by ``jobs`` — and ``diag_stop`` restricts the sweep to
-    separations below it (the anytime mode's leading-diagonal window).
+    multi-process traces comparable span-for-span.  ``diag_stop``
+    restricts the sweep to separations below it (the anytime mode's
+    leading-diagonal window).
 
     The merged arrays are bit-identical to one serial
     :func:`~repro.detectors.matrix_profile._diagonal_sweep` over the
@@ -324,16 +275,11 @@ def sharded_sweep(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(shards)),
             initializer=_pool_init,
-            initargs=(
-                values, w, need_indices, chunk_width, worker_budget,
-                abandon, traced,
-            ),
+            initargs=(values, w, need_indices, abandon, traced),
         ) as pool:
             outcomes = list(pool.map(_pool_sweep, tasks))
     else:
-        context = _ShardContext(
-            values, w, need_indices, chunk_width, worker_budget, abandon, traced
-        )
+        context = _ShardContext(values, w, need_indices, abandon, traced)
         outcomes = [_sweep_one(context, *task) for task in tasks]
 
     workspace = 0

@@ -19,7 +19,12 @@ the system's own performance claims:
   (``<metric>_runs``), the call is made with a
   :func:`repro.stats.bootstrap_ci` over them — a metric only counts as
   regressed when its whole confidence interval sits beyond the noise
-  allowance, the same machinery the detector benchmarks use;
+  allowance, the same machinery the detector benchmarks use.  The
+  allowance is relative (``±noise_pct`` percent of the baseline),
+  except for a metric that is itself a percentage (``*_pct``, an
+  overhead near zero and of either sign): there it is ``±noise_pct``
+  percentage points around the baseline, and a baseline <= 0 is judged
+  like any other;
 * **the noise floor** is per-host: every new report's ``host`` block
   records ``timing_noise_pct`` calibrated from the bench's own repeat
   spread, and the allowance is the larger of the caller's floor and
@@ -217,6 +222,11 @@ def _noise_allowance(fresh: dict, floor_pct: float | None) -> float:
     return max(floor, float(measured))
 
 
+def _in_points(path: str) -> bool:
+    """Whether the metric is a percentage, judged in points."""
+    return path.rsplit(".", 1)[-1].endswith("_pct")
+
+
 def _judge(
     direction: int,
     old: float,
@@ -229,20 +239,22 @@ def _judge(
     path: str,
 ) -> dict:
     """One metric's verdict row (deterministic given the inputs)."""
-    allow = allow_pct / 100.0
     row: dict = {
         "path": path,
         "direction": "lower" if direction < 0 else "higher",
         "old": old,
         "new": new,
-        "change_pct": 100.0 * (new / old - 1.0),
     }
-    if direction < 0:
-        worse_limit = old * (1.0 + allow)
-        better_limit = old * (1.0 - allow)
+    if _in_points(path):
+        # a +0.4% overhead that reads +0.6% has not grown by half: a
+        # percentage moves in points, whatever its sign
+        row["change_points"] = new - old
+        margin = allow_pct
     else:
-        worse_limit = old * (1.0 - allow)
-        better_limit = old * (1.0 + allow)
+        row["change_pct"] = 100.0 * (new / old - 1.0)
+        margin = old * allow_pct / 100.0
+    worse_limit = old - direction * margin
+    better_limit = old + direction * margin
 
     def classify(low: float, high: float) -> str:
         # [low, high] is the plausible range of the fresh value; a
@@ -308,8 +320,8 @@ def compare_reports(
         new = fresh_metrics[path]
         if not isinstance(old, float) or not isinstance(new, float):
             continue
-        if old <= 0 or new < 0:
-            skipped += 1
+        if not _in_points(path) and (old <= 0 or new < 0):
+            skipped += 1  # no relative change to judge
             continue
         runs = fresh_metrics.get(f"{path}_runs")
         rows.append(
@@ -376,9 +388,14 @@ def format_compare(verdict: dict) -> str:
         for row in interesting:
             ci = row.get("ci")
             marker = " (CI)" if ci else ""
+            change = (
+                f"{row['change_points']:>+6.2f}pt"
+                if "change_points" in row
+                else f"{row['change_pct']:>+7.1f}%"
+            )
             lines.append(
                 f"  {row['path']:<52} {row['old']:>12.5g} "
-                f"{row['new']:>12.5g} {row['change_pct']:>+7.1f}% "
+                f"{row['new']:>12.5g} {change} "
                 f"{row['verdict']}{marker}"
             )
     return "\n".join(lines)

@@ -201,7 +201,7 @@ def _pool_worker_init() -> None:
     """Cap kernel parallelism inside engine pool workers.
 
     ``--kernel-jobs`` travels to workers via ``REPRO_KERNEL_JOBS``
-    (like the memory budget), but an engine already running ``--jobs``
+    whatever their start method, but an engine already running ``--jobs``
     cells in parallel must not let each cell open its own kernel pool —
     that would oversubscribe the machine ``jobs × kernel_jobs`` ways.
     Workers therefore cap an inherited kernel-jobs default to 1: the

@@ -587,57 +587,38 @@ class TestStreamCommand:
         assert "approx" in capsys.readouterr().err
 
 
-class TestMaxMemory:
-    def test_parser_accepts_max_memory(self):
-        for command in ("score", "run"):
-            args = build_parser().parse_args([command, "/tmp/x"])
-            assert args.max_memory is None
-        args = build_parser().parse_args(
-            ["score", "/tmp/x", "--max-memory", "256M"]
-        )
-        assert args.max_memory == "256M"
-        args = build_parser().parse_args(["bench", "--max-memory", "1G"])
-        assert args.max_memory == "1G"
+class TestKernelSpecChecks:
+    """A matrix-profile spec the kernel would refuse fails when the
+    line-up is built (exit 2, the registry listed), not in the engine
+    with a traceback."""
 
-    def test_bad_max_memory_exits_2(self, tmp_path, capsys):
-        assert main(["score", str(tmp_path), "--max-memory", "12Q"]) == 2
-        assert "memory size" in capsys.readouterr().err
-        assert (
-            main(
-                ["bench", "--quick", "--sections", "oneliner", "--out", "-",
-                 "--max-memory", "nope"]
-            )
-            == 2
-        )
-        assert "memory size" in capsys.readouterr().err
-
-    def test_score_max_memory_installs_process_budget(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import importlib
-
-        mp = importlib.import_module("repro.detectors.matrix_profile")
-        monkeypatch.setattr(mp, "_default_memory_budget", None)
-        monkeypatch.delenv("REPRO_MAX_MEMORY", raising=False)
-        assert main(["build-archive", str(tmp_path), "--size", "4",
+    @pytest.fixture(scope="class")
+    def archive_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("arch")
+        assert main(["build-archive", str(path), "--size", "4",
                      "--max-trivial", "1.0"]) == 0
-        capsys.readouterr()
-        try:
-            assert (
-                main(
-                    ["score", str(tmp_path), "--detectors",
-                     "matrix_profile(w=64)", "--max-memory", "32M"]
-                )
-                == 0
-            )
-            assert "accuracy" in capsys.readouterr().out
-            from repro.detectors import default_memory_budget
+        return path
 
-            # the budget is live for the whole process (and, via the
-            # mirrored env var, for any engine worker it spawns)
-            assert default_memory_budget() == 32 << 20
-        finally:
-            mp.set_default_memory_budget(None)
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("matrix_profile(jobs=0)", "jobs must be >= 1"),
+            ("matrix_profile(approx=2.0)", "approx must be in (0, 1]"),
+            ("matrix_profile(w=2)", "window must be >= 3"),
+            ("merlin(jobs=0)", "jobs must be >= 1"),
+            ("merlin(min_w=50,max_w=10)", "max_w (10) < min_w (50)"),
+        ],
+    )
+    def test_bad_kernel_spec_exits_2_before_the_engine(
+        self, archive_dir, tmp_path, capsys, spec, message
+    ):
+        capsys.readouterr()
+        assert main(["run", str(archive_dir), "--detectors", spec,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "available detectors" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTraceFlag:

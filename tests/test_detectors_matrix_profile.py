@@ -1,5 +1,10 @@
 """Tests for MASS/STOMP matrix profile and discord discovery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.detectors import (
     MatrixProfileDetector,
+    MerlinDetector,
     SlidingStats,
     discord_search,
     discords,
@@ -133,6 +139,16 @@ class TestMatrixProfile:
     def test_rejects_tiny_window(self):
         with pytest.raises(ValueError):
             matrix_profile(np.zeros(100), 2)
+
+    def test_rejects_non_integer_window_and_exclusion(self):
+        values = sine_with_anomaly(n=400)
+        with pytest.raises(ValueError, match="window must be an integer"):
+            matrix_profile(values, 40.0)
+        for exclusion in (2.5, True):
+            with pytest.raises(ValueError, match="exclusion must be an integer"):
+                matrix_profile(values, 40, exclusion)
+            with pytest.raises(ValueError, match="exclusion must be an integer"):
+                discord_search(values, 40, exclusion)
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="too short"):
@@ -422,6 +438,81 @@ class TestMatrixProfileDetector:
     def test_score_length_matches(self):
         values = sine_with_anomaly(n=300)
         assert MatrixProfileDetector(w=20).score(values).size == 300
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"w": 2}, "window must be >= 3"),
+            ({"w": 40.5}, "window must be an integer"),
+            ({"exclusion": -5}, "exclusion must be >= 0"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+            ({"approx": 2.0}, "approx must be in"),
+            ({"approx": float("nan")}, "approx must be in"),
+        ],
+    )
+    def test_bad_parameters_refused_when_built(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            MatrixProfileDetector(**params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"min_w": 50, "max_w": 10}, "max_w"),
+            ({"min_w": 2}, "min_w must be >= 3"),
+            ({"num_lengths": 0}, "num_lengths must be >= 1"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+        ],
+    )
+    def test_bad_merlin_parameters_refused_when_built(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            MerlinDetector(**params)
+
+
+# Runs in a fresh interpreter: a negative exclusion once made the
+# compiled sweep write outside its arrays ("double free or corruption",
+# exit 134), so a regression must fail as a crashed subprocess instead
+# of taking the test run down with it.
+_NEGATIVE_EXCLUSION = """
+import sys
+import numpy as np
+from repro.detectors import discord_search, matrix_profile, native
+if sys.argv[1] == "numpy":
+    native.load = lambda: None
+assert native.backend() == sys.argv[1]
+values = np.cumsum(np.random.default_rng(3).normal(size=2000))
+calls = {
+    "fast": lambda e: matrix_profile(values, 50, e, with_indices=False),
+    "indexed": lambda e: matrix_profile(values, 50, e),
+    "sharded": lambda e: matrix_profile(values, 50, e, jobs=1),
+    "discord": lambda e: discord_search(values, 50, e),
+}
+for name, call in calls.items():
+    for exclusion in (-5, -1):
+        try:
+            call(exclusion)
+        except ValueError as error:
+            assert "exclusion must be >= 0" in str(error), (name, error)
+        else:
+            raise AssertionError(f"{name} accepted exclusion={exclusion}")
+print("refused")
+"""
+
+
+class TestNegativeExclusionRegression:
+    @pytest.mark.parametrize("backend", ["compiled", "numpy"])
+    def test_negative_exclusion_refused_before_any_sweep(self, backend):
+        from repro.detectors import native
+
+        if backend == "compiled" and native.load() is None:
+            pytest.skip("no compiled kernel on this host")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _NEGATIVE_EXCLUSION, backend],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+        assert done.stdout.strip() == "refused"
 
 
 # the same properties on the numpy fallback sweep (tests/conftest.py)

@@ -30,10 +30,12 @@ from repro.detectors import (
     discord_search,
     matrix_profile,
     merlin,
+    native,
     plan_shards,
 )
 from repro.detectors.matrix_profile import (
     ApproxReport,
+    _CHUNK,
     _DIAG_BLOCK,
     default_kernel_jobs,
     set_default_kernel_jobs,
@@ -114,19 +116,6 @@ class TestShardedEqualsSerial:
         values = make_family("walk", 1, 500)
         with pytest.raises(ValueError, match="jobs"):
             matrix_profile(values, 8, jobs=0)
-
-    def test_budget_split_per_worker(self):
-        values = make_family("walk", 17, 3000)
-        budget = 8 << 20
-        base = matrix_profile(values, 50, max_memory_bytes=budget)
-        for jobs in (2, 4):
-            got = matrix_profile(
-                values, 50, max_memory_bytes=budget, jobs=jobs
-            )
-            # the budget is a *process* cap: per-worker workspaces must
-            # leave the documented jobs x workspace product inside it
-            assert got.workspace_bytes * jobs <= budget
-            assert_bit_identical(base, got)
 
     def test_discord_search_parallel_matches_serial(self):
         values = make_family("walk", 23, 3000)
@@ -311,7 +300,9 @@ class TestShardTraces:
         return result, records, metrics
 
     def test_pool_trace_equals_in_process_trace(self):
-        values = make_family("walk", 31, 3000)
+        # long enough that the leading blocks span three numpy tiles,
+        # so on numpy the trees hold several mpx.chunk spans per block
+        values = make_family("walk", 31, 3 * _CHUNK + 300)
         base, records_one, metrics_one = self.run_traced(values, 24, 1)
         got, records_pool, metrics_pool = self.run_traced(values, 24, 3)
         assert_bit_identical(base, got)
@@ -320,6 +311,9 @@ class TestShardTraces:
         names = [record["name"] for record in records_one]
         assert names.count("mpx.shard") == base.shards
         assert metrics_one["counters"]["mpx_shards"] == base.shards
+        # only the numpy sweep tiles, and its leading blocks split
+        tiled = names.count("mpx.chunk") > names.count("mpx.block")
+        assert tiled == (native.backend() == "numpy")
 
     def test_serial_trace_shape_unchanged(self):
         # jobs=None must keep the historical span tree: no shard spans,
@@ -337,3 +331,4 @@ class TestShardTraces:
 # the same properties on the numpy fallback sweep (tests/conftest.py)
 TestShardedEqualsSerialOnNumpy = on_numpy(TestShardedEqualsSerial)
 TestAnytimeOnNumpy = on_numpy(TestAnytime)
+TestShardTracesOnNumpy = on_numpy(TestShardTraces)

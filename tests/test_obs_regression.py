@@ -295,6 +295,74 @@ class TestTheGate:
         assert verdict["baseline"]["label"] == "BENCH_T"
 
 
+def overhead_report(*, disabled=None, idle=None, runs=None):
+    """``make_report`` plus the obs/watch overhead percentages."""
+    report = make_report()
+    if disabled is not None:
+        report["sections"]["obs"] = {"disabled_overhead_pct": disabled}
+        if runs is not None:
+            report["sections"]["obs"]["disabled_overhead_pct_runs"] = runs
+    if idle is not None:
+        report["sections"]["watch"] = {"idle_overhead_pct": idle}
+    return report
+
+
+def row_for(verdict, path):
+    return next(row for row in verdict["metrics"] if row["path"] == path)
+
+
+class TestPercentagePoints:
+    """A ``*_pct`` metric is judged in percentage points around the
+    baseline.  Relative to a baseline near zero, any jitter reads as a
+    large change, and a baseline <= 0 has no relative change at all."""
+
+    def test_small_rise_of_a_small_overhead_is_within_noise(self):
+        verdict = compare_reports(
+            overhead_report(idle=0.6), overhead_report(idle=0.4)
+        )
+        row = row_for(verdict, "watch.idle_overhead_pct")
+        assert row["verdict"] == "within-noise"  # +0.2 points, not +50%
+        assert row["change_points"] == pytest.approx(0.2)
+        assert "change_pct" not in row
+
+    def test_small_fall_of_a_small_overhead_is_within_noise(self):
+        verdict = compare_reports(
+            overhead_report(idle=0.3), overhead_report(idle=0.4)
+        )
+        assert row_for(verdict, "watch.idle_overhead_pct")["verdict"] == (
+            "within-noise"
+        )
+
+    def test_negative_baseline_is_judged_not_skipped(self):
+        # BENCH_10's obs.disabled_overhead_pct against a fresh +40%
+        verdict = compare_reports(
+            overhead_report(disabled=40.0, runs=[39.0, 40.0, 41.0]),
+            overhead_report(disabled=-2.26),
+        )
+        row = row_for(verdict, "obs.disabled_overhead_pct")
+        assert row["verdict"] == "regressed"
+        assert row["ci"]["n"] == 3
+        assert verdict["summary"]["skipped"] == 0
+
+    def test_allowance_is_noise_pct_points_around_the_baseline(self):
+        # BENCH_10's watch.idle_overhead_pct, +0.40%, and the default
+        # 10-point allowance (this host's calibrated noise is 2%)
+        baseline = overhead_report(idle=0.40)
+        for fresh, expected in ((0.45, "within-noise"),
+                                (10.39, "within-noise"),
+                                (10.41, "regressed"),
+                                (-9.61, "improved")):
+            verdict = compare_reports(overhead_report(idle=fresh), baseline)
+            row = row_for(verdict, "watch.idle_overhead_pct")
+            assert row["verdict"] == expected, fresh
+
+    def test_points_are_rendered_as_points(self):
+        verdict = compare_reports(
+            overhead_report(idle=12.0), overhead_report(idle=0.4)
+        )
+        assert "+11.60pt regressed" in format_compare(verdict)
+
+
 class TestFormatting:
     def test_headline_and_table(self):
         baseline = make_report(mpx=1.0, runs=[1.0, 1.01, 0.99])
