@@ -637,10 +637,11 @@ def _parallel_model(shard_pairs, jobs: int) -> float:
     """Critical-path speedup over the shard pair counts.
 
     List-schedules shards in submission order onto the earliest-free
-    worker — the order the pool dispatches them — and divides total
-    pair work by the longest worker's share.  This is the arithmetic
-    ceiling: it ignores process start-up, argument pickling, and the
-    merge, so measured speedups approach it from below as cores allow.
+    thread — the order the pool dispatches them — and divides total
+    pair work by the longest thread's share.  This is the arithmetic
+    ceiling: it ignores thread start-up, the shared inputs computed
+    before the shards and the merge, so measured speedups approach it
+    from below as cores allow.
     """
     free = [0] * max(1, int(jobs))
     for pairs in shard_pairs:

@@ -51,7 +51,7 @@ Commands mirror the paper's workflow:
 ``score`` and ``run`` both execute through :mod:`repro.runner`, so
 ``--jobs`` parallelizes and ``--cache-dir`` makes re-runs skip every
 already-computed cell, and ``--kernel-jobs`` shards each
-matrix-profile sweep itself across processes (bit-identical).  Anytime
+matrix-profile sweep itself across threads (bit-identical).  Anytime
 profiles are a *detector spec* parameter, not a flag —
 ``matrix_profile(w=100, approx=0.1)`` — because partial coverage
 changes scores and so belongs in manifests and cache keys.
@@ -115,10 +115,10 @@ def _add_archive_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="shard every batch matrix-profile sweep across N worker "
-        "processes (bit-identical profiles and indices; engine --jobs "
-        "workers cap this to 1 to avoid oversubscription; default: "
-        "in-process)",
+        help="shard every batch matrix-profile sweep across N threads "
+        "(bit-identical profiles and indices; engine --jobs workers cap "
+        "this to 1 to avoid oversubscription; default: one unsharded "
+        "sweep)",
     )
     _add_format_option(parser)
 
@@ -708,16 +708,14 @@ def _open_archive(args):
     """The start-up ``score``, ``run`` and ``stream`` share.
 
     Installs ``--kernel-jobs`` as the process-wide kernel default
-    before any engine builds its worker pool: it is mirrored into the
-    environment (``REPRO_KERNEL_JOBS``), so forked and spawned workers
-    inherit it, and each engine pool worker caps it back to 1 so
-    engine-level and kernel-level parallelism do not multiply.  Then
-    loads the archive and validates the line-up by building every
-    spec: an unknown registry name or parameters a detector refuses
-    must not escape as a traceback, so print what went wrong plus the
-    available names.  Returns ``(archive, specs)``, or the exit code
-    after its message: 2 for a bad line-up, 1 for a directory without
-    archive files.
+    before any engine builds its worker pool; the engine passes each
+    pool worker the cap to 1, so engine-level and kernel-level
+    parallelism do not multiply.  Then loads the archive and validates
+    the line-up by building every spec: an unknown registry name or
+    parameters a detector refuses must not escape as a traceback, so
+    print what went wrong plus the available names.  Returns
+    ``(archive, specs)``, or the exit code after its message: 2 for a
+    bad line-up, 1 for a directory without archive files.
     """
     from .archive import load_archive
     from .detectors import (

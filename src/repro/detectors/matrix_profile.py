@@ -47,7 +47,6 @@ non-constant window.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,22 +84,18 @@ _ELEM = np.dtype(float).itemsize
 _CHUNK = 4096
 
 
-# process-wide default for matrix_profile(..., jobs=); mirrored into the
-# environment so `repro ... --kernel-jobs` reaches engine worker
-# processes whatever their start method is, where the engine caps it
-# back to 1 to keep one level of process parallelism (no nested pools).
-_JOBS_ENV = "REPRO_KERNEL_JOBS"
+# process-wide default for matrix_profile(..., jobs=), installed by
+# `repro ... --kernel-jobs`; evaluation-engine workers set it to 1
 _default_kernel_jobs: int | None = None
 
 
 def set_default_kernel_jobs(jobs: "int | None") -> None:
     """Set the process-wide default for ``matrix_profile(..., jobs=)``.
 
-    ``None`` removes the default (sweeps stay single-process and
-    unsharded).  The value is mirrored into ``REPRO_KERNEL_JOBS`` so
-    worker processes inherit it whatever their start method; the
-    evaluation engine's pool initializer caps an inherited default to 1
-    so engine parallelism and kernel parallelism never multiply.
+    ``None`` removes the default (sweeps stay single and unsharded).
+    The evaluation engine's pool initializer sets 1 in its workers when
+    the parent has a default, so engine parallelism and kernel threads
+    never multiply.
     """
     global _default_kernel_jobs
     if jobs is not None:
@@ -108,23 +103,11 @@ def set_default_kernel_jobs(jobs: "int | None") -> None:
         if jobs < 1:
             raise ValueError(f"kernel jobs must be >= 1, got {jobs}")
     _default_kernel_jobs = jobs
-    if jobs is None:
-        os.environ.pop(_JOBS_ENV, None)
-    else:
-        os.environ[_JOBS_ENV] = str(jobs)
 
 
 def default_kernel_jobs() -> "int | None":
-    """The active default kernel jobs: explicit setting, else environment."""
-    if _default_kernel_jobs is not None:
-        return _default_kernel_jobs
-    raw = os.environ.get(_JOBS_ENV)
-    if not raw:
-        return None
-    jobs = int(raw)
-    if jobs < 1:
-        raise ValueError(f"{_JOBS_ENV} must be >= 1, got {raw!r}")
-    return jobs
+    """The active default kernel jobs, or ``None``."""
+    return _default_kernel_jobs
 
 
 def sliding_dot_products(query: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -257,8 +240,9 @@ class MatrixProfileResult:
     ``with_indices=False`` (the fast path detectors use — nothing on the
     scoring path reads neighbour locations).  ``workspace_bytes`` is the
     exact bytes of sweep scratch, from the kernel's allocation
-    accounting — for a sharded sweep the *largest single shard*, what
-    one worker holds.
+    accounting — for a sharded sweep the inputs the shards share plus
+    the *largest single shard*'s own scratch, what one thread holds
+    (and what the single sweep reports).
 
     ``jobs``/``shards`` record how a parallel sweep executed (``None``/
     ``0`` for the single-sweep path); ``report`` is the anytime mode's
@@ -384,6 +368,8 @@ def _diagonal_sweep(
     chunk: int = _CHUNK,
     diag_limit: int | None = None,
     tracer=None,
+    start: int | None = None,
+    inputs=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """mpx diagonal traversal over the (mean-shifted) series ``x``.
 
@@ -413,21 +399,30 @@ def _diagonal_sweep(
     included.
 
     ``diag_limit`` stops after that many diagonals, covering only pairs
-    with separation in ``[exclusion, exclusion + diag_limit)``.  The
-    scaling bench uses it to measure the peak working set (the first
-    block's buffers are the widest) and extrapolate timings without
-    paying the full O(m²) sweep; the partial ``best`` it returns is
-    *not* a valid profile.
+    with separation in ``[start, start + diag_limit)``.  The scaling
+    bench uses it to measure the peak working set (the first block's
+    buffers are the widest) and extrapolate timings without paying the
+    full O(m²) sweep; the partial ``best`` it returns is *not* a valid
+    profile.
+
+    ``start`` (default ``exclusion``, a block-aligned diagonal past it)
+    and ``inputs`` (``_sweep_inputs``' vectors, computed by the caller
+    and not counted here) are how :mod:`repro.detectors.parallel`
+    sweeps one shard.  The abandon check reads ``exclusion`` whatever
+    ``start`` is, so a row paired only below ``start`` blocks it.
     """
     m = x.size - w + 1
+    first = exclusion if start is None else start
     ws = _Workspace()
     best = ws.full(m, -np.inf)
     bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
-    if exclusion >= m:
+    if first >= m:
         return best, bestj, ws.bytes
-    dfp, dgp, invp, c0 = _sweep_inputs(x, w, mean, inv, ws, block)
+    if inputs is None:
+        inputs = _sweep_inputs(x, w, mean, inv, ws, block)
+    dfp, dgp, invp, c0 = inputs
 
-    L0 = m - exclusion
+    L0 = m - first
     B0 = min(block, L0)
     cw0 = min(chunk, L0)
     sw0 = cw0 + B0  # widest skewed-reduction target
@@ -444,8 +439,8 @@ def _diagonal_sweep(
         colarg = ws.empty(L0, dtype=np.intp)
         idx = ws.arange(m)
 
-    stop = m if diag_limit is None else min(m, exclusion + int(diag_limit))
-    for d in range(exclusion, stop, block):
+    stop = m if diag_limit is None else min(m, first + int(diag_limit))
+    for d in range(first, stop, block):
         B = min(block, m - d)
         L = m - d
         if tracer is not None:
@@ -561,21 +556,28 @@ def _compiled_sweep(
     block: int = _DIAG_BLOCK,
     diag_limit: int | None = None,
     tracer=None,
+    start: int | None = None,
+    inputs=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """:func:`_diagonal_sweep` with each block swept by the C kernel.
 
     Same inputs, same block loop (``mpx.block`` spans, the per-block
-    ``abandon`` check, ``diag_limit``) and bit-identical results; the
-    kernel needs O(m) scratch, so there are no column chunks to tile.
+    ``abandon`` check, ``diag_limit``, ``start``) and bit-identical
+    results; the kernel needs O(m) scratch, so there are no column
+    chunks to tile.  The block call releases the GIL, so shards on
+    threads sweep at once.
     """
     m = x.size - w + 1
+    first = exclusion if start is None else start
     ws = _Workspace()
     best = ws.full(m, -np.inf)
     bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
-    if exclusion >= m:
+    if first >= m:
         return best, bestj, ws.bytes
-    dfp, dgp, invp, c0 = _sweep_inputs(x, w, mean, inv, ws, block)
-    L0 = m - exclusion
+    if inputs is None:
+        inputs = _sweep_inputs(x, w, mean, inv, ws, block)
+    dfp, dgp, invp, c0 = inputs
+    L0 = m - first
     sums = ws.empty(min(block, L0))
     head = (dfp.ctypes.data, dgp.ctypes.data, invp.ctypes.data, c0.ctypes.data)
     if need_indices:
@@ -588,8 +590,8 @@ def _compiled_sweep(
         tail = (sums.ctypes.data, best.ctypes.data)
         kernel = lib.mpx_block_max
 
-    stop = m if diag_limit is None else min(m, exclusion + int(diag_limit))
-    for d in range(exclusion, stop, block):
+    stop = m if diag_limit is None else min(m, first + int(diag_limit))
+    for d in range(first, stop, block):
         B = min(block, m - d)
         if tracer is not None:
             block_span = tracer.start_span("mpx.block", d=d, rows=B)
@@ -612,6 +614,8 @@ def _sweep(
     abandon: float | None = None,
     diag_limit: int | None = None,
     tracer=None,
+    start: int | None = None,
+    inputs=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
@@ -619,16 +623,14 @@ def _sweep(
     tiles at its fixed ``_CHUNK`` width; the compiled kernel needs no
     tiles.
     """
+    options = dict(
+        need_indices=need_indices, abandon=abandon, diag_limit=diag_limit,
+        tracer=tracer, start=start, inputs=inputs,
+    )
     lib = native.load()
     if lib is None:
-        return _diagonal_sweep(
-            x, w, exclusion, mean, inv, need_indices=need_indices,
-            abandon=abandon, diag_limit=diag_limit, tracer=tracer,
-        )
-    return _compiled_sweep(
-        lib, x, w, exclusion, mean, inv, need_indices=need_indices,
-        abandon=abandon, diag_limit=diag_limit, tracer=tracer,
-    )
+        return _diagonal_sweep(x, w, exclusion, mean, inv, **options)
+    return _compiled_sweep(lib, x, w, exclusion, mean, inv, **options)
 
 
 def _finalize(
@@ -747,18 +749,78 @@ def _resolve_jobs(jobs: "int | None") -> "int | None":
     return default_kernel_jobs() if jobs is None else int(jobs)
 
 
-def _adopt_shards(tracer, registry, outcome) -> None:
-    """Splice shard traces/metrics into the parent, in shard order.
+def _entry_sweep(
+    x: np.ndarray,
+    w: int,
+    exclusion: int,
+    mean: np.ndarray,
+    inv: np.ndarray,
+    span,
+    *,
+    need_indices: bool,
+    jobs: "int | None",
+    abandon: "float | None" = None,
+    diag_limit: "int | None" = None,
+) -> "tuple[np.ndarray, np.ndarray | None, int, int] | None":
+    """The one sweep behind :func:`matrix_profile` and
+    :func:`discord_search`, under their open ``span``.
 
-    Adoption order is the shard plan's order — deterministic and
-    jobs-independent — so the merged span tree is identical whether the
-    shards ran in-process or across any number of pool workers.
+    ``jobs=None`` runs the single sweep.  Otherwise the shard plan of
+    :mod:`repro.detectors.parallel` runs on ``jobs`` threads; its
+    ``mpx.shard`` spans are adopted in shard order and an
+    ``mpx_shards`` counter records the shard count.  Returns ``(best,
+    bestj, workspace_bytes, shards)`` — ``shards`` is 0 for the single
+    sweep — or ``None`` when ``abandon`` fired.
     """
-    for records, state in outcome.exports:
-        if records:
-            tracer.adopt(records)
-        if state:
-            registry.merge_state(state)
+    tracer = get_tracer()
+    if jobs is None:
+        swept = _sweep(
+            x,
+            w,
+            exclusion,
+            mean,
+            inv,
+            need_indices=need_indices,
+            abandon=abandon,
+            diag_limit=diag_limit,
+            tracer=tracer if tracer.enabled else None,
+        )
+        return None if swept is None else (*swept, 0)
+    from .parallel import sharded_sweep
+
+    outcome = sharded_sweep(
+        x,
+        w,
+        exclusion,
+        mean,
+        inv,
+        need_indices=need_indices,
+        jobs=jobs,
+        abandon=abandon,
+        diag_stop=None if diag_limit is None else exclusion + diag_limit,
+        traced=tracer.enabled,
+    )
+    shards = len(outcome.shards)
+    if span is not None:
+        span.set(shards=shards)
+    for records in outcome.traces:
+        tracer.adopt(records)
+    get_registry().counter("mpx_shards").inc(shards)
+    # the serial sweep's abandon rule is a final-state property (the
+    # running minimum only grows); a shard abandoning already implies
+    # it, and the merged check catches saturation no one shard reaches
+    if outcome.abandoned or (
+        abandon is not None and _alive_min(outcome.best, exclusion) >= abandon
+    ):
+        return None
+    return outcome.best, outcome.bestj, outcome.workspace_bytes, shards
+
+
+def _span_attrs(n: int, w: int, jobs: "int | None", **attrs) -> dict:
+    """An entry point's span attributes; ``jobs`` only when sharded."""
+    if jobs is not None:
+        attrs["jobs"] = jobs
+    return dict(n=n, w=w, **attrs, backend=native.backend())
 
 
 def matrix_profile(
@@ -784,14 +846,13 @@ def matrix_profile(
     :attr:`MatrixProfileResult.workspace_bytes`: O(n) on the compiled
     kernel, O(n) plus one fixed tile on numpy.
 
-    ``jobs`` shards the diagonal sweep across that many worker
-    processes (``jobs=1``: the same shard plan, in-process).  Shards
-    are block-aligned and merged with the serial first-occurrence tie
-    rule, so profiles *and* neighbour indices are bit-identical to the
-    single-sweep kernel for every ``jobs`` value (``workspace_bytes``
-    then reports the largest single shard).  ``None`` defers to
-    :func:`set_default_kernel_jobs` / ``REPRO_KERNEL_JOBS`` (`repro …
-    --kernel-jobs`), else stays on the historical single-sweep path.
+    ``jobs`` shards the diagonal sweep across that many threads of this
+    process (``jobs=1``: the same shard plan on the calling thread).
+    Shards are block-aligned and merged with the serial first-occurrence
+    tie rule, so profiles *and* neighbour indices are bit-identical to
+    the single-sweep kernel for every ``jobs`` value.  ``None`` defers
+    to :func:`set_default_kernel_jobs` (`repro … --kernel-jobs`), else
+    stays on the historical single-sweep path.
 
     ``approx`` enables the anytime mode: sweep only the leading
     diagonals covering at least that fraction of the pair budget and
@@ -807,65 +868,24 @@ def matrix_profile(
     m = stats.n - w + 1
     jobs = _resolve_jobs(jobs)
     diag_limit, report = _resolve_approx(approx, m - exclusion)
-    tracer = get_tracer()
-    registry = get_registry()
-
-    if jobs is None:
-        with tracer.span(
-            "mpx.profile",
-            n=stats.n,
-            w=w,
-            with_indices=with_indices,
-            backend=native.backend(),
-        ) as span:
-            if span is not None and report is not None:
-                span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-            best, bestj, workspace = _sweep(
-                stats.shifted,
-                w,
-                exclusion,
-                mean,
-                inv,
-                need_indices=with_indices,
-                diag_limit=diag_limit,
-                tracer=tracer if tracer.enabled else None,
-            )
-            profile, indices = _finalize(best, bestj, w, exclusion, constant)
-        shards = 0
-    else:
-        from .parallel import sharded_sweep
-
-        with tracer.span(
-            "mpx.profile",
-            n=stats.n,
-            w=w,
-            with_indices=with_indices,
+    attrs = _span_attrs(stats.n, w, jobs, with_indices=with_indices)
+    with get_tracer().span("mpx.profile", **attrs) as span:
+        if span is not None and report is not None:
+            span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
+        best, bestj, workspace, shards = _entry_sweep(
+            stats.shifted,
+            w,
+            exclusion,
+            mean,
+            inv,
+            span,
+            need_indices=with_indices,
             jobs=jobs,
-            backend=native.backend(),
-        ) as span:
-            if span is not None and report is not None:
-                span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-            outcome = sharded_sweep(
-                stats.values,
-                w,
-                exclusion,
-                need_indices=with_indices,
-                jobs=jobs,
-                diag_stop=(
-                    None if diag_limit is None else exclusion + diag_limit
-                ),
-                traced=tracer.enabled,
-            )
-            if span is not None:
-                span.set(shards=len(outcome.shards))
-            _adopt_shards(tracer, registry, outcome)
-            profile, indices = _finalize(
-                outcome.best, outcome.bestj, w, exclusion, constant
-            )
-        workspace = outcome.workspace_bytes
-        shards = len(outcome.shards)
-        registry.counter("mpx_shards").inc(shards)
+            diag_limit=diag_limit,
+        )
+        profile, indices = _finalize(best, bestj, w, exclusion, constant)
 
+    registry = get_registry()
     registry.counter("mpx_profiles").inc()
     registry.gauge("mpx_workspace_bytes").set(workspace)
     return MatrixProfileResult(
@@ -896,13 +916,14 @@ def discord_search(
     neighbour at or below that floor, because the length then cannot
     improve on the best discord found so far.
 
-    ``jobs`` shards the sweep across worker processes exactly as in
+    ``jobs`` shards the sweep across threads exactly as in
     :func:`matrix_profile` (same bit-identical merge).  Early
-    abandonment stays sound under sharding: a shard that saturates on
-    its own diagonals proves the merged profile saturates too, and the
-    merged result gets the same final all-subsequences check the serial
-    sweep ends on — so the abandoned/not-abandoned answer is identical
-    for every ``jobs``.
+    abandonment stays sound under sharding: each shard checks the true
+    exclusion zone, so a row whose pairs lie in other shards blocks its
+    abandon, and a shard that saturates on its own diagonals proves the
+    merged profile saturates too; the merged result gets the same final
+    all-subsequences check the serial sweep ends on — so the
+    abandoned/not-abandoned answer is identical for every ``jobs``.
     """
     stats, exclusion = _validated(values, w, exclusion, stats, jobs=jobs)
     mean, inv, constant = stats.kernel_stats(w)
@@ -911,62 +932,25 @@ def discord_search(
         # d/sqrt(w) <= floor  ⇔  corr >= 1 - floor²/2, identically in w
         abandon = 1.0 - 0.5 * float(normalized_floor) ** 2
     jobs = _resolve_jobs(jobs)
-    tracer = get_tracer()
-    registry = get_registry()
-    if jobs is None:
-        with tracer.span(
-            "mpx.discord_search", n=stats.n, w=w, backend=native.backend()
-        ) as span:
-            swept = _sweep(
-                stats.shifted,
-                w,
-                exclusion,
-                mean,
-                inv,
-                need_indices=False,
-                abandon=abandon,
-                tracer=tracer if tracer.enabled else None,
-            )
-            if swept is None:
-                if span is not None:
-                    span.set(abandoned=True)
-                registry.counter("mpx_abandoned_sweeps").inc()
-                return None
-        best, _, _ = swept
-    else:
-        from .parallel import sharded_sweep
-
-        with tracer.span(
-            "mpx.discord_search", n=stats.n, w=w, jobs=jobs,
-            backend=native.backend(),
-        ) as span:
-            outcome = sharded_sweep(
-                stats.values,
-                w,
-                exclusion,
-                need_indices=False,
-                jobs=jobs,
-                abandon=abandon,
-                traced=tracer.enabled,
-            )
+    attrs = _span_attrs(stats.n, w, jobs)
+    with get_tracer().span("mpx.discord_search", **attrs) as span:
+        swept = _entry_sweep(
+            stats.shifted,
+            w,
+            exclusion,
+            mean,
+            inv,
+            span,
+            need_indices=False,
+            jobs=jobs,
+            abandon=abandon,
+        )
+        if swept is None:
             if span is not None:
-                span.set(shards=len(outcome.shards))
-            _adopt_shards(tracer, registry, outcome)
-            registry.counter("mpx_shards").inc(len(outcome.shards))
-            # the serial sweep's abandon rule is a final-state property
-            # (the running minimum only grows); a shard abandoning on
-            # its own subset already implies it, but the merged check
-            # keeps the answer identical when no single shard saturates
-            if outcome.abandoned or (
-                abandon is not None
-                and _alive_min(outcome.best, exclusion) >= abandon
-            ):
-                if span is not None:
-                    span.set(abandoned=True)
-                registry.counter("mpx_abandoned_sweeps").inc()
-                return None
-        best = outcome.best
-    profile, _ = _finalize(best, None, w, exclusion, constant)
+                span.set(abandoned=True)
+            get_registry().counter("mpx_abandoned_sweeps").inc()
+            return None
+    profile, _ = _finalize(swept[0], None, w, exclusion, constant)
     finite = np.where(np.isfinite(profile), profile, -np.inf)
     location = int(np.argmax(finite))
     return location, float(finite[location])
@@ -1020,9 +1004,8 @@ class MatrixProfileDetector(Detector):
 
     The parameters are checked by the kernel's own rules when the
     detector is built, so a bad spec fails before any series is scored.
-    ``jobs`` shards the sweep across worker processes (``None`` defers
-    to ``--kernel-jobs`` / ``REPRO_KERNEL_JOBS``) — scores are
-    bit-identical either way.  ``approx`` trades exactness for speed:
+    ``jobs`` shards the sweep across threads (``None`` defers to
+    ``--kernel-jobs``) — scores are bit-identical either way.  ``approx`` trades exactness for speed:
     scores come from the anytime upper-bound profile over that fraction
     of the pair budget; unlike ``jobs`` it *changes the output*, which
     is why it is a spec parameter that reaches manifests and cache keys.

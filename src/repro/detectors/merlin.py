@@ -75,7 +75,7 @@ def merlin(
 ) -> MerlinResult:
     """Discord of every candidate length in ``[min_w, max_w]``.
 
-    ``jobs`` parallelizes each per-length sweep across worker processes
+    ``jobs`` parallelizes each per-length sweep across threads
     (bit-identical results — see
     :func:`~repro.detectors.matrix_profile.matrix_profile`).
     """
@@ -119,8 +119,8 @@ class MerlinDetector(Detector):
 
     The lengths and ``jobs`` are checked when the detector is built, by
     the rules :func:`merlin` and the kernel apply.  ``jobs`` shards each
-    sweep across worker processes (``None`` defers to ``--kernel-jobs``
-    / ``REPRO_KERNEL_JOBS``); scores are bit-identical either way.
+    sweep across threads (``None`` defers to ``--kernel-jobs``); scores
+    are bit-identical either way.
     """
 
     def __init__(

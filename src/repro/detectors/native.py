@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import threading
 import warnings
 from pathlib import Path
 
@@ -40,8 +41,10 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("_mpx.c")
 
 _UNTRIED = object()
-# this process's one load attempt: the library, None (numpy) or _UNTRIED
+# this process's one load attempt: the library, None (numpy) or _UNTRIED;
+# the lock makes callers that arrive together wait for that one attempt
 _library = _UNTRIED
+_library_lock = threading.Lock()
 
 
 class _Unavailable(Exception):
@@ -160,20 +163,22 @@ def _build_and_open():
 def load():
     """The compiled kernel library, or ``None`` (numpy fallback).
 
-    Tried once per process; a failure warns once and is remembered.
+    Tried once per process, whichever threads call first; a failure
+    warns once and is remembered.
     """
     global _library
-    if _library is _UNTRIED:
-        try:
-            _library = _build_and_open()
-        except _Unavailable as exc:
-            _library = None
-            warnings.warn(
-                f"compiled mpx kernel unavailable ({exc}); sweeping with "
-                f"numpy: same results, about fourteen times slower",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    with _library_lock:
+        if _library is _UNTRIED:
+            try:
+                _library = _build_and_open()
+            except _Unavailable as exc:
+                _library = None
+                warnings.warn(
+                    f"compiled mpx kernel unavailable ({exc}); sweeping "
+                    f"with numpy: same results, about fourteen times slower",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return _library
 
 

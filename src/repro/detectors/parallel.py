@@ -6,9 +6,8 @@ depends only on the O(n) recurrence vectors (``dfp``/``dgp``/``invp``),
 the anchor covariances ``c0`` and the block's own buffers — never on
 another block's running state.  This module partitions the diagonal
 range into contiguous, *block-aligned* shards, sweeps each shard with
-the kernel's own dispatcher (compiled or numpy, in a
-``ProcessPoolExecutor`` or in-process), and merges the per-shard
-running maxima back together.
+the kernel's own dispatcher (compiled or numpy) on a thread of the
+calling process, and merges the per-shard running maxima back together.
 
 Three invariants make the merged result **bit-identical** to the
 single-sweep kernel for every ``jobs`` value:
@@ -20,8 +19,8 @@ single-sweep kernel for every ``jobs`` value:
   numpy sweep's fixed column tiles included.
 * **Jobs-independent planning.**  :func:`plan_shards` derives the
   partition from the problem shape alone (never from ``jobs``), so the
-  shard list — and therefore the merge order, the spans each worker
-  exports and the final bits — is identical whether one process or
+  shard list — and therefore the merge order, the spans each shard
+  records and the final bits — is identical whether one thread or
   eight consume it.
 * **First-occurrence merge.**  Shards are merged in ascending diagonal
   order with a strict ``>``, mirroring the serial sweep's cross-block
@@ -30,29 +29,35 @@ single-sweep kernel for every ``jobs`` value:
   kernel).  A tie between two shards therefore resolves to the same
   neighbour index the serial sweep reports.
 
-Workers receive the raw series once per process (pool initializer) and
-rebuild :class:`~repro.detectors.sliding.SlidingStats` locally — the
-stats pipeline is deterministic, so recomputed means/inverse-stds are
-bit-equal to the parent's and nothing O(n²) crosses the pipe.  Each
-worker traces its shard under an ``mpx.shard`` span when the parent is
-tracing; exports travel back by value for :meth:`Tracer.adopt`, exactly
-like evaluation-engine cells.
+The shards share the caller's mean-shifted series, its per-window stats
+and one set of recurrence vectors and anchor covariances, computed once
+per call and only read by the sweeps.  The compiled block call releases
+the GIL (``ctypes``), so shards overlap on as many cores as ``jobs``
+allows; the numpy sweep overlaps only where numpy itself releases it.
+Each shard traces under an ``mpx.shard`` span with a tracer of its own
+when the caller is tracing, and the caller adopts the records in shard
+order with :meth:`Tracer.adopt`, so the span tree does not depend on
+which thread finished first.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
+from ..obs import Tracer
+from .matrix_profile import _DIAG_BLOCK, _Workspace, _sweep, _sweep_inputs
+
 __all__ = ["plan_shards", "sharded_sweep", "ShardOutcome"]
 
-# hard ceiling on shards per sweep: each shard re-derives the O(n·w)
-# anchor covariances, so the count must stay far below the point where
+# hard ceiling on shards per sweep: each shard fills and merges its own
+# O(m) running maxima, so the count must stay far below the point where
 # that rivals the O(m²/shards) sweep work itself
 _MAX_SHARDS = 32
-# a shard smaller than this many diagonal blocks is not worth its
-# anchor recomputation; small inputs collapse to fewer (or one) shards
+# a shard smaller than this many diagonal blocks is not worth its O(m)
+# maxima and merge; small inputs collapse to fewer (or one) shards
 _MIN_SHARD_BLOCKS = 4
 
 
@@ -61,7 +66,7 @@ def plan_shards(
     exclusion: int,
     *,
     diag_stop: "int | None" = None,
-    block: "int | None" = None,
+    block: int = _DIAG_BLOCK,
 ) -> "list[tuple[int, int]]":
     """Partition diagonals ``[exclusion, diag_stop)`` into aligned shards.
 
@@ -69,14 +74,10 @@ def plan_shards(
     are block-aligned (``exclusion + k * block``) and whose *pair*
     counts — diagonal ``d`` holds ``m - d`` pairs, so leading diagonals
     are the heaviest — are as balanced as contiguity allows.  The plan
-    depends only on the problem shape, never on the worker count: the
+    depends only on the problem shape, never on the thread count: the
     same input always produces the same shards, which is what makes the
     sharded sweep's results and traces independent of ``jobs``.
     """
-    if block is None:
-        from .matrix_profile import _DIAG_BLOCK
-
-        block = _DIAG_BLOCK
     stop = m if diag_stop is None else min(int(diag_stop), m)
     if exclusion >= stop:
         return []
@@ -99,128 +100,25 @@ class ShardOutcome:
     """What one sweep over all shards produced, pre-merge bookkeeping.
 
     ``best``/``bestj`` are the merged running maxima (``bestj`` is
-    ``None`` without index tracking), ``workspace_bytes`` the *largest*
-    single-shard scratch footprint, what one worker holds.  ``abandoned``
-    is True when at least one shard's early-abandon check fired; the merged
-    arrays are still returned so the caller can apply the kernel's
-    final-state abandon semantics itself.  ``exports`` holds each
-    shard's ``(trace_records, registry_state)`` in shard order (``None``
-    entries when untraced) for :meth:`Tracer.adopt`.
+    ``None`` without index tracking).  ``workspace_bytes`` is the shared
+    inputs' footprint plus the *largest* single shard's own scratch:
+    what one thread holds, and a single sweep of the same range reports.
+    ``abandoned`` is True when at least one shard's early-abandon check
+    fired; the merged arrays are still returned so the caller can apply
+    the kernel's final-state abandon semantics itself.  ``traces`` holds
+    each shard's span records in shard order (``None`` entries when
+    untraced) for :meth:`Tracer.adopt`.
     """
 
-    __slots__ = ("best", "bestj", "workspace_bytes", "abandoned", "exports", "shards")
+    __slots__ = ("best", "bestj", "workspace_bytes", "abandoned", "traces", "shards")
 
-    def __init__(self, best, bestj, workspace_bytes, abandoned, exports, shards):
+    def __init__(self, best, bestj, workspace_bytes, abandoned, traces, shards):
         self.best = best
         self.bestj = bestj
         self.workspace_bytes = workspace_bytes
         self.abandoned = abandoned
-        self.exports = exports
+        self.traces = traces
         self.shards = shards
-
-
-class _ShardContext:
-    """Everything a worker needs to sweep any shard of one problem."""
-
-    __slots__ = (
-        "x",
-        "w",
-        "mean",
-        "inv",
-        "need_indices",
-        "abandon",
-        "traced",
-    )
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        w: int,
-        need_indices: bool,
-        abandon: "float | None",
-        traced: bool,
-    ) -> None:
-        from .sliding import SlidingStats
-
-        stats = SlidingStats(np.asarray(values, dtype=float))
-        mean, inv, _constant = stats.kernel_stats(w)
-        self.x = stats.shifted
-        self.w = w
-        self.mean = mean
-        self.inv = inv
-        self.need_indices = need_indices
-        self.abandon = abandon
-        self.traced = traced
-
-
-def _sweep_one(context: _ShardContext, index: int, d_lo: int, d_hi: int):
-    """Sweep one shard; returns ``(swept, trace_records, registry_state)``.
-
-    ``swept`` is the kernel's ``(best, bestj, workspace_bytes)`` tuple,
-    or ``None`` when the shard's own early-abandon check fired.  The
-    shard is traced inside its own session so the records travel by
-    value; the span tree (``mpx.shard`` wrapping the kernel's
-    ``mpx.block`` spans, and ``mpx.chunk`` spans on the numpy backend)
-    is identical in-process and in a pool worker.
-    """
-    from .matrix_profile import _sweep
-    from ..obs import tracing_session
-
-    if not context.traced:
-        swept = _sweep(
-            context.x,
-            context.w,
-            d_lo,
-            context.mean,
-            context.inv,
-            need_indices=context.need_indices,
-            abandon=context.abandon,
-            diag_limit=d_hi - d_lo,
-        )
-        return swept, None, None
-    with tracing_session(enabled=True) as (tracer, registry):
-        with tracer.span("mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi) as span:
-            swept = _sweep(
-                context.x,
-                context.w,
-                d_lo,
-                context.mean,
-                context.inv,
-                need_indices=context.need_indices,
-                abandon=context.abandon,
-                diag_limit=d_hi - d_lo,
-                tracer=tracer,
-            )
-            if swept is None:
-                span.set(abandoned=True)
-        return swept, tracer.export(), registry.export_state()
-
-
-# -- process-pool plumbing --------------------------------------------
-
-_POOL_CONTEXT: "_ShardContext | None" = None
-
-
-def _pool_init(
-    values: np.ndarray,
-    w: int,
-    need_indices: bool,
-    abandon: "float | None",
-    traced: bool,
-) -> None:
-    """Pool initializer: build the shard context once per worker.
-
-    The series crosses the pipe once per *process* (initargs), not once
-    per shard, and the O(n) stats are recomputed locally — bit-equal to
-    the parent's because the stats pipeline is deterministic.
-    """
-    global _POOL_CONTEXT
-    _POOL_CONTEXT = _ShardContext(values, w, need_indices, abandon, traced)
-
-
-def _pool_sweep(task: "tuple[int, int, int]"):
-    index, d_lo, d_hi = task
-    return _sweep_one(_POOL_CONTEXT, index, d_lo, d_hi)
 
 
 def _merge(best, bestj, shard_best, shard_bestj) -> None:
@@ -239,9 +137,11 @@ def _merge(best, bestj, shard_best, shard_bestj) -> None:
 
 
 def sharded_sweep(
-    values: np.ndarray,
+    x: np.ndarray,
     w: int,
     exclusion: int,
+    mean: np.ndarray,
+    inv: np.ndarray,
     *,
     need_indices: bool,
     jobs: int,
@@ -251,46 +151,67 @@ def sharded_sweep(
 ) -> ShardOutcome:
     """Sweep every shard of the self-join and merge, in shard order.
 
-    ``jobs`` is the worker-process count; ``jobs=1`` runs the identical
-    shard plan in-process (no pool), which is what makes single- and
-    multi-process traces comparable span-for-span.  ``diag_stop``
-    restricts the sweep to separations below it (the anytime mode's
-    leading-diagonal window).
+    ``x``, ``mean`` and ``inv`` are the single sweep's inputs (the
+    mean-shifted series and its per-window stats).  ``jobs`` is the
+    thread count; ``jobs=1`` runs the identical shard plan on the
+    calling thread, which is what makes single- and multi-threaded
+    traces comparable span-for-span.  ``diag_stop`` restricts the sweep
+    to separations below it (the anytime mode's leading-diagonal
+    window).
 
-    The merged arrays are bit-identical to one serial
-    :func:`~repro.detectors.matrix_profile._diagonal_sweep` over the
-    same diagonal range, for every ``jobs``; see the module docstring
-    for why.
+    Every shard checks ``abandon`` against the true ``exclusion``: a
+    row whose pairs all lie in other shards keeps its -inf sentinel and
+    blocks the abandon, so a shard abandons only when the single sweep
+    would.  The merged arrays are bit-identical to one serial
+    :func:`~repro.detectors.matrix_profile._sweep` over the same
+    diagonal range, for every ``jobs``; see the module docstring for why.
     """
-    values = np.asarray(values, dtype=float)
-    m = values.size - w + 1
+    m = x.size - w + 1
     shards = plan_shards(m, exclusion, diag_stop=diag_stop)
     best = np.full(m, -np.inf)
     bestj = np.zeros(m, dtype=np.int64) if need_indices else None
     if not shards:
         return ShardOutcome(best, bestj, 0, False, [], shards)
+    shared = _Workspace()
+    inputs = _sweep_inputs(x, w, mean, inv, shared, _DIAG_BLOCK)
 
-    tasks = [(i, d_lo, d_hi) for i, (d_lo, d_hi) in enumerate(shards)]
-    if jobs > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(shards)),
-            initializer=_pool_init,
-            initargs=(values, w, need_indices, abandon, traced),
-        ) as pool:
-            outcomes = list(pool.map(_pool_sweep, tasks))
-    else:
-        context = _ShardContext(values, w, need_indices, abandon, traced)
-        outcomes = [_sweep_one(context, *task) for task in tasks]
+    def sweep_one(task):
+        index, (d_lo, d_hi) = task
+        options = dict(
+            need_indices=need_indices,
+            abandon=abandon,
+            start=d_lo,
+            diag_limit=d_hi - d_lo,
+            inputs=inputs,
+        )
+        if not traced:
+            return _sweep(x, w, exclusion, mean, inv, **options), None
+        tracer = Tracer()
+        with tracer.span("mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi) as span:
+            swept = _sweep(x, w, exclusion, mean, inv, tracer=tracer, **options)
+            if swept is None:
+                span.set(abandoned=True)
+        return swept, tracer.export()
 
-    workspace = 0
+    tasks = list(enumerate(shards))
+    threads = min(jobs, len(shards))
+    scratch = 0
     abandoned = False
-    exports = []
-    for swept, records, state in outcomes:
-        exports.append((records, state))
-        if swept is None:
-            abandoned = True
-            continue
-        shard_best, shard_bestj, shard_bytes = swept
-        workspace = max(workspace, shard_bytes)
-        _merge(best, bestj, shard_best, shard_bestj)
-    return ShardOutcome(best, bestj, workspace, abandoned, exports, shards)
+    traces = []
+    # jobs=1 (or one shard) sweeps on the calling thread; the pool's map
+    # yields in shard order, so the merge below never depends on timing
+    with (
+        ThreadPoolExecutor(threads, "mpx-shard") if threads > 1 else nullcontext()
+    ) as pool:
+        run = map if pool is None else pool.map
+        for swept, records in run(sweep_one, tasks):
+            traces.append(records)
+            if swept is None:
+                abandoned = True
+                continue
+            shard_best, shard_bestj, shard_bytes = swept
+            scratch = max(scratch, shard_bytes)
+            _merge(best, bestj, shard_best, shard_bestj)
+    return ShardOutcome(
+        best, bestj, shared.bytes + scratch, abandoned, traces, shards
+    )

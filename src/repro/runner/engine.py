@@ -21,7 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..detectors import DetectorSpec
+from ..detectors import (
+    DetectorSpec,
+    default_kernel_jobs,
+    set_default_kernel_jobs,
+)
 from ..obs import get_registry, get_tracer, tracing_session
 from ..scoring.ucr import UcrOutcome, UcrSummary, ucr_correct
 from ..types import Archive, LabeledSeries
@@ -197,22 +201,20 @@ class RunReport:
         )
 
 
-def _pool_worker_init() -> None:
+def _pool_worker_init(cap_kernel_jobs: bool) -> None:
     """Cap kernel parallelism inside engine pool workers.
 
-    ``--kernel-jobs`` travels to workers via ``REPRO_KERNEL_JOBS``
-    whatever their start method, but an engine already running ``--jobs``
-    cells in parallel must not let each cell open its own kernel pool —
-    that would oversubscribe the machine ``jobs × kernel_jobs`` ways.
-    Workers therefore cap an inherited kernel-jobs default to 1: the
-    sweep keeps its (jobs-independent) shard plan in-process, so
-    results and canonical traces stay identical to a ``--jobs 1`` run
-    where the kernel pool is allowed.  With no kernel-jobs default set
-    this is a no-op and cells keep the historical unsharded sweep.
+    An engine already running ``--jobs`` cells in parallel must not let
+    each cell shard its sweep across kernel threads — that would
+    oversubscribe the machine ``jobs × kernel_jobs`` ways.  When the
+    parent has a kernel-jobs default (``--kernel-jobs``),
+    ``cap_kernel_jobs`` is True and each worker sets it to 1, whatever
+    the start method: the sweep keeps its (jobs-independent) shard plan
+    on one thread, so results and canonical traces stay identical to a
+    ``--jobs 1`` run where the kernel threads are allowed.  Otherwise
+    cells keep the historical unsharded sweep.
     """
-    from ..detectors import default_kernel_jobs, set_default_kernel_jobs
-
-    if default_kernel_jobs() is not None:
+    if cap_kernel_jobs:
         set_default_kernel_jobs(1)
 
 
@@ -411,7 +413,9 @@ class EvalEngine:
         """
         order = sorted(pending, key=lambda index: -tasks[index][1].n)
         with ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_pool_worker_init
+            max_workers=self.jobs,
+            initializer=_pool_worker_init,
+            initargs=(default_kernel_jobs() is not None,),
         ) as pool:
             futures = {
                 index: pool.submit(worker, tasks[index]) for index in order

@@ -7,7 +7,7 @@ def numpy_backend():
 
     Kernel suites run each class twice: as written (the compiled kernel
     where a compiler is available) and as a ``…OnNumpy`` subclass
-    marked with this fixture.  Forked pool workers inherit the patch.
+    marked with this fixture.  Kernel-jobs threads see the patch too.
     Class-scoped, so hypothesis tests take it too.
     """
     from repro.detectors import native

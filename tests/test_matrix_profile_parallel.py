@@ -7,9 +7,9 @@ block-aligned (every float op inside a block is the op the serial
 sweep performs), the shard plan depends only on the problem shape, and
 shards merge in ascending diagonal order with a strict ``>`` that
 reproduces the serial first-occurrence tie rule.  ``jobs=1`` runs the
-identical shard plan in-process, so the cheap property sweeps below
-exercise planning + merge on every input family without paying pool
-start-up per hypothesis example; real multi-process pools are covered
+identical shard plan on the calling thread, so the cheap property
+sweeps below exercise planning + merge on every input family without
+starting threads per hypothesis example; real thread pools are covered
 by the smaller explicit grids.
 
 The anytime contract is an upper bound: ``approx=f`` sweeps a leading
@@ -19,7 +19,8 @@ sweep keeps the best-so-far of a subset of the same float candidates.
 Nested prefixes also make the bound pointwise monotone in coverage.
 """
 
-import os
+import concurrent.futures
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -94,8 +95,8 @@ class TestShardedEqualsSerial:
         self.check(values, 8, exclusion)
 
     def test_real_pools_across_families_and_jobs(self):
-        # genuine worker processes: jobs exceeding, equal to and below
-        # the shard count, odd and even windows
+        # genuine thread pools: jobs exceeding, equal to and below the
+        # shard count, odd and even windows
         for kind, w in (("walk", 64), ("spikes", 33), ("constant", 10)):
             values = make_family(kind, 3, 4000)
             self.check(values, w, jobs_values=(2, 3, 7))
@@ -133,6 +134,63 @@ class TestShardedEqualsSerial:
     def test_merlin_parallel_matches_serial(self):
         values = make_family("walk", 29, 2500)
         assert merlin(values, 16, 64, 4) == merlin(values, 16, 64, 4, jobs=2)
+
+
+class TestLateShardAbandonRegression:
+    """A shard used to check early abandonment with its first diagonal
+    as the exclusion zone, so rows whose only pairs lay in earlier
+    shards were skipped, and a late shard abandoned a search the single
+    sweep finishes."""
+
+    def test_late_shard_keeps_rows_paired_in_earlier_shards(self):
+        # a walk repeated at lag 2,482 around a free middle
+        # [1518, 2482): every row the last shard (which starts at
+        # diagonal 2482) can pair matches exactly there, while the free
+        # middle, whose pairs all lie in earlier shards, holds the discord
+        walk = np.cumsum(np.random.default_rng(1).standard_normal(2482))
+        values = np.concatenate([walk, walk[:1518]])
+        assert plan_shards(values.size - 50 + 1, 50)[-1][0] == 2482
+        serial = discord_search(values, 50, normalized_floor=0.01)
+        assert serial is not None and 1518 <= serial[0] < 2482
+        for jobs in (1, 2):
+            assert (
+                discord_search(values, 50, normalized_floor=0.01, jobs=jobs)
+                == serial
+            )
+
+
+class TestKernelJobsStartNoProcess:
+    """Kernel jobs are threads of the calling process."""
+
+    @pytest.fixture()
+    def no_processes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel jobs started a process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        # every start method's Process inherits this start()
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+    def test_entry_points(self, no_processes):
+        values = make_family("walk", 37, 3000)
+        base = matrix_profile(values, 40)
+        assert_bit_identical(base, matrix_profile(values, 40, jobs=2))
+        assert discord_search(values, 40, jobs=2) == discord_search(values, 40)
+        assert merlin(values, 16, 64, 4, jobs=2) == merlin(values, 16, 64, 4)
+
+    def test_served_refits(self, no_processes):
+        from repro.serve import StreamCluster
+
+        rng = np.random.default_rng(5)
+        with StreamCluster(num_shards=1) as cluster:
+            cluster.create_stream(
+                "t", "s", "matrix_profile(w=20, jobs=2)",
+                np.cumsum(rng.standard_normal(1000)),
+                window=3000, refit_every=40,
+            )
+            for _ in range(10):
+                cluster.append("t", "s", np.cumsum(rng.standard_normal(50)))
+            assert cluster.scores("t", "s")["total"] == 500
 
 
 class TestPlanShards:
@@ -251,19 +309,15 @@ class TestAnytime:
 
 
 class TestKernelJobsDefault:
-    def test_default_jobs_roundtrip_and_env(self, monkeypatch):
+    def test_default_jobs_roundtrip(self, monkeypatch):
         import importlib
 
         mp = importlib.import_module("repro.detectors.matrix_profile")
         monkeypatch.setattr(mp, "_default_kernel_jobs", None)
-        monkeypatch.delenv("REPRO_KERNEL_JOBS", raising=False)
         assert default_kernel_jobs() is None
-        monkeypatch.setenv("REPRO_KERNEL_JOBS", "3")
-        assert default_kernel_jobs() == 3
         set_default_kernel_jobs(2)
         try:
             assert default_kernel_jobs() == 2
-            assert os.environ["REPRO_KERNEL_JOBS"] == "2"
             values = make_family("walk", 13, 1500)
             base = matrix_profile(values, 30)
             # with a default installed, plain calls shard transparently
@@ -274,20 +328,14 @@ class TestKernelJobsDefault:
         finally:
             set_default_kernel_jobs(None)
         assert mp._default_kernel_jobs is None
-        assert "REPRO_KERNEL_JOBS" not in os.environ
 
     def test_set_default_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             set_default_kernel_jobs(0)
 
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_JOBS", "0")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_JOBS"):
-            default_kernel_jobs()
-
 
 class TestShardTraces:
-    """Sharded sweeps splice worker spans into the parent's trace."""
+    """Sharded sweeps splice each shard's spans into the caller's trace."""
 
     def run_traced(self, values, w, jobs):
         with tracing_session() as (tracer, registry):
@@ -330,5 +378,6 @@ class TestShardTraces:
 
 # the same properties on the numpy fallback sweep (tests/conftest.py)
 TestShardedEqualsSerialOnNumpy = on_numpy(TestShardedEqualsSerial)
+TestLateShardAbandonRegressionOnNumpy = on_numpy(TestLateShardAbandonRegression)
 TestAnytimeOnNumpy = on_numpy(TestAnytime)
 TestShardTracesOnNumpy = on_numpy(TestShardTraces)

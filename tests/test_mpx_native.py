@@ -459,6 +459,48 @@ class TestLoader:
         assert not (tmp_path / "repro").exists()
 
 
+# four threads released together onto an empty cache
+FIRST_CALLERS = """
+import json, threading, warnings
+from repro.detectors import native
+barrier = threading.Barrier(4)
+libraries = []
+def first_call():
+    barrier.wait(timeout=60)
+    libraries.append(native.load())
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    threads = [threading.Thread(target=first_call) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+print(json.dumps({
+    "finished": sum(not thread.is_alive() for thread in threads),
+    "libraries": len({id(library) for library in libraries}),
+    "backend": native.backend(),
+    "warnings": [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)],
+}))
+"""
+
+
+class TestConcurrentFirstCalls:
+    """Threads that call first together share the one load attempt."""
+
+    def test_one_warning_without_a_compiler(self, tmp_path):
+        got = run_python(FIRST_CALLERS, tmp_path, CC="false")
+        assert got["finished"] == 4 and got["backend"] == "numpy"
+        assert len(got["warnings"]) == 1
+
+    @needs_compiler
+    def test_one_library_with_a_compiler(self, tmp_path):
+        got = run_python(FIRST_CALLERS, tmp_path)
+        assert got["finished"] == 4 and got["backend"] == "compiled"
+        assert got["libraries"] == 1 and got["warnings"] == []
+        assert len(cache_files(tmp_path)) == 1
+
+
 class TestRefusedCacheDirectory:
     """A cache that others could write is never loaded from."""
 

@@ -7,13 +7,15 @@ dispatch policy (one cell per task, longest series first) is pinned
 through an in-process stand-in for the process pool.
 """
 
-from concurrent.futures import Future
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.runner.engine as engine_module
-from repro.detectors import DetectorSpec
+from repro.detectors import DetectorSpec, set_default_kernel_jobs
+from repro.obs import canonical_records, tracing_session
 from repro.runner import (
     EvalEngine,
     FractionalScoring,
@@ -166,9 +168,10 @@ class RecordingPool:
     Records each submission; a cell the engine cancels never runs.
     """
 
-    def __init__(self, max_workers=None, initializer=None):
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
         self.max_workers = max_workers
         self.initializer = initializer
+        self.initargs = initargs
         self.submitted = []
         self.futures = []
 
@@ -212,6 +215,8 @@ class TestPoolDispatch:
         [pool] = pools
         assert pool.max_workers == 2
         assert pool.initializer is engine_module._pool_worker_init
+        # no kernel-jobs default to cap
+        assert pool.initargs == (False,)
         assert all(len(args) == 1 for args in pool.submitted)
         submitted = [
             (spec.label, series.name) for (spec, series), in pool.submitted
@@ -267,6 +272,15 @@ class TestPoolDispatch:
             [False] * 4 + [True] * (len(order) - 4)
         )
 
+    def test_kernel_jobs_default_caps_the_workers(self, archive, pools):
+        set_default_kernel_jobs(2)
+        try:
+            EvalEngine(SPECS, jobs=2).run(archive)
+        finally:
+            set_default_kernel_jobs(None)
+        [pool] = pools
+        assert pool.initargs == (True,)
+
     @pytest.mark.parametrize(
         "jobs, specs, size", [(1, SPECS, 5), (2, SPECS[:1], 1)]
     )
@@ -292,6 +306,40 @@ class TestPoolDispatch:
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="too short"):
                 EvalEngine(spec, jobs=jobs).run(mixed)
+
+
+class TestKernelJobsInWorkers:
+    def run_traced(self, archive, jobs):
+        specs = [DetectorSpec.create("matrix_profile", w=40)]
+        set_default_kernel_jobs(2)
+        try:
+            with tracing_session() as (tracer, registry):
+                report = EvalEngine(specs, jobs=jobs).run(archive)
+                records = canonical_records(tracer.export())
+                metrics = registry.snapshot(histogram_values=False)
+        finally:
+            set_default_kernel_jobs(None)
+        # jobs is honest config, not nondeterminism; normalize it away
+        for record in records:
+            record["attrs"].pop("jobs", None)
+        return report, records, metrics
+
+    def test_spawned_workers_get_the_cap(self, archive, monkeypatch):
+        # a spawned worker inherits no module state: the cap reaches it
+        # through the pool's initargs alone, and its cells then sweep
+        # the serial run's shard plan on one thread
+        def spawning(**kwargs):
+            context = multiprocessing.get_context("spawn")
+            return ProcessPoolExecutor(mp_context=context, **kwargs)
+
+        serial, records_serial, metrics_serial = self.run_traced(archive, 1)
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", spawning)
+        pooled, records_pooled, metrics_pooled = self.run_traced(archive, 2)
+        assert pooled.manifest().to_json() == serial.manifest().to_json()
+        names = [record["name"] for record in records_serial]
+        assert names.count("mpx.shard") >= len(archive)
+        assert records_pooled == records_serial
+        assert metrics_pooled == metrics_serial
 
 
 class TestCacheIntegration:
