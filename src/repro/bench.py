@@ -207,12 +207,15 @@ def _run_kernel(quick, repeats, w):
         rows = min(_NAIVE_ROWS, num_subs)
         naive_slice = _timed(lambda: naive_profile(values, w, row_limit=rows), 1)
         naive = naive_slice * (num_subs / rows)
+        # the pairs of the self-join past the default exclusion zone w
+        pairs = (num_subs - w) * (num_subs - w + 1) // 2
         results.append(
             {
                 "n": n,
                 "w": w,
                 "num_subsequences": num_subs,
                 "mpx_seconds": mpx,
+                "mpx_pairs_per_second": _ratio(pairs, mpx),
                 # raw repeats: `bench compare` bootstraps these so a
                 # regression verdict carries a CI, not a point estimate
                 "mpx_seconds_runs": [round(run, 6) for run in mpx_runs],
@@ -229,7 +232,7 @@ def _run_kernel(quick, repeats, w):
 
 def _render_kernel(kernel):
     lines = [
-        f"{'kernel (w=%d)' % kernel['w']:<24} {'mpx':>9} "
+        f"{'kernel (w=%d)' % kernel['w']:<24} {'mpx':>9} {'pairs/s':>9} "
         f"{'naive':>10} {'vs naive':>9}"
     ]
     for row in kernel["results"]:
@@ -238,6 +241,7 @@ def _render_kernel(kernel):
         )
         lines.append(
             f"  n={row['n']:<20} {row['mpx_seconds']:>8.3f}s "
+            f"{row['mpx_pairs_per_second']:>9.2e} "
             f"{naive:>10} {row['speedup_vs_naive']:>8.1f}x"
         )
     if any(row["naive_estimated"] for row in kernel["results"]):

@@ -14,13 +14,14 @@
  * so the only scratch is s[block] (plus the column-side accumulators of
  * the indexed entry).
  *
- * The fast path has three bodies that give the same results: a scalar
- * loop, an SSE2 loop (two lanes) and an AVX2 loop (four lanes).  Each
- * lane does the scalar operations in the scalar order, with no FMA, so
- * the width cannot change a sum or a product; a maximum is exact in any
- * order, up to the sign of a zero.  mpx_block_max picks the widest body
- * this CPU runs, on every call (mpx_simd names it); the two vector
- * bodies exist on x86-64 only.  The vector code is written with GCC
+ * The fast path has bodies that give the same results: a scalar loop,
+ * and one vector loop (VECTOR_BODY) at two lanes (SSE2), four (AVX2)
+ * and eight (AVX-512F).  Each lane does the scalar operations in the
+ * scalar order, with no FMA, so the width cannot change a sum or a
+ * product; a maximum is exact in any order, up to the sign of a zero.
+ * mpx_block_max picks the widest body this CPU runs, on every call
+ * (mpx_simd names it); the vector bodies exist on x86-64 only, and the
+ * eight-lane one under GCC only.  The vector code is written with GCC
  * vector types and the x86 builtins, not <immintrin.h>, whose parsing
  * alone would take longer than the rest of the build.
  *
@@ -36,10 +37,11 @@
 #include <math.h>
 #include <stdint.h>
 
-/* np.maximum(a, c) */
+/* np.maximum(a, c): c > a ? c : a is one maxsd, and only the NaN test
+ * branches, the same way on every number */
 static inline double nan_max(double a, double c)
 {
-    return (a >= c || a != a) ? a : c;
+    return c != c ? c : (c > a ? c : a);
 }
 
 /* Rows [b, rows) of column i, one at a time, merged into row and bj.
@@ -80,119 +82,117 @@ void mpx_block_max_scalar(const double *dfp, const double *dgp,
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
+#if !defined(__clang__)
+#define HAVE_AVX512 1
+#endif
 typedef double v2d __attribute__((vector_size(16)));
 typedef double v4d __attribute__((vector_size(32)));
-typedef int64_t v2i __attribute__((vector_size(16)));
-typedef int64_t v4i __attribute__((vector_size(32)));
+typedef double v8d __attribute__((vector_size(64)));
 /* the same vectors in memory: unaligned, and allowed to alias double */
 typedef double v2d_u __attribute__((vector_size(16), aligned(8), may_alias));
 typedef double v4d_u __attribute__((vector_size(32), aligned(8), may_alias));
+typedef double v8d_u __attribute__((vector_size(64), aligned(8), may_alias));
 #define AT(type, p) (*(type *)(p))
 
-/* Both vector bodies step two vectors of rows at a time, with a row
- * accumulator each.  maxpd(x, a) is x > a ? x : a, which is
- * np.maximum(a, x) unless x is NaN; a NaN is flagged (cmpunord) and the
- * column's vector steps redone by the scalar rule. */
-void mpx_block_max_sse2(const double *dfp, const double *dgp,
-                        const double *invp, const double *c0, int64_t m,
-                        int64_t d, int64_t block, double *s, double *best)
+/* Per width: max(x, a) is maxpd, x > a ? x : a in each lane, which is
+ * np.maximum(a, x) unless x is NaN; unord(x, y) has a bit set for each
+ * lane where x or y is NaN; hmax(r) is the largest lane of an r that
+ * holds no NaN, by a tree of maxpd. */
+#define max2(x, a) __builtin_ia32_maxpd(x, a)
+#define unord2(x, y) __builtin_ia32_movmskpd(__builtin_ia32_cmpunordpd(x, y))
+static inline double hmax2(v2d r)
 {
-    const int64_t L = m - d;
-    for (int64_t i = 0; i < L; i++) {
-        const int64_t rows = L - i < block ? L - i : block;
-        const double fi = dfp[i], gi = dgp[i], ii = invp[i];
-        const double *fj = dfp + i + d, *gj = dgp + i + d, *ij = invp + i + d;
-        double *bj = best + i + d;
-        double row = -INFINITY;
-        int64_t b = 0;
-        if (i == 0)
-            for (int64_t k = 0; k < rows; k++)
-                s[k] = c0[d + k];
-        const v2d vf = {fi, fi}, vg = {gi, gi}, vi = {ii, ii};
-        v2d r0 = {-INFINITY, -INFINITY}, r1 = r0;
-        v2i nan = {0, 0};
-        for (; b + 4 <= rows; b += 4) {
-            v2d t0 = AT(v2d_u, s + b), t1 = AT(v2d_u, s + b + 2);
-            if (i) {
-                t0 += AT(v2d_u, gj + b) * vf + AT(v2d_u, fj + b) * vg;
-                t1 += AT(v2d_u, gj + b + 2) * vf + AT(v2d_u, fj + b + 2) * vg;
-                AT(v2d_u, s + b) = t0;
-                AT(v2d_u, s + b + 2) = t1;
-            }
-            const v2d x0 = (t0 * vi) * AT(v2d_u, ij + b);
-            const v2d x1 = (t1 * vi) * AT(v2d_u, ij + b + 2);
-            r0 = __builtin_ia32_maxpd(x0, r0);
-            r1 = __builtin_ia32_maxpd(x1, r1);
-            AT(v2d_u, bj + b) = __builtin_ia32_maxpd(x0, AT(v2d_u, bj + b));
-            AT(v2d_u, bj + b + 2) =
-                __builtin_ia32_maxpd(x1, AT(v2d_u, bj + b + 2));
-            nan |= (v2i)__builtin_ia32_cmpunordpd(x0, x1);
-        }
-        if (nan[0] | nan[1]) {
-            row = scalar_rows(fj, gj, ij, fi, gi, ii, 0, 0, b, s, bj, row);
-        } else {
-            const v2d r = __builtin_ia32_maxpd(r0, r1);
-            row = nan_max(r[0], r[1]);
-        }
-        row = scalar_rows(fj, gj, ij, fi, gi, ii, i > 0, b, rows, s, bj, row);
-        best[i] = nan_max(best[i], row);
-    }
+    return r[1] > r[0] ? r[1] : r[0];
 }
 
-/* The SSE2 body at four lanes: eight rows per step.  No "fma" in the
- * target, so no product is fused into an add here either. */
-__attribute__((target("avx2")))
-void mpx_block_max_avx2(const double *dfp, const double *dgp,
-                        const double *invp, const double *c0, int64_t m,
-                        int64_t d, int64_t block, double *s, double *best)
+#define max4(x, a) __builtin_ia32_maxpd256(x, a)
+#define unord4(x, y) \
+    __builtin_ia32_movmskpd256(__builtin_ia32_cmppd256(x, y, 3))
+__attribute__((target("avx"))) static inline double hmax4(v4d r)
 {
-    const int64_t L = m - d;
-    for (int64_t i = 0; i < L; i++) {
-        const int64_t rows = L - i < block ? L - i : block;
-        const double fi = dfp[i], gi = dgp[i], ii = invp[i];
-        const double *fj = dfp + i + d, *gj = dgp + i + d, *ij = invp + i + d;
-        double *bj = best + i + d;
-        double row = -INFINITY;
-        int64_t b = 0;
-        if (i == 0)
-            for (int64_t k = 0; k < rows; k++)
-                s[k] = c0[d + k];
-        const v4d vf = {fi, fi, fi, fi}, vg = {gi, gi, gi, gi};
-        const v4d vi = {ii, ii, ii, ii};
-        v4d r0 = {-INFINITY, -INFINITY, -INFINITY, -INFINITY}, r1 = r0;
-        v4i nan = {0, 0, 0, 0};
-        for (; b + 8 <= rows; b += 8) {
-            v4d t0 = AT(v4d_u, s + b), t1 = AT(v4d_u, s + b + 4);
-            if (i) {
-                t0 += AT(v4d_u, gj + b) * vf + AT(v4d_u, fj + b) * vg;
-                t1 += AT(v4d_u, gj + b + 4) * vf + AT(v4d_u, fj + b + 4) * vg;
-                AT(v4d_u, s + b) = t0;
-                AT(v4d_u, s + b + 4) = t1;
-            }
-            const v4d x0 = (t0 * vi) * AT(v4d_u, ij + b);
-            const v4d x1 = (t1 * vi) * AT(v4d_u, ij + b + 4);
-            r0 = __builtin_ia32_maxpd256(x0, r0);
-            r1 = __builtin_ia32_maxpd256(x1, r1);
-            AT(v4d_u, bj + b) = __builtin_ia32_maxpd256(x0, AT(v4d_u, bj + b));
-            AT(v4d_u, bj + b + 4) =
-                __builtin_ia32_maxpd256(x1, AT(v4d_u, bj + b + 4));
-            nan |= (v4i)__builtin_ia32_cmppd256(x0, x1, 3 /* unordered */);
-        }
-        if (nan[0] | nan[1] | nan[2] | nan[3]) {
-            row = scalar_rows(fj, gj, ij, fi, gi, ii, 0, 0, b, s, bj, row);
-        } else {
-            const v4d r = __builtin_ia32_maxpd256(r0, r1);
-            row = nan_max(nan_max(r[0], r[1]), nan_max(r[2], r[3]));
-        }
-        row = scalar_rows(fj, gj, ij, fi, gi, ii, i > 0, b, rows, s, bj, row);
-        best[i] = nan_max(best[i], row);
-    }
+    const v2d lo = {r[0], r[1]}, hi = {r[2], r[3]};
+    return hmax2(max2(lo, hi));
+}
+
+#ifdef HAVE_AVX512
+/* GCC's masked builtins (all lanes, current rounding); clang spells
+ * them otherwise, so a clang build has no eight-lane body */
+#define max8(x, a) __builtin_ia32_maxpd512_mask(x, a, x, 0xff, 4)
+#define unord8(x, y) __builtin_ia32_cmppd512_mask(x, y, 3, 0xff, 4)
+__attribute__((target("avx512f"))) static inline double hmax8(v8d r)
+{
+    const v4d lo = {r[0], r[1], r[2], r[3]}, hi = {r[4], r[5], r[6], r[7]};
+    return hmax4(max4(lo, hi));
 }
 #endif
 
-/* The body mpx_block_max runs on this CPU: "avx2", "sse2" or "scalar". */
+/* The vector fast path at N lanes, mpx_block_max_<isa>, on the helpers
+ * of that width: two vectors of rows per step, with a row accumulator
+ * each.  A NaN in a step is flagged, and the column's vector steps are
+ * redone by the scalar rule; otherwise the column's row maximum is one
+ * hmax tree, with no branch on the data. */
+#define VECTOR_BODY(isa, N)                                                \
+    void mpx_block_max_##isa(const double *dfp, const double *dgp,        \
+                             const double *invp, const double *c0,        \
+                             int64_t m, int64_t d, int64_t block,         \
+                             double *s, double *best)                     \
+    {                                                                      \
+        typedef v##N##d V;                                                 \
+        typedef v##N##d_u VU;                                              \
+        const int64_t L = m - d;                                           \
+        for (int64_t i = 0; i < L; i++) {                                  \
+            const int64_t rows = L - i < block ? L - i : block;            \
+            const double fi = dfp[i], gi = dgp[i], ii = invp[i];           \
+            const double *fj = dfp + i + d, *gj = dgp + i + d;             \
+            const double *ij = invp + i + d;                               \
+            double *bj = best + i + d;                                     \
+            if (i == 0)                                                    \
+                for (int64_t k = 0; k < rows; k++)                         \
+                    s[k] = c0[d + k];                                      \
+            V r0 = (V){0} - INFINITY, r1 = r0;                             \
+            int nan = 0;                                                   \
+            int64_t b = 0;                                                 \
+            for (; b + 2 * N <= rows; b += 2 * N) {                        \
+                V t0 = AT(VU, s + b), t1 = AT(VU, s + b + N);              \
+                if (i) {                                                   \
+                    t0 += AT(VU, gj + b) * fi + AT(VU, fj + b) * gi;       \
+                    t1 += AT(VU, gj + b + N) * fi + AT(VU, fj + b + N) * gi; \
+                    AT(VU, s + b) = t0;                                    \
+                    AT(VU, s + b + N) = t1;                                \
+                }                                                          \
+                const V x0 = (t0 * ii) * AT(VU, ij + b);                   \
+                const V x1 = (t1 * ii) * AT(VU, ij + b + N);               \
+                r0 = max##N(x0, r0);                                       \
+                r1 = max##N(x1, r1);                                       \
+                AT(VU, bj + b) = max##N(x0, AT(VU, bj + b));               \
+                AT(VU, bj + b + N) = max##N(x1, AT(VU, bj + b + N));       \
+                nan |= unord##N(x0, x1);                                   \
+            }                                                              \
+            double row = nan ? scalar_rows(fj, gj, ij, fi, gi, ii, 0, 0, b, \
+                                           s, bj, -INFINITY)               \
+                             : hmax##N(max##N(r0, r1));                    \
+            row = scalar_rows(fj, gj, ij, fi, gi, ii, i > 0, b, rows, s,   \
+                              bj, row);                                    \
+            best[i] = nan_max(best[i], row);                               \
+        }                                                                  \
+    }
+
+VECTOR_BODY(sse2, 2)
+/* no "fma" in a target, so no product is fused into an add here either */
+__attribute__((target("avx2"))) VECTOR_BODY(avx2, 4)
+#ifdef HAVE_AVX512
+__attribute__((target("avx512f"))) VECTOR_BODY(avx512, 8)
+#endif
+#endif
+
+/* The body mpx_block_max runs on this CPU: "avx512", "avx2", "sse2" or
+ * "scalar". */
 const char *mpx_simd(void)
 {
+#ifdef HAVE_AVX512
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512";
+#endif
 #if defined(__x86_64__) && defined(__GNUC__)
     return __builtin_cpu_supports("avx2") ? "avx2" : "sse2";
 #else
@@ -205,6 +205,11 @@ void mpx_block_max(const double *dfp, const double *dgp, const double *invp,
                    const double *c0, int64_t m, int64_t d, int64_t block,
                    double *s, double *best)
 {
+#ifdef HAVE_AVX512
+    if (__builtin_cpu_supports("avx512f"))
+        mpx_block_max_avx512(dfp, dgp, invp, c0, m, d, block, s, best);
+    else
+#endif
 #if defined(__x86_64__) && defined(__GNUC__)
     if (__builtin_cpu_supports("avx2"))
         mpx_block_max_avx2(dfp, dgp, invp, c0, m, d, block, s, best);

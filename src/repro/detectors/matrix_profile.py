@@ -35,9 +35,10 @@ Where a C compiler is available, each block is swept by the compiled
 kernel in ``_mpx.c`` instead (built on first use and loaded by
 :mod:`repro.detectors.native`): the same additions in the same order,
 O(m) scratch with no tiles, bit-identical profiles and indices, about
-eight times the pairs per second of the numpy sweep on one core.  The
-numpy sweep stays as the fallback and as the tests' oracle; ``_sweep``
-picks between them.
+twenty times the pairs per second of the numpy sweep on one core
+without indices (n = 30,000, w = 100, the AVX-512 body).  The numpy
+sweep stays as the fallback and as the tests' oracle; ``_sweep`` picks
+between them.
 
 Exactly-constant windows have no z-normalization; they are fixed up in a
 vectorized post-pass with the same convention as before: distance 0
@@ -73,6 +74,12 @@ __all__ = [
 
 # diagonals per kernel block, large enough to amortize numpy dispatch
 _DIAG_BLOCK = 128
+# diagonals per call of the compiled fast path (no indices, no abandon):
+# each column's loads and row reduction then serve four times the rows.
+# Where blocks split cannot change a maximum, but it decides which of two
+# equal neighbours an index names and where an abandoning sweep stops,
+# so those sweeps keep _DIAG_BLOCK
+_FAST_BLOCK = 512
 _ELEM = np.dtype(float).itemsize
 # columns per tile of the numpy sweep's block buffers (_diagonal_sweep),
 # so its working set is O(block · _CHUNK) on top of the O(n) recurrence
@@ -564,8 +571,11 @@ def _compiled_sweep(
     Same inputs, same block loop (``mpx.block`` spans, the per-block
     ``abandon`` check, ``diag_limit``, ``start``) and bit-identical
     results; the kernel needs O(m) scratch, so there are no column
-    chunks to tile.  The block call releases the GIL, so shards on
-    threads sweep at once.
+    chunks to tile.  The fast path (no indices, no ``abandon``) steps
+    ``_FAST_BLOCK`` diagonals per call, up to the numpy sweep's stop:
+    ``diag_limit`` rounded up to a whole number of ``block``-diagonal
+    blocks.  The block call releases the GIL, so shards on threads
+    sweep at once.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -577,8 +587,9 @@ def _compiled_sweep(
     if inputs is None:
         inputs = _sweep_inputs(x, w, mean, inv, ws, block)
     dfp, dgp, invp, c0 = inputs
+    step = _FAST_BLOCK if not need_indices and abandon is None else block
     L0 = m - first
-    sums = ws.empty(min(block, L0))
+    sums = ws.empty(min(step, L0))
     head = (dfp.ctypes.data, dgp.ctypes.data, invp.ctypes.data, c0.ctypes.data)
     if need_indices:
         colval = ws.empty(L0)
@@ -590,9 +601,11 @@ def _compiled_sweep(
         tail = (sums.ctypes.data, best.ctypes.data)
         kernel = lib.mpx_block_max
 
-    stop = m if diag_limit is None else min(m, first + int(diag_limit))
-    for d in range(first, stop, block):
-        B = min(block, m - d)
+    stop = m
+    if diag_limit is not None:
+        stop = min(m, first + block * ((int(diag_limit) + block - 1) // block))
+    for d in range(first, stop, step):
+        B = min(step, stop - d)
         if tracer is not None:
             block_span = tracer.start_span("mpx.block", d=d, rows=B)
         kernel(*head, m, d, B, *tail)
@@ -841,8 +854,9 @@ def matrix_profile(
     :class:`SlidingStats` via ``stats`` to amortize the prefix sums
     across several window lengths (MERLIN does); pass
     ``with_indices=False`` to skip neighbour-index tracking when only
-    the distances matter — that is the detector fast path, roughly a
-    third faster.  The sweep's scratch is reported, exactly, as
+    the distances matter — that is the detector fast path, about eight
+    times faster on the compiled kernel (0.18 s against 1.56 s at
+    n = 30,000, w = 100).  The sweep's scratch is reported, exactly, as
     :attr:`MatrixProfileResult.workspace_bytes`: O(n) on the compiled
     kernel, O(n) plus one fixed tile on numpy.
 

@@ -5,12 +5,12 @@
 ``${XDG_CACHE_HOME:-~/.cache}/repro/mpx-<digest>.so``.  The digest
 covers the source, the flags and the machine, so an edited kernel or
 another architecture never loads a stale library.  Nothing happens at
-import: the first sweep pays one compile (about 0.26 s on a 2-vCPU
+import: the first sweep pays one compile (about 0.36 s on a 2-vCPU
 x86-64 host), and every later process only loads the cached file.
 
 The library picks the widest body of its fast sweep that the CPU runs
-(AVX2, else SSE2 on x86-64, else scalar) inside each call, and
-:func:`simd` names it; nothing here chooses one.
+(AVX-512F, else AVX2, else SSE2 on x86-64, else scalar) inside each
+call, and :func:`simd` names it; nothing here chooses one.
 
 The build writes a temporary file in the cache directory and moves it
 into place with :func:`os.replace`, so processes that start together
@@ -22,7 +22,7 @@ not load (truncated, say) is rebuilt once.
 When no library can be had — no compiler, a refused directory, a failed
 build — :func:`load` returns ``None``, the kernel falls back to the
 numpy sweep (same results; ``repro run`` over an archive of discord
-detectors is about fourteen times slower), and one ``RuntimeWarning`` per
+detectors is about twenty times slower), and one ``RuntimeWarning`` per
 process names the reason.
 """
 
@@ -125,9 +125,11 @@ def _open(path: Path):
     lib = ctypes.CDLL(str(path))
     double_p, int64 = ctypes.c_void_p, ctypes.c_int64
     head = [double_p] * 4 + [int64] * 3
-    # each fast body under its own name too; sse2 and avx2 are x86-64 only
+    # each fast body under its own name too; the vector ones are x86-64
+    # only, and avx512 needs GCC
     for name in ("mpx_block_max", "mpx_block_max_scalar",
-                 "mpx_block_max_sse2", "mpx_block_max_avx2"):
+                 "mpx_block_max_sse2", "mpx_block_max_avx2",
+                 "mpx_block_max_avx512"):
         if hasattr(lib, name):
             entry = getattr(lib, name)
             entry.argtypes = head + [double_p] * 2
@@ -175,7 +177,7 @@ def load():
                 _library = None
                 warnings.warn(
                     f"compiled mpx kernel unavailable ({exc}); sweeping "
-                    f"with numpy: same results, about fourteen times slower",
+                    f"with numpy: same results, about twenty times slower",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -188,7 +190,7 @@ def backend() -> str:
 
 
 def simd() -> str | None:
-    """The fast sweep's body on this CPU: ``"avx2"``, ``"sse2"`` or
-    ``"scalar"``; ``None`` on the numpy fallback."""
+    """The fast sweep's body on this CPU: ``"avx512"``, ``"avx2"``,
+    ``"sse2"`` or ``"scalar"``; ``None`` on the numpy fallback."""
     lib = load()
     return None if lib is None else lib.mpx_simd().decode()

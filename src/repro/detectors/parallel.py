@@ -16,7 +16,10 @@ single-sweep kernel for every ``jobs`` value:
   kernel block size past the exclusion zone, so a shard's internal
   block starts coincide exactly with the serial sweep's.  Every float
   op inside a block is then the same op the serial sweep performs, the
-  numpy sweep's fixed column tiles included.
+  numpy sweep's fixed column tiles included.  (The compiled fast path
+  steps 512 diagonals, so there a shard may start inside a serial
+  block; each diagonal's sums are the same ops either way, and a
+  max-only result does not depend on the grouping.)
 * **Jobs-independent planning.**  :func:`plan_shards` derives the
   partition from the problem shape alone (never from ``jobs``), so the
   shard list — and therefore the merge order, the spans each shard

@@ -33,8 +33,8 @@ def on_numpy(cls):
 
 def on_body(cls, body: str):
     """``cls`` as a ``…On<Body>`` subclass that takes ``compiled_body``:
-    its fast sweeps run the compiled ``body`` (``"scalar"``, ``"sse2"``
-    or ``"avx2"``) whatever the dispatcher would pick."""
+    its fast sweeps run the compiled ``body`` (``"scalar"``, ``"sse2"``,
+    ``"avx2"`` or ``"avx512"``) whatever the dispatcher would pick."""
     return _twin(
         cls, f"On{body.capitalize()}", "compiled_body",
         f"{cls.__name__} on the compiled {body} body.", body=body,

@@ -33,6 +33,9 @@ class TestRunBench:
         assert row["naive_rows_timed"] == 64
         assert row["naive_estimated"] is True
         assert row["mpx_seconds"] > 0
+        past_exclusion = row["num_subsequences"] - row["w"]
+        pairs = past_exclusion * (past_exclusion + 1) // 2
+        assert row["mpx_pairs_per_second"] == pairs / row["mpx_seconds"]
         assert row["speedup_vs_naive"] > 1
         assert report["checks"] == {
             "kernel_speedup_vs_naive": row["speedup_vs_naive"]
@@ -346,4 +349,6 @@ class TestOutput:
         text = format_bench(report)
         assert "kernel" in text
         assert "n=512" in text
+        rate = report["sections"]["kernel"]["results"][0]["mpx_pairs_per_second"]
+        assert "pairs/s" in text and f"{rate:.2e}" in text
         assert "extrapolated" in text

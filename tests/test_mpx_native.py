@@ -4,10 +4,11 @@ The compiled sweep must equal the numpy sweep it replaces — running
 maxima in value (the sign of a zero aside, see ``assert_same_sweep``),
 neighbour indices and finalized profiles bit for bit — on every input
 family the kernel suites use, exact ties and NaN included, and so must
-each body of the fast path (scalar, SSE2, AVX2) that this CPU can
-execute.  The numpy sweep stays as the fallback and as the oracle here.  The loader tests run in fresh
-interpreters with their own ``XDG_CACHE_HOME``, so nothing here touches
-the user's cache or the library this process loaded.
+each body of the fast path (scalar, SSE2, AVX2, AVX-512) that this CPU
+can execute.  The numpy sweep stays as the fallback and as the oracle
+here.  The loader tests run in fresh interpreters with their own
+``XDG_CACHE_HOME``, so nothing here touches the user's cache or the
+library this process loaded.
 """
 
 import importlib
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro import bench
 from repro.bench import _run_obs
 from repro.detectors import SlidingStats, matrix_profile, native
+from repro.detectors.parallel import plan_shards
 from repro.obs import Tracer, tracing_session
 
 from kernel_backends import on_body
@@ -98,7 +100,8 @@ def compiled_workspace(m: int, exclusion: int, need_indices: bool) -> int:
     if exclusion >= m:
         return total
     total += 3 * (m + 128) * 8 + 2 * m * 8  # dfp, dgp, invp; c0 + anchor
-    total += min(128, m - exclusion) * 8  # one running sum per block row
+    # one running sum per block row: the fast path steps 512 diagonals
+    total += min(128 if need_indices else 512, m - exclusion) * 8
     if need_indices:
         total += (m - exclusion) * 16  # column-side values and indices
     return total
@@ -184,16 +187,36 @@ class TestCompiledEqualsNumpy:
     @given(
         st.sampled_from(FAMILIES),
         st.integers(0, 2**16),
-        st.integers(1, 400),
+        # 1,383 diagonals: the fast path's 512-diagonal blocks end past,
+        # at and short of the numpy sweep's 128-block stop
+        st.one_of(
+            st.integers(1, 1400),
+            st.sampled_from([1, 127, 128, 129, 511, 512, 513, 1024, 1025]),
+        ),
         st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_property_diag_limit(self, kind, seed, diag_limit, need_indices):
-        values = family(kind, seed, 700)
+        values = family(kind, seed, 1400)
         numpy_swept, compiled_swept = self.both(
             values, 9, 9, need_indices=need_indices, diag_limit=diag_limit
         )
         assert_same_sweep(numpy_swept, compiled_swept, need_indices)
+
+    def test_shards_off_the_wide_blocks_equal_the_serial_sweep(self):
+        # shard bounds fall on the 128-diagonal grid, so most start
+        # inside one of the serial fast sweep's 512-diagonal blocks
+        values = family("walk", 11, 4000)
+        w, m = 50, 4000 - 50 + 1
+        starts = [lo - w for lo, _ in plan_shards(m, w)[1:]]
+        assert starts and all(start % 128 == 0 for start in starts)
+        assert any(start % 512 for start in starts)
+        serial = matrix_profile(values, w, with_indices=False)
+        sharded = matrix_profile(values, w, with_indices=False, jobs=2)
+        assert sharded.shards == len(starts) + 1
+        np.testing.assert_array_equal(
+            sharded.profile.view(np.uint64), serial.profile.view(np.uint64)
+        )
 
     @given(
         st.sampled_from(["walk", "spikes", "periodic", "binary"]),
@@ -274,29 +297,46 @@ class TestCompiledEqualsNumpy:
 TestCompiledEqualsNumpyOnScalar = on_body(TestCompiledEqualsNumpy, "scalar")
 TestCompiledEqualsNumpyOnSse2 = on_body(TestCompiledEqualsNumpy, "sse2")
 TestCompiledEqualsNumpyOnAvx2 = on_body(TestCompiledEqualsNumpy, "avx2")
+TestCompiledEqualsNumpyOnAvx512 = on_body(TestCompiledEqualsNumpy, "avx512")
+
+
+def x86_flags() -> "set[str]":
+    """The CPU's flags from /proc/cpuinfo; skips off Linux and off x86."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo")
+    flags = {
+        flag
+        for line in cpuinfo.splitlines()
+        if line.startswith("flags")
+        for flag in line.split(":", 1)[1].split()
+    }
+    if "sse2" not in flags:
+        pytest.skip("not an x86 CPU")
+    return flags
 
 
 @needs_compiler
 class TestSimdQuery:
     def test_the_named_body_is_exported(self):
         body = native.simd()
-        assert body in ("avx2", "sse2", "scalar")
+        assert body in ("avx512", "avx2", "sse2", "scalar")
         assert hasattr(native.load(), f"mpx_block_max_{body}")
 
+    def test_avx512_exactly_when_the_cpu_reports_it(self):
+        flags = x86_flags()
+        if not hasattr(native.load(), "mpx_block_max_avx512"):
+            pytest.skip("no compiled avx512 body in this build")
+        assert (native.simd() == "avx512") == ("avx512f" in flags)
+
     def test_avx2_exactly_when_the_cpu_reports_it(self):
-        try:
-            cpuinfo = Path("/proc/cpuinfo").read_text()
-        except OSError:
-            pytest.skip("no /proc/cpuinfo")
-        flags = {
-            flag
-            for line in cpuinfo.splitlines()
-            if line.startswith("flags")
-            for flag in line.split(":", 1)[1].split()
-        }
-        if "sse2" not in flags:
-            pytest.skip("not an x86 CPU")
-        assert (native.simd() == "avx2") == ("avx2" in flags)
+        # below AVX-512, AVX2 exactly when the CPU lists it
+        flags = x86_flags()
+        if native.simd() == "avx512":
+            assert "avx2" in flags
+        else:
+            assert (native.simd() == "avx2") == ("avx2" in flags)
 
 
 class TestFallbackFixture:

@@ -83,6 +83,7 @@ class TestDirection:
         "path,expected",
         [
             ("kernel.results[0].mpx_seconds", -1),
+            ("kernel.results[0].mpx_pairs_per_second", +1),
             ("serve.append_p99_ms", -1),
             ("obs.span_enabled_ns", -1),
             ("scaling.results[0].tracemalloc_peak_bytes", -1),
@@ -192,6 +193,21 @@ class TestTrajectoryLoading:
 
 
 class TestTheGate:
+    def test_a_metric_the_baseline_lacks_is_not_judged(self):
+        # BENCH_10 predates the kernel rows' mpx_pairs_per_second
+        baseline = next(
+            point["report"]
+            for point in load_trajectory("benchmarks/perf")
+            if point["trajectory"] == 10
+        )
+        fresh = json.loads(json.dumps(baseline))
+        for row in fresh["sections"]["kernel"]["results"]:
+            row["mpx_pairs_per_second"] = 1e9
+        verdict = compare_reports(fresh, baseline)
+        judged = [row["path"] for row in verdict["metrics"]]
+        assert "kernel.results[0].mpx_seconds" in judged
+        assert not any("mpx_pairs_per_second" in path for path in judged)
+
     def test_unmodified_rerun_is_within_noise(self):
         baseline = make_report(mpx=1.0, runs=[1.0, 1.01, 0.99])
         fresh = make_report(mpx=1.01, runs=[1.01, 1.0, 1.02])
