@@ -64,7 +64,5 @@ def main() -> None:
     )
 
 
-# ProcessPoolExecutor (jobs=2) needs the import guard: on spawn-based
-# platforms workers re-import __main__, which must not re-run the demo
 if __name__ == "__main__":
     main()

@@ -116,9 +116,9 @@ def _add_archive_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="shard every batch matrix-profile sweep across N threads "
-        "(bit-identical profiles and indices; engine --jobs workers cap "
-        "this to 1 to avoid oversubscription; default: one unsharded "
-        "sweep)",
+        "(bit-identical profiles and indices; cells on engine --jobs "
+        "threads cap this to 1 to avoid oversubscription; default: one "
+        "unsharded sweep)",
     )
     _add_format_option(parser)
 
@@ -128,7 +128,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for uncached cells (default: 1, serial)",
+        help="threads for uncached cells, all in this process "
+        "(default: 1, serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -707,13 +708,12 @@ def _cmd_build_archive(args) -> int:
 def _open_archive(args):
     """The start-up ``score``, ``run`` and ``stream`` share.
 
-    Installs ``--kernel-jobs`` as the process-wide kernel default
-    before any engine builds its worker pool; the engine passes each
-    pool worker the cap to 1, so engine-level and kernel-level
-    parallelism do not multiply.  Then loads the archive and validates
-    the line-up by building every spec: an unknown registry name or
-    parameters a detector refuses must not escape as a traceback, so
-    print what went wrong plus the available names.  Returns
+    Installs ``--kernel-jobs`` as the process-wide kernel default; the
+    engine's cell threads read it as 1, so engine-level and
+    kernel-level parallelism do not multiply.  Then loads the archive
+    and validates the line-up by building every spec: an unknown
+    registry name or parameters a detector refuses must not escape as a
+    traceback, so print what went wrong plus the available names.  Returns
     ``(archive, specs)``, or the exit code after its message: 2 for a
     bad line-up, 1 for a directory without archive files.
     """

@@ -15,6 +15,7 @@ from .matrix_profile import (
     ApproxReport,
     MatrixProfileDetector,
     MatrixProfileResult,
+    bind_cell_thread,
     default_kernel_jobs,
     discord_search,
     discords,
@@ -70,6 +71,7 @@ __all__ = [
     "sliding_min",
     "set_default_kernel_jobs",
     "default_kernel_jobs",
+    "bind_cell_thread",
     "naive_profile",
     "stomp_profile",
     "merlin",

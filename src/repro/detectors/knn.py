@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Detector
-from .matrix_profile import subsequence_to_point_scores
+from .matrix_profile import (
+    _cell_thread,
+    _check_stop,
+    subsequence_to_point_scores,
+)
 
 __all__ = ["KnnDistanceDetector"]
 
@@ -83,7 +87,10 @@ class KnnDistanceDetector(Detector):
         ref_sq = self._train_sq
         kth = min(self.k, reference.shape[0]) - 1
         distances = np.empty(queries.shape[0])
+        stop = _cell_thread.stop
         for start in range(0, queries.shape[0], self.chunk):
+            # on an engine cell thread, a run that unwound ends the cell
+            _check_stop(stop)
             block = queries[start : start + self.chunk]
             block_sq = np.einsum("ij,ij->i", block, block)
             sq = block_sq[:, None] + ref_sq[None, :] - 2.0 * block @ reference.T

@@ -48,6 +48,7 @@ non-constant window.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ __all__ = [
     "MatrixProfileDetector",
     "set_default_kernel_jobs",
     "default_kernel_jobs",
+    "bind_cell_thread",
+    "SweepStopped",
 ]
 
 # diagonals per kernel block, large enough to amortize numpy dispatch
@@ -92,16 +95,31 @@ _CHUNK = 4096
 
 
 # process-wide default for matrix_profile(..., jobs=), installed by
-# `repro ... --kernel-jobs`; evaluation-engine workers set it to 1
+# `repro ... --kernel-jobs`; evaluation-engine cell threads read it as 1
 _default_kernel_jobs: int | None = None
+
+
+class _CellThread(threading.local):
+    """Per-thread: the stop flag of the engine run whose cells this
+    thread runs (set by :func:`bind_cell_thread`), else ``None``."""
+
+    stop: "threading.Event | None" = None
+
+
+_cell_thread = _CellThread()
+
+
+class SweepStopped(RuntimeError):
+    """A sweep (or a ``knn`` score) on an engine cell thread saw its
+    engine's stop flag."""
 
 
 def set_default_kernel_jobs(jobs: "int | None") -> None:
     """Set the process-wide default for ``matrix_profile(..., jobs=)``.
 
     ``None`` removes the default (sweeps stay single and unsharded).
-    The evaluation engine's pool initializer sets 1 in its workers when
-    the parent has a default, so engine parallelism and kernel threads
+    The evaluation engine's cell threads read a set default as 1 (see
+    :func:`bind_cell_thread`), so engine parallelism and kernel threads
     never multiply.
     """
     global _default_kernel_jobs
@@ -113,8 +131,36 @@ def set_default_kernel_jobs(jobs: "int | None") -> None:
 
 
 def default_kernel_jobs() -> "int | None":
-    """The active default kernel jobs, or ``None``."""
-    return _default_kernel_jobs
+    """The default kernel jobs the calling thread reads, or ``None``.
+
+    On an engine cell thread a set default reads as 1; every other
+    thread reads the value :func:`set_default_kernel_jobs` installed.
+    """
+    jobs = _default_kernel_jobs
+    if jobs is not None and _cell_thread.stop is not None:
+        return 1
+    return jobs
+
+
+def bind_cell_thread(stop: threading.Event) -> None:
+    """Make the calling thread one of an evaluation engine's cell threads.
+
+    For as long as the thread lives, two things change on it alone:
+
+    * a kernel-jobs default reads as 1.  The engine already runs
+      ``--jobs`` cells at once, and ``jobs × kernel_jobs`` sweeps would
+      oversubscribe the machine.  The sweep keeps its jobs-independent
+      shard plan on the one thread, so results and canonical traces
+      equal a serial engine's, where the kernel threads are allowed;
+    * every sweep it starts, and each shard of it, raises
+      :class:`SweepStopped` at its next diagonal block once ``stop`` is
+      set, and so does a ``knn`` score at its next chunk of query
+      windows.  The engine sets it when its run unwinds (a cell raised,
+      or Ctrl-C), so the run does not wait for work nobody will read.
+
+    The engine's ``ThreadPoolExecutor`` calls this as its initializer.
+    """
+    _cell_thread.stop = stop
 
 
 def sliding_dot_products(query: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -362,6 +408,12 @@ def _sweep_inputs(
     return dfp, dgp, invp, c0
 
 
+def _check_stop(stop: "threading.Event | None") -> None:
+    """Raise :class:`SweepStopped` once an engine's stop flag is set."""
+    if stop is not None and stop.is_set():
+        raise SweepStopped("the engine run this sweep belongs to has stopped")
+
+
 def _diagonal_sweep(
     x: np.ndarray,
     w: int,
@@ -377,6 +429,7 @@ def _diagonal_sweep(
     tracer=None,
     start: int | None = None,
     inputs=None,
+    stop: "threading.Event | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """mpx diagonal traversal over the (mean-shifted) series ``x``.
 
@@ -417,6 +470,10 @@ def _diagonal_sweep(
     and not counted here) are how :mod:`repro.detectors.parallel`
     sweeps one shard.  The abandon check reads ``exclusion`` whatever
     ``start`` is, so a row paired only below ``start`` blocks it.
+
+    ``stop`` is an engine cell thread's stop flag (see
+    :func:`bind_cell_thread`): once it is set, the next block raises
+    :class:`SweepStopped` instead of sweeping.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -446,8 +503,9 @@ def _diagonal_sweep(
         colarg = ws.empty(L0, dtype=np.intp)
         idx = ws.arange(m)
 
-    stop = m if diag_limit is None else min(m, first + int(diag_limit))
-    for d in range(first, stop, block):
+    end = m if diag_limit is None else min(m, first + int(diag_limit))
+    for d in range(first, end, block):
+        _check_stop(stop)
         B = min(block, m - d)
         L = m - d
         if tracer is not None:
@@ -565,17 +623,18 @@ def _compiled_sweep(
     tracer=None,
     start: int | None = None,
     inputs=None,
+    stop: "threading.Event | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """:func:`_diagonal_sweep` with each block swept by the C kernel.
 
     Same inputs, same block loop (``mpx.block`` spans, the per-block
-    ``abandon`` check, ``diag_limit``, ``start``) and bit-identical
-    results; the kernel needs O(m) scratch, so there are no column
-    chunks to tile.  The fast path (no indices, no ``abandon``) steps
-    ``_FAST_BLOCK`` diagonals per call, up to the numpy sweep's stop:
-    ``diag_limit`` rounded up to a whole number of ``block``-diagonal
-    blocks.  The block call releases the GIL, so shards on threads
-    sweep at once.
+    ``abandon`` and ``stop`` checks, ``diag_limit``, ``start``) and
+    bit-identical results; the kernel needs O(m) scratch, so there are
+    no column chunks to tile.  The fast path (no indices, no
+    ``abandon``) steps ``_FAST_BLOCK`` diagonals per call, up to the
+    numpy sweep's end: ``diag_limit`` rounded up to a whole number of
+    ``block``-diagonal blocks.  The block call releases the GIL, so
+    shards and engine cells on threads sweep at once.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -601,11 +660,12 @@ def _compiled_sweep(
         tail = (sums.ctypes.data, best.ctypes.data)
         kernel = lib.mpx_block_max
 
-    stop = m
+    end = m
     if diag_limit is not None:
-        stop = min(m, first + block * ((int(diag_limit) + block - 1) // block))
-    for d in range(first, stop, step):
-        B = min(step, stop - d)
+        end = min(m, first + block * ((int(diag_limit) + block - 1) // block))
+    for d in range(first, end, step):
+        _check_stop(stop)
+        B = min(step, end - d)
         if tracer is not None:
             block_span = tracer.start_span("mpx.block", d=d, rows=B)
         kernel(*head, m, d, B, *tail)
@@ -629,6 +689,7 @@ def _sweep(
     tracer=None,
     start: int | None = None,
     inputs=None,
+    stop: "threading.Event | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
@@ -638,7 +699,7 @@ def _sweep(
     """
     options = dict(
         need_indices=need_indices, abandon=abandon, diag_limit=diag_limit,
-        tracer=tracer, start=start, inputs=inputs,
+        tracer=tracer, start=start, inputs=inputs, stop=stop,
     )
     lib = native.load()
     if lib is None:
@@ -781,11 +842,13 @@ def _entry_sweep(
     ``jobs=None`` runs the single sweep.  Otherwise the shard plan of
     :mod:`repro.detectors.parallel` runs on ``jobs`` threads; its
     ``mpx.shard`` spans are adopted in shard order and an
-    ``mpx_shards`` counter records the shard count.  Returns ``(best,
-    bestj, workspace_bytes, shards)`` — ``shards`` is 0 for the single
-    sweep — or ``None`` when ``abandon`` fired.
+    ``mpx_shards`` counter records the shard count.  On an engine cell
+    thread either sweep checks that thread's stop flag at every block.
+    Returns ``(best, bestj, workspace_bytes, shards)`` — ``shards`` is 0
+    for the single sweep — or ``None`` when ``abandon`` fired.
     """
     tracer = get_tracer()
+    stop = _cell_thread.stop
     if jobs is None:
         swept = _sweep(
             x,
@@ -797,6 +860,7 @@ def _entry_sweep(
             abandon=abandon,
             diag_limit=diag_limit,
             tracer=tracer if tracer.enabled else None,
+            stop=stop,
         )
         return None if swept is None else (*swept, 0)
     from .parallel import sharded_sweep
@@ -812,6 +876,7 @@ def _entry_sweep(
         abandon=abandon,
         diag_stop=None if diag_limit is None else exclusion + diag_limit,
         traced=tracer.enabled,
+        stop=stop,
     )
     shards = len(outcome.shards)
     if span is not None:

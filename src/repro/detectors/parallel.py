@@ -151,6 +151,7 @@ def sharded_sweep(
     abandon: "float | None" = None,
     diag_stop: "int | None" = None,
     traced: bool = False,
+    stop=None,
 ) -> ShardOutcome:
     """Sweep every shard of the self-join and merge, in shard order.
 
@@ -168,6 +169,8 @@ def sharded_sweep(
     would.  The merged arrays are bit-identical to one serial
     :func:`~repro.detectors.matrix_profile._sweep` over the same
     diagonal range, for every ``jobs``; see the module docstring for why.
+    ``stop`` is the calling engine cell thread's stop flag, which every
+    shard checks at each block whichever thread sweeps it.
     """
     m = x.size - w + 1
     shards = plan_shards(m, exclusion, diag_stop=diag_stop)
@@ -186,6 +189,7 @@ def sharded_sweep(
             start=d_lo,
             diag_limit=d_hi - d_lo,
             inputs=inputs,
+            stop=stop,
         )
         if not traced:
             return _sweep(x, w, exclusion, mean, inv, **options), None

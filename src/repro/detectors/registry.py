@@ -3,8 +3,8 @@
 Benches and examples build detector line-ups by name so a new detector
 only has to register here to show up everywhere.  :class:`DetectorSpec`
 is the registry's value-object form — a hashable ``(name, params)`` pair
-that the evaluation engine can put in grids, pickle to worker processes,
-fingerprint for the result cache and round-trip through run manifests.
+that the evaluation engine can put in grids, fingerprint for the result
+cache and round-trip through run manifests.
 """
 
 from __future__ import annotations

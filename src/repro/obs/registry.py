@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, bounded-reservoir histograms.
+"""Metrics registries: counters, gauges, bounded-reservoir histograms.
 
 Every subsystem that wants a number observable at runtime — the kernel's
 workspace bytes, the engine's cache hit rate, the replay loop's
@@ -22,10 +22,12 @@ instead of growing another bespoke counter class.  The design contract:
   objects, so a JSON view and the Prometheus text page can never
   disagree.
 
-The module-level :func:`get_registry` is the process-wide default the
-instrumentation layers write to; :func:`push_registry` installs a fresh
-one for a scoped session (``repro run --trace`` uses it so the metrics
-appended to a trace cover exactly that run).
+The module-level :func:`get_registry` is the default the
+instrumentation layers write to: the process root, unless the calling
+thread installed a fresh one with :func:`push_registry` for a scoped
+session (``repro run --trace`` does, so the metrics appended to a trace
+cover exactly that run, and so does each engine cell thread, whose
+registry the engine then folds in with :meth:`MetricsRegistry.merge`).
 """
 
 from __future__ import annotations
@@ -173,37 +175,22 @@ class Histogram:
     def quantile(self, q: float) -> float | None:
         return quantile(self.samples(), q)
 
-    def merge(
-        self,
-        samples,
-        count: int,
-        *,
-        minimum: float | None,
-        maximum: float | None,
-    ) -> None:
-        """Fold another histogram's export in.
-
-        ``count`` is the source's lifetime count and ``minimum``/
-        ``maximum`` its exact lifetime extremes (``None`` when it saw
-        nothing), as :meth:`MetricsRegistry.export_state` ships them.
-        """
-        samples = [float(v) for v in samples]
-        extra = int(count)
-        if extra < len(samples):
-            raise ValueError(
-                f"lifetime count {extra} below sample count {len(samples)}"
-            )
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s samples, lifetime count and extremes in."""
+        with other._lock:
+            samples = list(other._samples)
+            count, minimum, maximum = other._count, other._min, other._max
         with self._lock:
-            self._count += extra
+            self._count += count
             self._samples.extend(samples)
             if minimum is not None and (
                 self._min is None or minimum < self._min
             ):
-                self._min = float(minimum)
+                self._min = minimum
             if maximum is not None and (
                 self._max is None or maximum > self._max
             ):
-                self._max = float(maximum)
+                self._max = maximum
 
     def digest(self) -> dict:
         """``{"count", "p50", "p95", "p99", "min", "max"}``.
@@ -345,56 +332,22 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    # -- cross-process transfer ---------------------------------------
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold every series of ``other`` into this registry.
 
-    def export_state(self) -> "list[list]":
-        """Picklable series list for :meth:`merge_state`.
-
-        ProcessPool workers record into their own registry and ship this
-        back with their result; the parent merges, so counters observed
-        in workers land on the session registry identically whether the
-        engine ran serial or parallel.
+        Counters add, histograms extend, gauges take ``other``'s value
+        (last write wins — the engine merges its cells' registries in
+        grid order, so the result does not depend on which thread
+        finished first).
         """
-        state: list[list] = []
-        for (name, labels), series in self._sorted_series():
-            pairs = [list(pair) for pair in labels]
+        for (name, labels), series in other._sorted_series():
+            labels = dict(labels)
             if isinstance(series, Counter):
-                state.append([name, pairs, "counter", series.value])
+                self.counter(name, **labels).inc(series.value)
             elif isinstance(series, Gauge):
-                state.append([name, pairs, "gauge", series.value])
-            elif isinstance(series, Histogram):
-                state.append(
-                    [
-                        name,
-                        pairs,
-                        "histogram",
-                        series.samples(),
-                        series.count,
-                        series.minimum,
-                        series.maximum,
-                    ]
-                )
-        return state
-
-    def merge_state(self, state: "list[list]") -> None:
-        """Fold an :meth:`export_state` payload into this registry.
-
-        Counters add, histograms extend, gauges take the incoming value
-        (last write wins — callers merge in deterministic task order).
-        """
-        for entry in state:
-            name, pairs, kind = entry[0], dict(entry[1]), entry[2]
-            if kind == "counter":
-                self.counter(name, **pairs).inc(entry[3])
-            elif kind == "gauge":
-                self.gauge(name, **pairs).set(entry[3])
-            elif kind == "histogram":
-                samples, count, minimum, maximum = entry[3:]
-                self.histogram(name, **pairs).merge(
-                    samples, count, minimum=minimum, maximum=maximum
-                )
+                self.gauge(name, **labels).set(series.value)
             else:
-                raise ValueError(f"unknown series kind {kind!r}")
+                self.histogram(name, **labels).merge(series)
 
     def render_prometheus(self) -> str:
         """The text exposition format (version 0.0.4).
@@ -487,32 +440,45 @@ def _prom_labels(labels: tuple, extra: "tuple[str, str] | None" = None) -> str:
     return f"{{{inner}}}"
 
 
-# -- the process-wide default registry --------------------------------
+# -- the default registry: one session stack per thread ---------------
 
-_registry_lock = threading.Lock()
-_registry_stack: "list[MetricsRegistry]" = [MetricsRegistry()]
+class _Sessions(threading.local):
+    """Each thread's stack of pushed registries (``__init__`` runs once
+    per thread)."""
+
+    def __init__(self) -> None:
+        self.registries: list[MetricsRegistry] = []
+
+
+_ROOT = MetricsRegistry()
+_sessions = _Sessions()
 
 
 def get_registry() -> MetricsRegistry:
-    """The registry instrumented code writes to (top of the stack)."""
-    return _registry_stack[-1]
+    """The registry instrumented code on this thread writes to.
+
+    The top of the calling thread's session stack, else the process root.
+    """
+    stack = _sessions.registries
+    return stack[-1] if stack else _ROOT
 
 
 def push_registry(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Install (and return) a fresh default registry.
+    """Install (and return) a fresh default registry for this thread.
 
-    Scoped sessions — a ``--trace`` run, a test — push before and pop
-    after, so their metrics cover exactly the work in between.
+    Scoped sessions — a ``--trace`` run, an engine cell, a test — push
+    before and pop after, so their metrics cover exactly the work in
+    between.  Other threads do not see it.
     """
     if registry is None:
         registry = MetricsRegistry()
-    with _registry_lock:
-        _registry_stack.append(registry)
+    _sessions.registries.append(registry)
     return registry
 
 
 def pop_registry() -> MetricsRegistry:
-    with _registry_lock:
-        if len(_registry_stack) == 1:
-            raise RuntimeError("cannot pop the root metrics registry")
-        return _registry_stack.pop()
+    """Remove (and return) this thread's innermost pushed registry."""
+    stack = _sessions.registries
+    if not stack:
+        raise RuntimeError("cannot pop the root metrics registry")
+    return stack.pop()

@@ -16,12 +16,13 @@ properties drive the design:
   runs produce traces that differ *only* in ``start_us``/
   ``duration_us``.  :func:`canonical_records` strips exactly those
   fields; the determinism test diffs the remainder byte-for-byte.
-* **spans cross process pools by value.**  A ProcessPool worker cannot
-  share the parent's tracer, so it builds its own, traces its cell, and
-  returns ``tracer.export()`` with the result.  The parent's
-  :meth:`Tracer.adopt` splices those records under the current span,
-  remapping ids in arrival order — with an order-preserving ``map``
-  the merged trace is identical to the serial one.
+* **one session per thread.**  :func:`tracing_session` installs a
+  tracer and a registry for the calling thread only, so cells that run
+  at once on several threads each trace into their own session.  The
+  engine's cell threads do that and return ``tracer.export()`` with the
+  result; the caller's :meth:`Tracer.adopt` splices those records under
+  the current span, remapping ids in grid order — so the merged trace
+  is identical to the serial one whichever thread finished first.
 
 Trace files are JSON Lines: a ``header`` record, one ``span`` record
 per finished span, and a final ``metrics`` record embedding the
@@ -180,13 +181,14 @@ class Tracer:
     def adopt(self, records: "list[dict]") -> None:
         """Splice a child tracer's exported records under the current span.
 
-        ProcessPool workers trace with their own :class:`Tracer` and
-        return ``export()``; the parent adopts each worker's records in
-        task order.  Ids are remapped to fresh sequential ids and roots
-        are re-parented onto the caller's current span, so the merged
-        tree — ids included — matches what a serial run would produce.
-        Worker-relative timing fields are kept as-is: they are honest
-        in-worker durations, and timing is non-canonical anyway.
+        Engine cells and kernel shards trace with their own
+        :class:`Tracer` on their own threads and return ``export()``;
+        the caller adopts each one's records in grid (or shard) order.
+        Ids are remapped to fresh sequential ids and roots are
+        re-parented onto the caller's current span, so the merged tree
+        — ids included — matches what a serial run would produce.  The
+        timing fields are kept as-is: they are measured against the
+        child tracer's own epoch, and timing is non-canonical anyway.
         """
         if not self.enabled or not records:
             return
@@ -255,15 +257,30 @@ def canonical_records(records: "list[dict]") -> "list[dict]":
     ]
 
 
-# -- the process-wide current tracer ----------------------------------
+# -- the current tracer: one session stack per thread ----------------
 
-_tracer_lock = threading.Lock()
-_tracer_stack: "list[Tracer]" = [Tracer(enabled=False)]
+class _Sessions(threading.local):
+    """Each thread's stack of session tracers (``__init__`` runs once
+    per thread)."""
+
+    def __init__(self) -> None:
+        self.tracers: list[Tracer] = []
+
+
+# what a thread with no open session reports to: disabled, so code
+# outside a session pays nothing
+_ROOT_TRACER = Tracer(enabled=False)
+_sessions = _Sessions()
 
 
 def get_tracer() -> Tracer:
-    """The tracer instrumented code reports to (disabled by default)."""
-    return _tracer_stack[-1]
+    """The tracer instrumented code on this thread reports to.
+
+    The innermost :func:`tracing_session` the calling thread opened, else
+    the process root (disabled).
+    """
+    stack = _sessions.tracers
+    return stack[-1] if stack else _ROOT_TRACER
 
 
 @contextmanager
@@ -273,16 +290,17 @@ def tracing_session(*, enabled: bool = True):
     ``repro run --trace`` wraps the run in one of these so the exported
     trace covers exactly that invocation: two CLI calls in the same
     process cannot bleed span ids or counter values into each other,
-    which is what makes the trace-determinism contract testable.
-    Yields ``(tracer, registry)``.
+    which is what makes the trace-determinism contract testable.  The
+    session belongs to the calling thread: other threads keep reporting
+    to their own sessions (an engine cell thread opens one per cell),
+    or to the process root.  Yields ``(tracer, registry)``.
     """
     tracer = Tracer(enabled=enabled)
     registry = push_registry()
-    with _tracer_lock:
-        _tracer_stack.append(tracer)
+    stack = _sessions.tracers
+    stack.append(tracer)
     try:
         yield tracer, registry
     finally:
-        with _tracer_lock:
-            _tracer_stack.pop()
+        stack.pop()
         pop_registry()

@@ -3,30 +3,29 @@
 `EvalEngine` expands a line-up of :class:`DetectorSpec` against an
 archive into one task per ``(spec, series)`` cell, resolves what it can
 from the content-addressed :class:`ResultCache`, and executes the rest —
-serially, or across a ``ProcessPoolExecutor`` with ``jobs > 1``.
+serially, or on ``jobs`` threads of the calling process with
+``jobs > 1``.  Threads, not processes: the compiled kernel's block call
+releases the GIL, cells need no copy of their series, and no second
+interpreter is started or fed.
 
 Determinism is the design constraint: tasks are enumerated in grid
 order (specs in line-up order, series in archive order) and results are
 reassembled into that order whatever subset was cached and however the
-pool scheduled the remainder, so a parallel run's manifest and
+threads scheduled the remainder, so a parallel run's manifest and
 artifacts are byte-identical to a serial run's.  Detectors are built
 fresh inside each task from the spec (every detector in the registry is
-deterministic given its parameters), which is what makes tasks safe to
-ship to worker processes in the first place.
+deterministic given its parameters), so no two cells share a detector.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..detectors import (
-    DetectorSpec,
-    default_kernel_jobs,
-    set_default_kernel_jobs,
-)
-from ..obs import get_registry, get_tracer, tracing_session
+from ..detectors import DetectorSpec, bind_cell_thread
+from ..obs import MetricsRegistry, get_registry, get_tracer, tracing_session
 from ..scoring.ucr import UcrOutcome, UcrSummary, ucr_correct
 from ..types import Archive, LabeledSeries
 from .cache import ResultCache, cache_key
@@ -201,47 +200,30 @@ class RunReport:
         )
 
 
-def _pool_worker_init(cap_kernel_jobs: bool) -> None:
-    """Cap kernel parallelism inside engine pool workers.
-
-    An engine already running ``--jobs`` cells in parallel must not let
-    each cell shard its sweep across kernel threads — that would
-    oversubscribe the machine ``jobs × kernel_jobs`` ways.  When the
-    parent has a kernel-jobs default (``--kernel-jobs``),
-    ``cap_kernel_jobs`` is True and each worker sets it to 1, whatever
-    the start method: the sweep keeps its (jobs-independent) shard plan
-    on one thread, so results and canonical traces stay identical to a
-    ``--jobs 1`` run where the kernel threads are allowed.  Otherwise
-    cells keep the historical unsharded sweep.
-    """
-    if cap_kernel_jobs:
-        set_default_kernel_jobs(1)
-
-
 def _locate_cell(task: tuple[DetectorSpec, LabeledSeries]) -> int:
-    """Worker entry point: build the detector and run the UCR protocol."""
+    """Task entry point: build the detector and run the UCR protocol."""
     spec, series = task
     return int(spec.build().locate(series))
 
 
 def _locate_cell_traced(
     task: tuple[DetectorSpec, LabeledSeries],
-) -> tuple[int, list, list]:
-    """Traced worker entry point: spans and metrics travel by value.
+) -> tuple[int, list, MetricsRegistry]:
+    """Traced task entry point: spans and metrics come back by reference.
 
-    A ProcessPool worker cannot share the parent's tracer, so it opens
-    its own tracing session (fresh tracer *and* registry — also what
-    shields the parent registry when this runs in-process for serial
-    jobs), locates the cell, and returns the exported span records plus
-    the registry state alongside the result.  The parent adopts both in
-    task order, which is what makes serial and parallel traces
-    identical after timing fields are stripped.
+    The cell opens a tracing session of its own (a fresh tracer *and*
+    registry, on whichever thread runs it — which also keeps the
+    caller's registry clean for serial jobs), locates the cell, and
+    returns the exported span records and the registry alongside the
+    result.  The caller adopts both in grid order, which is what makes
+    serial and parallel traces identical after timing fields are
+    stripped.
     """
     spec, series = task
     with tracing_session(enabled=True) as (tracer, registry):
         with tracer.span("engine.locate"):
             location = int(spec.build().locate(series))
-        return location, tracer.export(), registry.export_state()
+        return location, tracer.export(), registry
 
 
 class EvalEngine:
@@ -258,8 +240,10 @@ class EvalEngine:
         A :class:`ResultCache`, a directory path to open one in, or
         None to recompute every cell.
     jobs:
-        Worker processes for uncached cells; 1 means in-process serial,
-        and a value below 1 raises ``ValueError``.
+        Threads for uncached cells; 1 means serial on the calling
+        thread, and a value below 1 raises ``ValueError``.  With a
+        kernel-jobs default set (``--kernel-jobs``), cells on the
+        engine's threads sweep with kernel jobs 1.
     config:
         Free-form run parameters (seeds, CLI arguments…) recorded
         verbatim in the manifest.
@@ -330,25 +314,30 @@ class EvalEngine:
         registry.counter("engine_cache_hits").inc(len(tasks) - len(pending))
         registry.counter("engine_cache_misses").inc(len(pending))
 
-        # with tracing on, workers return (location, spans, metrics) and
+        # with tracing on, cells return (location, spans, registry) and
         # the adoption below splices them under per-cell spans; the
         # traced path is also taken for jobs=1 so serial and parallel
         # runs export the same tree
         traced = tracer.enabled
         worker = _locate_cell_traced if traced else _locate_cell
-        if self.jobs > 1 and len(pending) > 1:
-            found = self._run_pool(worker, tasks, pending)
-        else:
-            found = {index: worker(tasks[index]) for index in pending}
-        exports: dict[int, tuple[list, list]] = {}
-        for index in pending:
-            location = found[index]
+        exports: dict[int, tuple] = {}
+
+        def collect(index: int, result) -> None:
+            # on the calling thread, as each result arrives: a cell that
+            # finished is cached even when a later cell raises
+            location = result
             if traced:
-                location, records, state = location
-                exports[index] = (records, state)
+                location, records, cell_registry = result
+                exports[index] = (records, cell_registry)
             locations[index] = location
             if self.cache is not None:
                 self.cache.put(keys[index], {"location": location})
+
+        if self.jobs > 1 and len(pending) > 1:
+            self._run_pool(worker, tasks, pending, collect)
+        else:
+            for index in pending:
+                collect(index, worker(tasks[index]))
 
         executed = set(pending)
         cells = []
@@ -368,9 +357,9 @@ class EvalEngine:
             )
             with cell_span:
                 if index in exports:
-                    records, state = exports[index]
+                    records, cell_registry = exports[index]
                     tracer.adopt(records)
-                    registry.merge_state(state)
+                    registry.merge(cell_registry)
                 nearest = series.labels.nearest_region(location)
                 cells.append(
                     CellResult(
@@ -399,32 +388,42 @@ class EvalEngine:
             ),
         )
 
-    def _run_pool(self, worker, tasks, pending: list[int]) -> dict:
-        """Run the ``pending`` cells on a process pool, one cell per task.
+    def _run_pool(self, worker, tasks, pending: list[int], collect) -> None:
+        """Run the ``pending`` cells on ``jobs`` threads, one cell per task.
 
         Cells are submitted longest series first (a stable sort, so
         ties keep grid order): the long cells start at once and the
         short ones fill in behind them, so the grid ends on short cells
-        instead of one worker finishing a long cell while the rest idle.
-        Results come back keyed by grid index.  If a cell raises, the
-        cells that have not started are cancelled, so the error
-        surfaces once the running cells finish rather than after the
-        whole grid.
+        instead of one thread finishing a long cell while the rest idle.
+        ``collect`` takes each result on the calling thread, in
+        submission order.  If a cell raises, or the caller is
+        interrupted, the run unwinds: the stop flag each cell thread is
+        bound to is set (see :func:`~repro.detectors.bind_cell_thread`),
+        so running sweeps end at their next diagonal block; cells that
+        have not started are cancelled; and cells that already finished
+        are still collected before the error propagates.
         """
         order = sorted(pending, key=lambda index: -tasks[index][1].n)
-        with ProcessPoolExecutor(
+        stop = threading.Event()
+        with ThreadPoolExecutor(
             max_workers=self.jobs,
-            initializer=_pool_worker_init,
-            initargs=(default_kernel_jobs() is not None,),
+            thread_name_prefix="engine-cell",
+            initializer=bind_cell_thread,
+            initargs=(stop,),
         ) as pool:
             futures = {
                 index: pool.submit(worker, tasks[index]) for index in order
             }
+            collected = set()
             try:
-                return {
-                    index: future.result() for index, future in futures.items()
-                }
+                for index, future in futures.items():
+                    collect(index, future.result())
+                    collected.add(index)
             except BaseException:
-                for future in futures.values():
-                    future.cancel()
+                stop.set()
+                for index, future in futures.items():
+                    if future.cancel() or index in collected:
+                        continue
+                    if future.done() and future.exception() is None:
+                        collect(index, future.result())
                 raise

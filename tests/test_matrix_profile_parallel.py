@@ -21,6 +21,7 @@ Nested prefixes also make the bound pointwise monotone in coverage.
 
 import concurrent.futures
 import multiprocessing.process
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from repro.detectors.matrix_profile import (
     ApproxReport,
     _CHUNK,
     _DIAG_BLOCK,
+    SweepStopped,
+    bind_cell_thread,
     default_kernel_jobs,
     set_default_kernel_jobs,
 )
@@ -191,6 +194,66 @@ class TestKernelJobsStartNoProcess:
             for _ in range(10):
                 cluster.append("t", "s", np.cumsum(rng.standard_normal(50)))
             assert cluster.scores("t", "s")["total"] == 500
+
+
+def on_cell_thread(stop, fn):
+    """``fn()`` on a thread bound as an engine cell thread to ``stop``."""
+    outcome = {}
+
+    def run():
+        bind_cell_thread(stop)
+        try:
+            outcome["result"] = fn()
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return outcome
+
+
+class TestCellThreadStop:
+    """A sweep on an engine cell thread stops once its flag is set."""
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_a_set_flag_stops_the_sweep_and_its_shards(self, jobs):
+        values = make_family("walk", 17, 3000)
+        stop = threading.Event()
+        stop.set()
+        outcome = on_cell_thread(
+            stop, lambda: matrix_profile(values, 40, jobs=jobs)
+        )
+        assert isinstance(outcome.get("error"), SweepStopped)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_an_unset_flag_changes_nothing(self, jobs):
+        values = make_family("walk", 17, 3000)
+        outcome = on_cell_thread(
+            threading.Event(), lambda: matrix_profile(values, 40, jobs=jobs)
+        )
+        assert_bit_identical(matrix_profile(values, 40), outcome["result"])
+
+    def test_a_set_flag_stops_a_knn_score(self):
+        from repro.detectors import KnnDistanceDetector
+
+        values = make_family("walk", 17, 3000)
+        detector = KnnDistanceDetector(w=40).fit(values[:1000])
+        stop = threading.Event()
+        scored = on_cell_thread(stop, lambda: detector.score(values))
+        assert scored["result"].size == values.size
+        stop.set()
+        outcome = on_cell_thread(stop, lambda: detector.score(values))
+        assert isinstance(outcome.get("error"), SweepStopped)
+
+    def test_the_flag_stays_on_its_thread(self):
+        # a sweep on any other thread ignores a set flag
+        stop = threading.Event()
+        stop.set()
+        on_cell_thread(stop, lambda: None)
+        values = make_family("walk", 17, 1500)
+        assert matrix_profile(values, 40, jobs=2).profile.size > 0
 
 
 class TestPlanShards:
@@ -380,4 +443,5 @@ class TestShardTraces:
 TestShardedEqualsSerialOnNumpy = on_numpy(TestShardedEqualsSerial)
 TestLateShardAbandonRegressionOnNumpy = on_numpy(TestLateShardAbandonRegression)
 TestAnytimeOnNumpy = on_numpy(TestAnytime)
+TestCellThreadStopOnNumpy = on_numpy(TestCellThreadStop)
 TestShardTracesOnNumpy = on_numpy(TestShardTraces)

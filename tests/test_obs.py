@@ -12,12 +12,14 @@ The subsystem's contracts, in rough order of importance:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.detectors import DetectorSpec, matrix_profile, native
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     Tracer,
     canonical_records,
@@ -111,10 +113,20 @@ class TestSeries:
         assert digest["min"] == 1.0
         assert digest["max"] == 6.0
 
-    def test_histogram_merge_rejects_impossible_count(self):
-        histogram = MetricsRegistry().histogram("lat")
-        with pytest.raises(ValueError):
-            histogram.merge([1.0, 2.0], count=1, minimum=1.0, maximum=2.0)
+    def test_histogram_merge_keeps_lifetime_counts_and_extremes(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(registry_module, "RESERVOIR", 4)
+        source = Histogram()
+        for value in (9.0, 1.0, 2.0, 3.0, 4.0, 5.0):
+            source.observe(value)  # 9.0 ages out of a 4-sample reservoir
+        target = Histogram()
+        target.observe(0.5)
+        target.merge(source)
+        digest = target.digest()
+        assert digest["count"] == 7
+        assert (digest["min"], digest["max"]) == (0.5, 9.0)
+        assert target.samples()[-4:] == [2.0, 3.0, 4.0, 5.0]
 
     def test_labels_are_part_of_the_identity(self):
         registry = MetricsRegistry()
@@ -182,14 +194,16 @@ class TestRegistryExposition:
         text = registry.render_prometheus()
         assert 'x{path="a\\"b\\\\c"} 1' in text
 
-    def test_export_merge_state_round_trip(self):
+    def test_merge_folds_every_series(self):
         registry = self.build()
         merged = MetricsRegistry()
-        merged.merge_state(registry.export_state())
-        merged.merge_state(registry.export_state())
+        merged.merge(registry)
+        merged.merge(registry)
         assert merged.counter("requests", tenant="acme").value == 6
         assert merged.gauge("queue_depth", shard="shard-0").value == 2
         assert merged.histogram("seconds").count == 6
+        # the source is read, not drained
+        assert registry.counter("requests", tenant="acme").value == 3
 
     def test_snapshot_without_histogram_values_is_clock_free(self):
         registry = self.build()
@@ -207,6 +221,29 @@ class TestRegistryStack:
         finally:
             assert pop_registry() is session
         assert get_registry() is root
+
+    def test_sessions_belong_to_their_thread(self):
+        root = get_registry()
+        seen = {}
+
+        def other():
+            seen["registry"] = get_registry()
+            seen["tracer"] = get_tracer()
+            with tracing_session() as (tracer, registry):
+                seen["own"] = (get_tracer(), get_registry()) == (
+                    tracer,
+                    registry,
+                )
+
+        with tracing_session() as (tracer, registry):
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            # the other thread's session left this one in place
+            assert get_tracer() is tracer and get_registry() is registry
+        assert seen["registry"] is root
+        assert not seen["tracer"].enabled
+        assert seen["own"]
 
     def test_root_cannot_be_popped(self):
         depth = 0

@@ -4,17 +4,36 @@ Covers the subsystem's two contracts: ``--jobs N`` output is
 byte-identical to serial, and a warm cache re-run executes *zero*
 detector calls while reproducing the same artifacts.  The pool's
 dispatch policy (one cell per task, longest series first) is pinned
-through an in-process stand-in for the process pool.
+through a stand-in for its thread pool that runs each cell only when
+its result is asked for.  Cells run on threads of the calling process:
+no process starts, overlapping cells trace like serial ones, the
+kernel-jobs cap stays on the cell threads, and Ctrl-C ends a pooled run
+at the running sweeps' next block.
 """
 
-import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
+import concurrent.futures
+import multiprocessing.process
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.runner.engine as engine_module
-from repro.detectors import DetectorSpec, set_default_kernel_jobs
+from repro.detectors import (
+    DetectorSpec,
+    bind_cell_thread,
+    default_kernel_jobs,
+    native,
+    set_default_kernel_jobs,
+)
+from repro.detectors.matrix_profile import MatrixProfileDetector
 from repro.obs import canonical_records, tracing_session
 from repro.runner import (
     EvalEngine,
@@ -146,6 +165,27 @@ class TestExecution:
         assert (cell.region_start, cell.region_end) == (890, 910)
 
 
+def on_a_thread(initializer, initargs, fn, args):
+    """Run ``fn(*args)`` on a new thread set up by ``initializer``."""
+    outcome = {}
+
+    def run():
+        if initializer is not None:
+            initializer(*initargs)
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "a cell never finished"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
 class LazyFuture(Future):
     """A future whose cell runs only when its result is first asked for."""
 
@@ -163,12 +203,20 @@ class LazyFuture(Future):
 
 
 class RecordingPool:
-    """In-process stand-in for the engine's ``ProcessPoolExecutor``.
+    """Stand-in for the engine's ``ThreadPoolExecutor``.
 
-    Records each submission; a cell the engine cancels never runs.
+    Records each submission.  A cell runs when its result is first
+    asked for (``lazy``) or at once when it is submitted, on a thread of
+    its own that the pool's initializer set up, one cell at a time; a
+    cell the engine cancels never runs.
     """
 
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
+    lazy = True
+
+    def __init__(
+        self, max_workers=None, thread_name_prefix="", initializer=None,
+        initargs=(),
+    ):
         self.max_workers = max_workers
         self.initializer = initializer
         self.initargs = initargs
@@ -183,21 +231,38 @@ class RecordingPool:
 
     def submit(self, fn, *args):
         self.submitted.append(args)
-        future = LazyFuture(lambda: fn(*args))
+        future = LazyFuture(
+            lambda: on_a_thread(self.initializer, self.initargs, fn, args)
+        )
+        if not self.lazy:
+            try:
+                future.result()
+            except BaseException:
+                pass  # the engine reads it from the future
         self.futures.append(future)
         return future
 
 
-@pytest.fixture()
-def pools(monkeypatch):
+class EagerPool(RecordingPool):
+    """Every cell has finished before the engine asks for a result."""
+
+    lazy = False
+
+
+def patch_pool(monkeypatch, cls):
     made = []
 
     def factory(**kwargs):
-        made.append(RecordingPool(**kwargs))
+        made.append(cls(**kwargs))
         return made[-1]
 
-    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", factory)
+    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", factory)
     return made
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    return patch_pool(monkeypatch, RecordingPool)
 
 
 def longest_first(archive):
@@ -214,9 +279,10 @@ class TestPoolDispatch:
         report = EvalEngine(SPECS, jobs=2).run(archive)
         [pool] = pools
         assert pool.max_workers == 2
-        assert pool.initializer is engine_module._pool_worker_init
-        # no kernel-jobs default to cap
-        assert pool.initargs == (False,)
+        # each cell thread is bound to the run's stop flag
+        assert pool.initializer is bind_cell_thread
+        [stop] = pool.initargs
+        assert isinstance(stop, threading.Event) and not stop.is_set()
         assert all(len(args) == 1 for args in pool.submitted)
         submitted = [
             (spec.label, series.name) for (spec, series), in pool.submitted
@@ -271,15 +337,28 @@ class TestPoolDispatch:
         assert [future.cancelled() for future in pool.futures] == (
             [False] * 4 + [True] * (len(order) - 4)
         )
+        # and the running sweeps were told to stop
+        assert pool.initargs[0].is_set()
 
-    def test_kernel_jobs_default_caps_the_workers(self, archive, pools):
+    def test_kernel_jobs_default_caps_the_workers(
+        self, archive, pools, monkeypatch
+    ):
+        seen = []
+        real = engine_module._locate_cell
+
+        def locate(task):
+            seen.append(default_kernel_jobs())
+            return real(task)
+
+        monkeypatch.setattr(engine_module, "_locate_cell", locate)
         set_default_kernel_jobs(2)
         try:
             EvalEngine(SPECS, jobs=2).run(archive)
+            # the cap lives on the cell threads, not on this one
+            assert default_kernel_jobs() == 2
         finally:
             set_default_kernel_jobs(None)
-        [pool] = pools
-        assert pool.initargs == (True,)
+        assert seen == [1] * len(SPECS) * len(archive)
 
     @pytest.mark.parametrize(
         "jobs, specs, size", [(1, SPECS, 5), (2, SPECS[:1], 1)]
@@ -293,8 +372,8 @@ class TestPoolDispatch:
         assert report.stats.executed == len(specs) * size
 
     def test_worker_error_matches_serial(self):
-        # a real pool: the worker's exception crosses the process
-        # boundary with its type
+        # a real pool: the cell's exception reaches the caller with its
+        # type
         mixed = Archive(
             "mixed",
             [
@@ -308,38 +387,275 @@ class TestPoolDispatch:
                 EvalEngine(spec, jobs=jobs).run(mixed)
 
 
-class TestKernelJobsInWorkers:
-    def run_traced(self, archive, jobs):
-        specs = [DetectorSpec.create("matrix_profile", w=40)]
-        set_default_kernel_jobs(2)
+def short_tail_archive():
+    """1,500, 1,200 and 150 points: the last is too short for w = 100."""
+    return Archive(
+        "short-tail",
+        [
+            ucr_series("long", n=1500),
+            ucr_series("mid", n=1200, start=700),
+            ucr_series("short", n=150, start=100, length=10, train=50),
+        ],
+    )
+
+
+def cache_entries(path):
+    return len(list(Path(path).glob("??/*.json")))
+
+
+class TestFinishedCellsAreCachedBeforeTheError:
+    """A cell that raises no longer costs the cells that finished."""
+
+    LINEUP = ["diff", "matrix_profile(w=100)"]
+
+    def run_failing(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="too short"):
+            EvalEngine(self.LINEUP, cache=tmp_path, jobs=jobs).run(
+                short_tail_archive()
+            )
+
+    def assert_diff_is_cached(self, tmp_path):
+        rerun = EvalEngine(["diff"], cache=tmp_path).run(short_tail_archive())
+        assert rerun.stats.executed == 0
+
+    def test_serial(self, tmp_path):
+        self.run_failing(tmp_path, 1)
+        # every cell before the failing one, in grid order
+        assert cache_entries(tmp_path) == 5
+        self.assert_diff_is_cached(tmp_path)
+
+    def test_pooled(self, tmp_path, pools):
+        self.run_failing(tmp_path, 2)
+        [pool] = pools
+        # the short series' matrix_profile cell is submitted last
+        assert len(pool.submitted) == 6
+        assert cache_entries(tmp_path) == 5
+        self.assert_diff_is_cached(tmp_path)
+
+    def test_cells_that_finished_ahead_of_their_turn(
+        self, tmp_path, monkeypatch
+    ):
+        # every cell has finished when the first one collected raises:
+        # the other five are cached all the same, and the error is the
+        # failing cell's own
+        made = patch_pool(monkeypatch, EagerPool)
+        real = engine_module._locate_cell
+
+        def locate(task):
+            spec, series = task
+            if (spec.label, series.name) == ("diff", "long"):
+                raise RuntimeError("first cell failed")
+            return real(task)
+
+        monkeypatch.setattr(engine_module, "_locate_cell", locate)
+        archive = Archive("two", short_tail_archive().series[:2])
+        lineup = ["diff", "moving_zscore(k=50)", "last_point"]
+        with pytest.raises(RuntimeError, match="first cell failed"):
+            EvalEngine(lineup, cache=tmp_path, jobs=2).run(archive)
+        [pool] = made
+        assert all(future.done() for future in pool.futures)
+        assert cache_entries(tmp_path) == len(lineup) * len(archive) - 1
+
+
+@pytest.fixture()
+def no_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    # every start method's Process inherits this start()
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+def traced_run(specs, archive, jobs):
+    """(report, canonical records without ``jobs`` attrs, metrics)."""
+    with tracing_session() as (tracer, registry):
+        report = EvalEngine(specs, jobs=jobs).run(archive)
+        records = canonical_records(tracer.export())
+        metrics = registry.snapshot(histogram_values=False)
+    # jobs is honest config, not nondeterminism; normalize it away
+    for record in records:
+        record["attrs"].pop("jobs", None)
+    return report, records, metrics
+
+
+class TestCellsOnThreads:
+    MP = [DetectorSpec.create("matrix_profile", w=40), SPECS[0]]
+
+    def test_no_process_is_started(self, archive, no_processes):
+        serial = EvalEngine(self.MP, jobs=1).run(archive)
+        pooled = EvalEngine(self.MP, jobs=2).run(archive)
+        assert pooled.manifest().to_json() == serial.manifest().to_json()
+        assert traced_run(self.MP, archive, 2) == traced_run(
+            self.MP, archive, 1
+        )
+
+    @pytest.mark.parametrize("kernel_jobs", [None, 2])
+    def test_overlapping_cells_trace_like_serial(
+        self, monkeypatch, kernel_jobs
+    ):
+        # two matrix-profile cells held together at a barrier, before
+        # and after their sweeps, so both sessions are open at once
+        pair = Archive(
+            "pair", [ucr_series("a", n=1400), ucr_series("b", n=1300)]
+        )
+        specs = self.MP[:1]
+        barrier = threading.Barrier(2, timeout=60)
+        real = MatrixProfileDetector.score
+
+        def score(detector, values):
+            barrier.wait()
+            scores = real(detector, values)
+            barrier.wait()
+            return scores
+
+        set_default_kernel_jobs(kernel_jobs)
         try:
-            with tracing_session() as (tracer, registry):
-                report = EvalEngine(specs, jobs=jobs).run(archive)
-                records = canonical_records(tracer.export())
-                metrics = registry.snapshot(histogram_values=False)
+            serial = traced_run(specs, pair, 1)
+            monkeypatch.setattr(MatrixProfileDetector, "score", score)
+            report, records, metrics = traced_run(specs, pair, 2)
         finally:
             set_default_kernel_jobs(None)
-        # jobs is honest config, not nondeterminism; normalize it away
-        for record in records:
-            record["attrs"].pop("jobs", None)
-        return report, records, metrics
+        assert report.manifest().to_json() == serial[0].manifest().to_json()
+        names = [record["name"] for record in records]
+        assert names.count("mpx.profile") == 2
+        assert records == serial[1]
+        assert metrics == serial[2]
 
-    def test_spawned_workers_get_the_cap(self, archive, monkeypatch):
-        # a spawned worker inherits no module state: the cap reaches it
-        # through the pool's initargs alone, and its cells then sweep
-        # the serial run's shard plan on one thread
-        def spawning(**kwargs):
-            context = multiprocessing.get_context("spawn")
-            return ProcessPoolExecutor(mp_context=context, **kwargs)
+    def test_more_threads_than_cores_switching_often(self):
+        # four cell threads on fewer cores, forced to switch every few
+        # microseconds: a span or metric that landed in another cell's
+        # session would show in the merged trace
+        rng = np.random.default_rng(4)
+        noisy = Archive(
+            "noisy",
+            [
+                series.with_values(
+                    series.values + 0.1 * rng.standard_normal(series.n)
+                )
+                for series in (
+                    ucr_series(f"n{index}", n=1000 + 100 * index)
+                    for index in range(8)
+                )
+            ],
+        )
+        specs = self.MP + SPECS[1:2]
+        serial = traced_run(specs, noisy, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = [traced_run(specs, noisy, 4) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        manifest = serial[0].manifest().to_json()
+        for report, records, metrics in pooled:
+            assert report.manifest().to_json() == manifest
+            assert records == serial[1]
+            assert metrics == serial[2]
 
-        serial, records_serial, metrics_serial = self.run_traced(archive, 1)
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", spawning)
-        pooled, records_pooled, metrics_pooled = self.run_traced(archive, 2)
-        assert pooled.manifest().to_json() == serial.manifest().to_json()
-        names = [record["name"] for record in records_serial]
+    def test_kernel_jobs_cap_stays_on_the_cell_threads(self, archive):
+        # under a kernel-jobs default of 2 the cells sweep the shard plan
+        # on one thread each, while any other thread still reads 2
+        specs = self.MP[:1]
+        set_default_kernel_jobs(2)
+        reads = []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                reads.append(default_kernel_jobs())
+                time.sleep(0.0005)
+
+        thread = threading.Thread(target=reader)
+        try:
+            serial = traced_run(specs, archive, 1)
+            thread.start()
+            with tracing_session() as (tracer, _registry):
+                EvalEngine(specs, jobs=2).run(archive)
+                raw = tracer.export()
+            pooled = traced_run(specs, archive, 2)
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(timeout=60)
+            set_default_kernel_jobs(None)
+        assert not thread.is_alive()
+        assert reads and set(reads) == {2}
+        profiles = [r for r in raw if r["name"] == "mpx.profile"]
+        assert len(profiles) == len(archive)
+        assert {r["attrs"]["jobs"] for r in profiles} == {1}
+        names = [record["name"] for record in pooled[1]]
         assert names.count("mpx.shard") >= len(archive)
-        assert records_pooled == records_serial
-        assert metrics_pooled == metrics_serial
+        assert pooled[1] == serial[1]
+        assert pooled[2] == serial[2]
+
+
+def cpu_seconds(pid):
+    """User plus system CPU time of a live process, from /proc."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+class TestInterrupt:
+    """Ctrl-C ends a pooled run at the running sweeps' next block."""
+
+    # series lengths whose matrix-profile sweep takes well over ten
+    # seconds of one core on either backend
+    LENGTH = {"compiled": 300_000, "numpy": 60_000}
+
+    @pytest.mark.parametrize("backend", ["compiled", "numpy"])
+    def test_sigint_to_the_group_ends_a_pooled_run(self, backend, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(engine_module.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        if backend == "numpy":
+            env.update(CC="false", XDG_CACHE_HOME=str(tmp_path / "xdg"))
+        elif native.load() is None:
+            pytest.skip("no compiled kernel on this host")
+        n = self.LENGTH[backend]
+        values = np.cumsum(np.random.default_rng(3).standard_normal(n))
+        archive_dir = tmp_path / "arch"
+        archive_dir.mkdir()
+        name = f"UCR_Anomaly_long_1000_{n // 2}_{n // 2 + 99}.txt"
+        np.savetxt(archive_dir / name, values, fmt="%.6f")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "run", str(archive_dir),
+                "--detectors", "matrix_profile(w=100),diff", "--jobs", "2",
+                "--out", str(tmp_path / "out"), "--name", "stopped",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            # start-up takes well under a second of CPU; past 1.5 s the
+            # sweep has been running on its cell thread for a while
+            deadline = time.monotonic() + 60
+            while cpu_seconds(proc.pid) < 1.5:
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "the sweep never started"
+                time.sleep(0.05)
+            sent = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - sent
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        # the interrupt landed in the pooled run, which then ended with
+        # many seconds of sweep left
+        assert "KeyboardInterrupt" in stderr
+        assert "_run_pool" in stderr
+        assert elapsed < 3.0, elapsed
 
 
 class TestCacheIntegration:
