@@ -14,6 +14,14 @@
  * so the only scratch is s[block] (plus the column-side accumulators of
  * the indexed entry).
  *
+ * A located sweep passes floor, the first subsequence whose entry the
+ * caller reads: in block [d, d + block) a column i with
+ * i + d + block - 1 < floor pairs only entries below it, so the fast
+ * path only advances its running sums (the same additions in the same
+ * order) and skips its correlations, maxima and NaN flag.  Every entry
+ * at or above floor meets the same pairs in the same order, and keeps
+ * its bits; floor 0 sweeps every pair.
+ *
  * The fast path has bodies that give the same results: a scalar loop,
  * and one vector loop (VECTOR_BODY) at two lanes (SSE2), four (AVX2)
  * and eight (AVX-512F).  Each lane does the scalar operations in the
@@ -63,14 +71,44 @@ static inline double scalar_rows(const double *fj, const double *gj,
     return row;
 }
 
+/* How many leading columns of block [d, d + block) pair only entries
+ * below floor (i + d + block - 1 < floor); no more than the L - block + 1
+ * whose rows are all block long, so any floor is safe. */
+static inline int64_t advance_cols(int64_t L, int64_t d, int64_t block,
+                                   int64_t floor)
+{
+    int64_t cols = floor - d - block + 1;
+    if (cols > L - block + 1)
+        cols = L - block + 1;
+    return cols > 0 ? cols : 0;
+}
+
+/* Rows [b, rows): the running sums after columns [0, cols), cols >= 1,
+ * one row at a time in registers. */
+static inline void advance_rows(const double *dfp, const double *dgp,
+                                const double *c0, int64_t d, int64_t cols,
+                                int64_t b, int64_t rows, double *s)
+{
+    for (; b < rows; b++) {
+        double t = c0[d + b];
+        for (int64_t i = 1; i < cols; i++)
+            t += dgp[i + d + b] * dfp[i] + dfp[i + d + b] * dgp[i];
+        s[b] = t;
+    }
+}
+
 /* Fast path, one row at a time: best[k] = max over every pair of the
- * block touching k. */
+ * block touching k, for every k >= floor. */
 void mpx_block_max_scalar(const double *dfp, const double *dgp,
                           const double *invp, const double *c0, int64_t m,
-                          int64_t d, int64_t block, double *s, double *best)
+                          int64_t d, int64_t block, double *s, double *best,
+                          int64_t floor)
 {
     const int64_t L = m - d;
-    for (int64_t i = 0; i < L; i++) {
+    const int64_t skip = advance_cols(L, d, block, floor);
+    if (skip)
+        advance_rows(dfp, dgp, c0, d, skip, 0, block, s);
+    for (int64_t i = skip; i < L; i++) {
         const int64_t rows = L - i < block ? L - i : block;
         if (i == 0)
             for (int64_t k = 0; k < rows; k++)
@@ -130,17 +168,39 @@ __attribute__((target("avx512f"))) static inline double hmax8(v8d r)
  * of that width: two vectors of rows per step, with a row accumulator
  * each.  A NaN in a step is flagged, and the column's vector steps are
  * redone by the scalar rule; otherwise the column's row maximum is one
- * hmax tree, with no branch on the data. */
+ * hmax tree, with no branch on the data.  The columns below floor
+ * advance four vectors of rows at a time, each sum in a register. */
 #define VECTOR_BODY(isa, N)                                                \
     void mpx_block_max_##isa(const double *dfp, const double *dgp,        \
                              const double *invp, const double *c0,        \
                              int64_t m, int64_t d, int64_t block,         \
-                             double *s, double *best)                     \
+                             double *s, double *best, int64_t floor)      \
     {                                                                      \
         typedef v##N##d V;                                                 \
         typedef v##N##d_u VU;                                              \
         const int64_t L = m - d;                                           \
-        for (int64_t i = 0; i < L; i++) {                                  \
+        const int64_t skip = advance_cols(L, d, block, floor);             \
+        int64_t a = 0;                                                     \
+        for (; skip && a + 4 * N <= block; a += 4 * N) {                   \
+            V t0 = AT(VU, c0 + d + a), t1 = AT(VU, c0 + d + a + N);        \
+            V t2 = AT(VU, c0 + d + a + 2 * N);                             \
+            V t3 = AT(VU, c0 + d + a + 3 * N);                             \
+            for (int64_t i = 1; i < skip; i++) {                           \
+                const double fi = dfp[i], gi = dgp[i];                     \
+                const double *fj = dfp + i + d + a, *gj = dgp + i + d + a; \
+                t0 += AT(VU, gj) * fi + AT(VU, fj) * gi;                   \
+                t1 += AT(VU, gj + N) * fi + AT(VU, fj + N) * gi;           \
+                t2 += AT(VU, gj + 2 * N) * fi + AT(VU, fj + 2 * N) * gi;   \
+                t3 += AT(VU, gj + 3 * N) * fi + AT(VU, fj + 3 * N) * gi;   \
+            }                                                              \
+            AT(VU, s + a) = t0;                                            \
+            AT(VU, s + a + N) = t1;                                        \
+            AT(VU, s + a + 2 * N) = t2;                                    \
+            AT(VU, s + a + 3 * N) = t3;                                    \
+        }                                                                  \
+        if (skip)                                                          \
+            advance_rows(dfp, dgp, c0, d, skip, a, block, s);              \
+        for (int64_t i = skip; i < L; i++) {                               \
             const int64_t rows = L - i < block ? L - i : block;            \
             const double fi = dfp[i], gi = dgp[i], ii = invp[i];           \
             const double *fj = dfp + i + d, *gj = dgp + i + d;             \
@@ -203,20 +263,20 @@ const char *mpx_simd(void)
 /* Fast path on the body mpx_simd names. */
 void mpx_block_max(const double *dfp, const double *dgp, const double *invp,
                    const double *c0, int64_t m, int64_t d, int64_t block,
-                   double *s, double *best)
+                   double *s, double *best, int64_t floor)
 {
 #ifdef HAVE_AVX512
     if (__builtin_cpu_supports("avx512f"))
-        mpx_block_max_avx512(dfp, dgp, invp, c0, m, d, block, s, best);
+        mpx_block_max_avx512(dfp, dgp, invp, c0, m, d, block, s, best, floor);
     else
 #endif
 #if defined(__x86_64__) && defined(__GNUC__)
     if (__builtin_cpu_supports("avx2"))
-        mpx_block_max_avx2(dfp, dgp, invp, c0, m, d, block, s, best);
+        mpx_block_max_avx2(dfp, dgp, invp, c0, m, d, block, s, best, floor);
     else
-        mpx_block_max_sse2(dfp, dgp, invp, c0, m, d, block, s, best);
+        mpx_block_max_sse2(dfp, dgp, invp, c0, m, d, block, s, best, floor);
 #else
-    mpx_block_max_scalar(dfp, dgp, invp, c0, m, d, block, s, best);
+    mpx_block_max_scalar(dfp, dgp, invp, c0, m, d, block, s, best, floor);
 #endif
 }
 

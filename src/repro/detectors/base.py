@@ -47,7 +47,12 @@ class Detector(ABC):
         masks the training region out of the argmax.
         """
         self.fit(series.train)
-        scores = np.asarray(self.score(series.values), dtype=float)
+        return self._test_argmax(series, self.score(series.values))
+
+    def _test_argmax(self, series: LabeledSeries, scores) -> int:
+        """The protocol's location from per-point ``scores``: their
+        argmax over the test region, a NaN read as ``-inf``."""
+        scores = np.asarray(scores, dtype=float)
         if scores.shape != series.values.shape:
             raise ValueError(
                 f"{self.name}.score returned shape {scores.shape}, "

@@ -55,6 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..obs import get_registry, get_tracer
+from ..types import LabeledSeries
 from . import native
 from .base import Detector
 from .sliding import SlidingStats, moving_mean_std, sliding_max
@@ -351,6 +352,13 @@ class _Workspace:
     def arange(self, stop: int) -> np.ndarray:
         return self._track(np.arange(stop, dtype=np.int64))
 
+    def aligned(self, count: int) -> np.ndarray:
+        """``count`` doubles from a 64-byte boundary, a cache line; the
+        padding that takes is counted too."""
+        raw = self.empty(count + 64 // _ELEM - 1)
+        skip = (-raw.ctypes.data % 64) // _ELEM
+        return raw[skip : skip + count]
+
 
 def _alive_min(best: np.ndarray, exclusion: int) -> float:
     """Smallest running correlation over rows that have any valid pair.
@@ -624,6 +632,7 @@ def _compiled_sweep(
     start: int | None = None,
     inputs=None,
     stop: "threading.Event | None" = None,
+    floor: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """:func:`_diagonal_sweep` with each block swept by the C kernel.
 
@@ -635,6 +644,13 @@ def _compiled_sweep(
     numpy sweep's end: ``diag_limit`` rounded up to a whole number of
     ``block``-diagonal blocks.  The block call releases the GIL, so
     shards and engine cells on threads sweep at once.
+
+    ``floor`` is the first subsequence whose entry the caller reads (a
+    located sweep, see :meth:`MatrixProfileDetector.locate`): the fast
+    path only advances the running sums of the columns whose pairs all
+    end below it, so entries below ``floor`` are not a profile, and
+    every entry at or above it keeps its bits.  The running sums live
+    in a 64-byte-aligned array, whole vectors of rows to a cache line.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -648,7 +664,7 @@ def _compiled_sweep(
     dfp, dgp, invp, c0 = inputs
     step = _FAST_BLOCK if not need_indices and abandon is None else block
     L0 = m - first
-    sums = ws.empty(min(step, L0))
+    sums = ws.aligned(min(step, L0))
     head = (dfp.ctypes.data, dgp.ctypes.data, invp.ctypes.data, c0.ctypes.data)
     if need_indices:
         colval = ws.empty(L0)
@@ -657,7 +673,7 @@ def _compiled_sweep(
                 colval.ctypes.data, colarg.ctypes.data)
         kernel = lib.mpx_block_argmax
     else:
-        tail = (sums.ctypes.data, best.ctypes.data)
+        tail = (sums.ctypes.data, best.ctypes.data, int(floor))
         kernel = lib.mpx_block_max
 
     end = m
@@ -690,12 +706,14 @@ def _sweep(
     start: int | None = None,
     inputs=None,
     stop: "threading.Event | None" = None,
+    floor: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
     The arguments and the result are :func:`_diagonal_sweep`'s, which
     tiles at its fixed ``_CHUNK`` width; the compiled kernel needs no
-    tiles.
+    tiles.  ``floor`` reaches the compiled fast path only (see
+    :func:`_compiled_sweep`); numpy sweeps every pair.
     """
     options = dict(
         need_indices=need_indices, abandon=abandon, diag_limit=diag_limit,
@@ -704,7 +722,9 @@ def _sweep(
     lib = native.load()
     if lib is None:
         return _diagonal_sweep(x, w, exclusion, mean, inv, **options)
-    return _compiled_sweep(lib, x, w, exclusion, mean, inv, **options)
+    return _compiled_sweep(
+        lib, x, w, exclusion, mean, inv, floor=floor, **options
+    )
 
 
 def _finalize(
@@ -835,9 +855,11 @@ def _entry_sweep(
     jobs: "int | None",
     abandon: "float | None" = None,
     diag_limit: "int | None" = None,
+    floor: int = 0,
 ) -> "tuple[np.ndarray, np.ndarray | None, int, int] | None":
     """The one sweep behind :func:`matrix_profile` and
-    :func:`discord_search`, under their open ``span``.
+    :func:`discord_search`, under their open ``span``.  ``floor`` is a
+    located sweep's (see :func:`_compiled_sweep`).
 
     ``jobs=None`` runs the single sweep.  Otherwise the shard plan of
     :mod:`repro.detectors.parallel` runs on ``jobs`` threads; its
@@ -861,6 +883,7 @@ def _entry_sweep(
             diag_limit=diag_limit,
             tracer=tracer if tracer.enabled else None,
             stop=stop,
+            floor=floor,
         )
         return None if swept is None else (*swept, 0)
     from .parallel import sharded_sweep
@@ -875,8 +898,9 @@ def _entry_sweep(
         jobs=jobs,
         abandon=abandon,
         diag_stop=None if diag_limit is None else exclusion + diag_limit,
-        traced=tracer.enabled,
+        tracer=tracer if tracer.enabled else None,
         stop=stop,
+        floor=floor,
     )
     shards = len(outcome.shards)
     if span is not None:
@@ -940,6 +964,27 @@ def matrix_profile(
     :class:`ApproxReport`).  The bound is monotone — a larger fraction
     never loosens any entry — and composes with ``jobs``.
     """
+    return _profile(
+        values, w, exclusion, stats=stats, with_indices=with_indices,
+        jobs=jobs, approx=approx,
+    )
+
+
+def _profile(
+    values: np.ndarray,
+    w: int,
+    exclusion: int | None,
+    *,
+    stats: SlidingStats | None = None,
+    with_indices: bool,
+    jobs: int | None,
+    approx: float | None,
+    floor: int | None = None,
+) -> MatrixProfileResult:
+    """:func:`matrix_profile`; with ``floor``, a located sweep whose
+    entries below ``floor`` are not the profile's (see
+    :func:`_compiled_sweep`), and which its ``mpx.profile`` span names.
+    """
     stats, exclusion = _validated(
         values, w, exclusion, stats, jobs=jobs, approx=approx
     )
@@ -948,6 +993,8 @@ def matrix_profile(
     jobs = _resolve_jobs(jobs)
     diag_limit, report = _resolve_approx(approx, m - exclusion)
     attrs = _span_attrs(stats.n, w, jobs, with_indices=with_indices)
+    if floor is not None:
+        attrs["floor"] = floor
     with get_tracer().span("mpx.profile", **attrs) as span:
         if span is not None and report is not None:
             span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
@@ -961,6 +1008,7 @@ def matrix_profile(
             need_indices=with_indices,
             jobs=jobs,
             diag_limit=diag_limit,
+            floor=floor or 0,
         )
         profile, indices = _finalize(best, bestj, w, exclusion, constant)
 
@@ -1108,13 +1156,29 @@ class MatrixProfileDetector(Detector):
         return f"MatrixProfile(w={self.w})"
 
     def score(self, values: np.ndarray) -> np.ndarray:
+        return self._scores(values)
+
+    def locate(self, series: LabeledSeries) -> int:
+        """:meth:`Detector.locate`, on a sweep of the pairs it reads.
+
+        The protocol masks every point before ``train_len``, and a point
+        at or after it takes its score from windows that start at
+        ``train_len - w + 1`` or later: the sweep skips every pair of
+        two earlier windows, and the location is the full sweep's.
+        """
+        self.fit(series.train)
+        floor = max(0, series.train_len - self.w + 1)
+        return self._test_argmax(series, self._scores(series.values, floor))
+
+    def _scores(self, values: np.ndarray, floor: int | None = None):
         values = np.asarray(values, dtype=float)
-        result = matrix_profile(
+        result = _profile(
             values,
             self.w,
             self.exclusion,
             with_indices=False,
             jobs=self.jobs,
             approx=self.approx,
+            floor=floor,
         )
         return subsequence_to_point_scores(result.profile, self.w, values.size)

@@ -37,10 +37,10 @@ and one set of recurrence vectors and anchor covariances, computed once
 per call and only read by the sweeps.  The compiled block call releases
 the GIL (``ctypes``), so shards overlap on as many cores as ``jobs``
 allows; the numpy sweep overlaps only where numpy itself releases it.
-Each shard traces under an ``mpx.shard`` span with a tracer of its own
-when the caller is tracing, and the caller adopts the records in shard
-order with :meth:`Tracer.adopt`, so the span tree does not depend on
-which thread finished first.
+Each shard traces under an ``mpx.shard`` span with a tracer of its own,
+on the caller's clock, when the caller is tracing, and the caller adopts
+the records in shard order with :meth:`Tracer.adopt`, so the span tree
+does not depend on which thread finished first.
 """
 
 from __future__ import annotations
@@ -150,8 +150,9 @@ def sharded_sweep(
     jobs: int,
     abandon: "float | None" = None,
     diag_stop: "int | None" = None,
-    traced: bool = False,
+    tracer: "Tracer | None" = None,
     stop=None,
+    floor: int = 0,
 ) -> ShardOutcome:
     """Sweep every shard of the self-join and merge, in shard order.
 
@@ -161,7 +162,10 @@ def sharded_sweep(
     calling thread, which is what makes single- and multi-threaded
     traces comparable span-for-span.  ``diag_stop`` restricts the sweep
     to separations below it (the anytime mode's leading-diagonal
-    window).
+    window).  ``tracer`` is the caller's enabled tracer, or ``None``:
+    each shard then traces with a tracer on its ``epoch``.  ``floor`` is
+    a located sweep's (see
+    :func:`~repro.detectors.matrix_profile._compiled_sweep`).
 
     Every shard checks ``abandon`` against the true ``exclusion``: a
     row whose pairs all lie in other shards keeps its -inf sentinel and
@@ -190,15 +194,16 @@ def sharded_sweep(
             diag_limit=d_hi - d_lo,
             inputs=inputs,
             stop=stop,
+            floor=floor,
         )
-        if not traced:
+        if tracer is None:
             return _sweep(x, w, exclusion, mean, inv, **options), None
-        tracer = Tracer()
-        with tracer.span("mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi) as span:
-            swept = _sweep(x, w, exclusion, mean, inv, tracer=tracer, **options)
+        child = Tracer(epoch=tracer.epoch)
+        with child.span("mpx.shard", index=index, d_lo=d_lo, d_hi=d_hi) as span:
+            swept = _sweep(x, w, exclusion, mean, inv, tracer=child, **options)
             if swept is None:
                 span.set(abandoned=True)
-        return swept, tracer.export()
+        return swept, child.export()
 
     tasks = list(enumerate(shards))
     threads = min(jobs, len(shards))

@@ -19,10 +19,11 @@ properties drive the design:
 * **one session per thread.**  :func:`tracing_session` installs a
   tracer and a registry for the calling thread only, so cells that run
   at once on several threads each trace into their own session.  The
-  engine's cell threads do that and return ``tracer.export()`` with the
-  result; the caller's :meth:`Tracer.adopt` splices those records under
-  the current span, remapping ids in grid order — so the merged trace
-  is identical to the serial one whichever thread finished first.
+  engine's cell threads do that, on the caller's ``epoch``, and return
+  ``tracer.export()`` with the result; the caller's :meth:`Tracer.adopt`
+  splices those records under the current span, remapping ids in grid
+  order — so the merged trace is identical to the serial one whichever
+  thread finished first, and its spans share one timeline.
 
 Trace files are JSON Lines: a ``header`` record, one ``span`` record
 per finished span, and a final ``metrics`` record embedding the
@@ -96,12 +97,17 @@ class Tracer:
 
     ``enabled=False`` (the process default) turns every entry point into
     a near-free no-op; the real cost only exists when a ``--trace`` run
-    or a test asks for it.
+    or a test asks for it.  ``epoch`` is the ``time.perf_counter()``
+    reading a span's ``start_us`` counts from: by default when the
+    tracer is made, and the adopter's own for a tracer whose records
+    another tracer adopts.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(
+        self, *, enabled: bool = True, epoch: float | None = None
+    ) -> None:
         self.enabled = enabled
-        self._epoch = time.perf_counter()
+        self.epoch = time.perf_counter() if epoch is None else epoch
         self._lock = threading.Lock()
         self._next_id = 1
         self._records: list[dict] = []
@@ -148,7 +154,7 @@ class Tracer:
             "name": span.name,
             "attrs": span.attrs,
             "error": span.error,
-            "start_us": int((span._start - self._epoch) * 1e6),
+            "start_us": int((span._start - self.epoch) * 1e6),
             "duration_us": int((end - span._start) * 1e6),
         }
         span._record = record
@@ -187,8 +193,8 @@ class Tracer:
         Ids are remapped to fresh sequential ids and roots are
         re-parented onto the caller's current span, so the merged tree
         — ids included — matches what a serial run would produce.  The
-        timing fields are kept as-is: they are measured against the
-        child tracer's own epoch, and timing is non-canonical anyway.
+        timing fields are kept as they are: a child tracer made with
+        this tracer's ``epoch`` measured them on this tracer's clock.
         """
         if not self.enabled or not records:
             return
@@ -284,7 +290,7 @@ def get_tracer() -> Tracer:
 
 
 @contextmanager
-def tracing_session(*, enabled: bool = True):
+def tracing_session(*, enabled: bool = True, epoch: float | None = None):
     """Install a fresh tracer *and* a fresh default metrics registry.
 
     ``repro run --trace`` wraps the run in one of these so the exported
@@ -293,9 +299,10 @@ def tracing_session(*, enabled: bool = True):
     which is what makes the trace-determinism contract testable.  The
     session belongs to the calling thread: other threads keep reporting
     to their own sessions (an engine cell thread opens one per cell),
-    or to the process root.  Yields ``(tracer, registry)``.
+    or to the process root.  ``epoch`` is the tracer's (see
+    :class:`Tracer`).  Yields ``(tracer, registry)``.
     """
-    tracer = Tracer(enabled=enabled)
+    tracer = Tracer(enabled=enabled, epoch=epoch)
     registry = push_registry()
     stack = _sessions.tracers
     stack.append(tracer)

@@ -2,7 +2,7 @@
 
 The single execution path for detector × archive grids:
 
-* :mod:`repro.runner.engine` — grid expansion, serial or process-pool
+* :mod:`repro.runner.engine` — grid expansion, serial or thread-pool
   execution with deterministic (byte-identical) output ordering.
 * :mod:`repro.runner.cache` — disk-backed, content-addressed result
   cache so warm re-runs execute zero detector calls.

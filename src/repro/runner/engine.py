@@ -23,6 +23,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..detectors import DetectorSpec, bind_cell_thread
 from ..obs import MetricsRegistry, get_registry, get_tracer, tracing_session
@@ -200,27 +201,23 @@ class RunReport:
         )
 
 
-def _locate_cell(task: tuple[DetectorSpec, LabeledSeries]) -> int:
-    """Task entry point: build the detector and run the UCR protocol."""
-    spec, series = task
-    return int(spec.build().locate(series))
-
-
-def _locate_cell_traced(
-    task: tuple[DetectorSpec, LabeledSeries],
+def _locate_cell(
+    task: tuple[DetectorSpec, LabeledSeries], epoch: "float | None" = None
 ) -> tuple[int, list, MetricsRegistry]:
-    """Traced task entry point: spans and metrics come back by reference.
+    """Task entry point: build the detector and run the UCR protocol.
 
-    The cell opens a tracing session of its own (a fresh tracer *and*
-    registry, on whichever thread runs it — which also keeps the
-    caller's registry clean for serial jobs), locates the cell, and
-    returns the exported span records and the registry alongside the
-    result.  The caller adopts both in grid order, which is what makes
-    serial and parallel traces identical after timing fields are
-    stripped.
+    The cell opens a session of its own on whichever thread runs it: a
+    fresh registry, and with ``epoch`` (the caller's tracer's) a tracer
+    on the caller's clock, under an ``engine.locate`` span.  It returns
+    the location, the exported span records and the registry; the
+    caller adopts both in grid order, which is what makes serial and
+    parallel runs trace and count alike (timing fields aside).
     """
     spec, series = task
-    with tracing_session(enabled=True) as (tracer, registry):
+    with tracing_session(enabled=epoch is not None, epoch=epoch) as (
+        tracer,
+        registry,
+    ):
         with tracer.span("engine.locate"):
             location = int(spec.build().locate(series))
         return location, tracer.export(), registry
@@ -314,21 +311,20 @@ class EvalEngine:
         registry.counter("engine_cache_hits").inc(len(tasks) - len(pending))
         registry.counter("engine_cache_misses").inc(len(pending))
 
-        # with tracing on, cells return (location, spans, registry) and
-        # the adoption below splices them under per-cell spans; the
-        # traced path is also taken for jobs=1 so serial and parallel
-        # runs export the same tree
+        # cells return (location, spans, registry), serial or not, and
+        # the adoption below folds them in under per-cell spans, so
+        # serial and parallel runs export the same tree and metrics
         traced = tracer.enabled
-        worker = _locate_cell_traced if traced else _locate_cell
+        worker = (
+            partial(_locate_cell, epoch=tracer.epoch) if traced else _locate_cell
+        )
         exports: dict[int, tuple] = {}
 
         def collect(index: int, result) -> None:
             # on the calling thread, as each result arrives: a cell that
             # finished is cached even when a later cell raises
-            location = result
-            if traced:
-                location, records, cell_registry = result
-                exports[index] = (records, cell_registry)
+            location, records, cell_registry = result
+            exports[index] = (records, cell_registry)
             locations[index] = location
             if self.cache is not None:
                 self.cache.put(keys[index], {"location": location})

@@ -27,8 +27,11 @@ from hypothesis import strategies as st
 from repro import bench
 from repro.bench import _run_obs
 from repro.detectors import SlidingStats, matrix_profile, native
+from repro.detectors.base import Detector
+from repro.detectors.matrix_profile import MatrixProfileDetector
 from repro.detectors.parallel import plan_shards
 from repro.obs import Tracer, tracing_session
+from repro.types import LabeledSeries, Labels
 
 from kernel_backends import on_body
 
@@ -100,8 +103,9 @@ def compiled_workspace(m: int, exclusion: int, need_indices: bool) -> int:
     if exclusion >= m:
         return total
     total += 3 * (m + 128) * 8 + 2 * m * 8  # dfp, dgp, invp; c0 + anchor
-    # one running sum per block row: the fast path steps 512 diagonals
-    total += min(128 if need_indices else 512, m - exclusion) * 8
+    # one running sum per block row (the fast path steps 512 diagonals),
+    # and seven more that let the sums start on a 64-byte line
+    total += (min(128 if need_indices else 512, m - exclusion) + 7) * 8
     if need_indices:
         total += (m - exclusion) * 16  # column-side values and indices
     return total
@@ -282,6 +286,67 @@ class TestCompiledEqualsNumpy:
                         need_indices=need_indices, chunk=1, diag_limit=0,
                     )[2]
                     assert swept[2] == predicted <= floor
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 2**16),
+        st.integers(3, 40),
+        st.integers(0, 1500),
+        st.data(),
+        st.sampled_from(["zero", "one", "half_w", "w"]),
+        st.sampled_from([None, 0.3, 0.75, 1.0]),
+        st.sampled_from([None, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_located_sweep_keeps_every_entry_it_reads(
+        self, kind, seed, w, extra, data, exclusion, approx, jobs
+    ):
+        values = family(kind, seed, 2 * w + extra)
+        n = values.size
+        train_len = data.draw(st.integers(0, n), label="train_len")
+        floor = max(0, train_len - w + 1)
+        options = dict(
+            exclusion=exclusion_for(exclusion, w, n - w + 1),
+            with_indices=False, jobs=jobs, approx=approx,
+        )
+        located = {"compiled": mp._profile(values, w, floor=floor, **options)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "load", lambda: None)
+            full = matrix_profile(values, w, **options)
+            located["numpy"] = mp._profile(values, w, floor=floor, **options)
+        for result in located.values():
+            np.testing.assert_array_equal(
+                result.profile[floor:].view(np.uint64),
+                full.profile[floor:].view(np.uint64),
+            )
+        series = LabeledSeries("s", values, Labels(n=n), train_len=train_len)
+        detector = MatrixProfileDetector(
+            w, options["exclusion"], jobs=jobs, approx=approx
+        )
+        assert detector.locate(series) == Detector.locate(detector, series)
+
+    def test_each_body_skips_the_pairs_below_the_floor(self):
+        # below the floor an entry misses the pairs of the skipped
+        # columns, so it may only fall short of the full sweep's; a body
+        # that ignored the floor would match it everywhere.  Column 1469
+        # of the first block is the first one swept: its last row pairs
+        # 1469 with the floor, planted as that entry's nearest neighbour
+        values = family("walk", 3, 3000)
+        w, floor = 20, 2000
+        values[1469 : 1469 + w] = values[floor : floor + w]
+        x, mean, inv = sweep_inputs(values, w)
+        full, _, _ = mp._compiled_sweep(
+            native.load(), x, w, w, mean, inv, need_indices=False
+        )
+        located, _, _ = mp._compiled_sweep(
+            native.load(), x, w, w, mean, inv, need_indices=False,
+            floor=floor,
+        )
+        np.testing.assert_array_equal(
+            located[floor:].view(np.uint64), full[floor:].view(np.uint64)
+        )
+        below, swept = located[:floor], full[:floor]
+        assert (below <= swept).all() and (below < swept).any()
 
     def test_compiled_trace_has_blocks_and_no_chunks(self):
         values = family("walk", 5, 600)

@@ -34,7 +34,12 @@ from repro.detectors import (
     set_default_kernel_jobs,
 )
 from repro.detectors.matrix_profile import MatrixProfileDetector
-from repro.obs import canonical_records, tracing_session
+from repro.obs import (
+    canonical_records,
+    pop_registry,
+    push_registry,
+    tracing_session,
+)
 from repro.runner import (
     EvalEngine,
     FractionalScoring,
@@ -501,18 +506,18 @@ class TestCellsOnThreads:
         )
         specs = self.MP[:1]
         barrier = threading.Barrier(2, timeout=60)
-        real = MatrixProfileDetector.score
+        real = MatrixProfileDetector.locate
 
-        def score(detector, values):
+        def locate(detector, series):
             barrier.wait()
-            scores = real(detector, values)
+            location = real(detector, series)
             barrier.wait()
-            return scores
+            return location
 
         set_default_kernel_jobs(kernel_jobs)
         try:
             serial = traced_run(specs, pair, 1)
-            monkeypatch.setattr(MatrixProfileDetector, "score", score)
+            monkeypatch.setattr(MatrixProfileDetector, "locate", locate)
             report, records, metrics = traced_run(specs, pair, 2)
         finally:
             set_default_kernel_jobs(None)
@@ -552,6 +557,45 @@ class TestCellsOnThreads:
             assert report.manifest().to_json() == manifest
             assert records == serial[1]
             assert metrics == serial[2]
+
+    def test_adopted_spans_lie_inside_engine_run(self, archive):
+        # cells and their kernel shards trace with tracers of their own;
+        # their spans must land on the caller's clock, not each start at
+        # zero on a clock of its own, long before the run began
+        set_default_kernel_jobs(2)
+        try:
+            with tracing_session() as (tracer, _registry):
+                time.sleep(0.02)
+                EvalEngine(self.MP, jobs=2).run(archive)
+                records = tracer.export()
+        finally:
+            set_default_kernel_jobs(None)
+        [run] = [r for r in records if r["name"] == "engine.run"]
+        names = [r["name"] for r in records]
+        assert names.count("engine.locate") == 2 * len(archive)
+        assert names.count("mpx.shard") >= len(archive)
+        assert run["start_us"] >= 20_000
+        end = run["start_us"] + run["duration_us"]
+        for record in records:
+            assert run["start_us"] <= record["start_us"], record
+            # each end rounds down once, the run's twice
+            assert record["start_us"] + record["duration_us"] <= end + 1
+
+    def test_untraced_pooled_cells_count_like_serial(self, archive):
+        # untraced cells on engine threads record into the caller's
+        # registry too, folded in grid order like serial cells
+        snapshots = []
+        for jobs in (1, 2):
+            registry = push_registry()
+            try:
+                EvalEngine(self.MP, jobs=jobs).run(archive)
+            finally:
+                pop_registry()
+            snapshots.append(registry.snapshot(histogram_values=False))
+        serial, pooled = snapshots
+        assert serial["counters"]["mpx_profiles"] == len(archive)
+        assert "mpx_workspace_bytes" in serial["gauges"]
+        assert pooled == serial
 
     def test_kernel_jobs_cap_stays_on_the_cell_threads(self, archive):
         # under a kernel-jobs default of 2 the cells sweep the shard plan
