@@ -14,13 +14,20 @@
  * so the only scratch is s[block] (plus the column-side accumulators of
  * the indexed entry).
  *
- * A located sweep passes floor, the first subsequence whose entry the
- * caller reads: in block [d, d + block) a column i with
- * i + d + block - 1 < floor pairs only entries below it, so the fast
- * path only advances its running sums (the same additions in the same
- * order) and skips its correlations, maxima and NaN flag.  Every entry
- * at or above floor meets the same pairs in the same order, and keeps
- * its bits; floor 0 sweeps every pair.
+ * The fast path takes alive, one byte per subsequence, set for the
+ * entries whose maxima the caller still reads (a located sweep's, see
+ * matrix_profile.py), or NULL for a profile, where every entry is.  In
+ * block [d, d + block) column i pairs entry i with i + d ... i + d +
+ * rows - 1; the fast path computes its correlations only when alive[i]
+ * or one of alive[i + d ... i + d + block - 1] is set, which it tracks
+ * with a running count.  When only the second holds and those alive
+ * entries lie within half of the column's rows, it computes the rows
+ * from the first of them to the last alone.  The columns in between
+ * only advance their running sums (the same additions in the same
+ * order, held in registers, right before the next column that
+ * computes), and the columns after the last one that computes are not
+ * visited.  Every entry alive throughout meets the same pairs in the
+ * same order, and keeps its bits.
  *
  * The fast path has bodies that give the same results: a scalar loop,
  * and one vector loop (VECTOR_BODY) at two lanes (SSE2), four (AVX2)
@@ -44,6 +51,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* np.maximum(a, c): c > a ? c : a is one maxsd, and only the NaN test
  * branches, the same way on every number */
@@ -54,7 +62,8 @@ static inline double nan_max(double a, double c)
 
 /* Rows [b, rows) of column i, one at a time, merged into row and bj.
  * With advance = 0 the running sums are taken as they stand: column 0
- * of a block, or a vector step redone by the scalar rule. */
+ * of a block, a vector step redone by the scalar rule, or a column
+ * advanced with the run before it. */
 static inline double scalar_rows(const double *fj, const double *gj,
                                  const double *ij, double fi, double gi,
                                  double ii, int advance, int64_t b,
@@ -71,51 +80,111 @@ static inline double scalar_rows(const double *fj, const double *gj,
     return row;
 }
 
-/* How many leading columns of block [d, d + block) pair only entries
- * below floor (i + d + block - 1 < floor); no more than the L - block + 1
- * whose rows are all block long, so any floor is safe. */
-static inline int64_t advance_cols(int64_t L, int64_t d, int64_t block,
-                                   int64_t floor)
+/* Column i's view of the mask: its window, entries i + d ... i + d +
+ * block - 1 below m, holds live alive entries, the last of them last;
+ * first is the first alive entry at or after i + d, found when asked.
+ * Each column updates them from column i - 1's. */
+typedef struct {
+    int64_t live, first, last;
+} window;
+
+/* Whether column i computes correlations: its own entry or one in its
+ * window is alive.  Every column does without a mask. */
+static inline int computes(const uint8_t *alive, int64_t m, int64_t d,
+                           int64_t block, int64_t i, window *win)
 {
-    int64_t cols = floor - d - block + 1;
-    if (cols > L - block + 1)
-        cols = L - block + 1;
-    return cols > 0 ? cols : 0;
+    if (!alive)
+        return 1;
+    const int64_t end = i + d + block - 1;
+    if (i == 0) {
+        *win = (window){0, d, 0};
+        for (int64_t k = d; k < end && k < m; k++)
+            if (alive[k]) {
+                win->live++;
+                win->last = k;
+            }
+    } else
+        win->live -= alive[i - 1 + d];
+    if (end < m && alive[end]) {
+        win->live++;
+        win->last = end;
+    }
+    return win->live || alive[i];
 }
 
-/* Rows [b, rows): the running sums after columns [0, cols), cols >= 1,
- * one row at a time in registers. */
+/* The rows [*b0, *b1) of column i whose correlations it computes: all
+ * of them, unless entry i is dead and its window's alive entries lie
+ * within half of its rows; then only from the first to the last, and
+ * the column's own running sums are advanced with the run before it (1
+ * is returned).  Called for a column that computes, so when entry i is
+ * dead the window holds an alive entry, and the search below ends on
+ * it: eight dead entries at a time, then one. */
+static inline int narrow_rows(const uint8_t *alive, int64_t m, int64_t d,
+                              int64_t i, int64_t rows, window *win,
+                              int64_t *b0, int64_t *b1)
+{
+    *b0 = 0;
+    *b1 = rows;
+    if (!alive || alive[i])
+        return 0;
+    int64_t k = win->first > i + d ? win->first : i + d;
+    for (uint64_t eight; k + 8 <= m; k += 8) {
+        memcpy(&eight, alive + k, 8);
+        if (eight)
+            break;
+    }
+    while (!alive[k])
+        k++;
+    win->first = k;
+    if (2 * (win->last - k + 1) > rows)
+        return 0;
+    *b0 = k - i - d;
+    *b1 = win->last - i - d + 1;
+    return 1;
+}
+
+/* Rows [b, rows): the running sums after columns [from, to), to > from,
+ * one row at a time in registers; from = 0 starts them at c0. */
 static inline void advance_rows(const double *dfp, const double *dgp,
-                                const double *c0, int64_t d, int64_t cols,
-                                int64_t b, int64_t rows, double *s)
+                                const double *c0, int64_t d, int64_t from,
+                                int64_t to, int64_t b, int64_t rows,
+                                double *s)
 {
     for (; b < rows; b++) {
-        double t = c0[d + b];
-        for (int64_t i = 1; i < cols; i++)
+        double t = from ? s[b] : c0[d + b];
+        for (int64_t i = from ? from : 1; i < to; i++)
             t += dgp[i + d + b] * dfp[i] + dfp[i + d + b] * dgp[i];
         s[b] = t;
     }
 }
 
 /* Fast path, one row at a time: best[k] = max over every pair of the
- * block touching k, for every k >= floor. */
+ * block touching k, for every k alive. */
 void mpx_block_max_scalar(const double *dfp, const double *dgp,
                           const double *invp, const double *c0, int64_t m,
                           int64_t d, int64_t block, double *s, double *best,
-                          int64_t floor)
+                          const uint8_t *alive)
 {
     const int64_t L = m - d;
-    const int64_t skip = advance_cols(L, d, block, floor);
-    if (skip)
-        advance_rows(dfp, dgp, c0, d, skip, 0, block, s);
-    for (int64_t i = skip; i < L; i++) {
+    int64_t next = 0, b0, b1;
+    window win;
+    for (int64_t i = 0; i < L; i++) {
+        if (!computes(alive, m, d, block, i, &win))
+            continue;
         const int64_t rows = L - i < block ? L - i : block;
-        if (i == 0)
+        const int narrow = narrow_rows(alive, m, d, i, rows, &win, &b0, &b1);
+        const int64_t to = narrow ? i + 1 : i;
+        if (next < to)
+            advance_rows(dfp, dgp, c0, d, next, to, 0, rows, s);
+        else if (i == 0)
             for (int64_t k = 0; k < rows; k++)
                 s[k] = c0[d + k];
-        best[i] = nan_max(best[i], scalar_rows(
+        next = i + 1;
+        const double row = scalar_rows(
             dfp + i + d, dgp + i + d, invp + i + d, dfp[i], dgp[i], invp[i],
-            i > 0, 0, rows, s, best + i + d, -INFINITY));
+            !narrow && i > 0, b0, b1, s, best + i + d, -INFINITY);
+        if (!narrow)
+            best[i] = nan_max(best[i], row);
     }
 }
 
@@ -168,53 +237,64 @@ __attribute__((target("avx512f"))) static inline double hmax8(v8d r)
  * of that width: two vectors of rows per step, with a row accumulator
  * each.  A NaN in a step is flagged, and the column's vector steps are
  * redone by the scalar rule; otherwise the column's row maximum is one
- * hmax tree, with no branch on the data.  The columns below floor
- * advance four vectors of rows at a time, each sum in a register. */
+ * hmax tree, with no branch on the data.  A run of columns that only
+ * advance goes four vectors of rows at a time, each sum in a register;
+ * a column that computes some of its rows only (narrow_rows) joins the
+ * run before it. */
 #define VECTOR_BODY(isa, N)                                                \
     void mpx_block_max_##isa(const double *dfp, const double *dgp,        \
                              const double *invp, const double *c0,        \
                              int64_t m, int64_t d, int64_t block,         \
-                             double *s, double *best, int64_t floor)      \
+                             double *s, double *best,                     \
+                             const uint8_t *alive)                        \
     {                                                                      \
         typedef v##N##d V;                                                 \
         typedef v##N##d_u VU;                                              \
         const int64_t L = m - d;                                           \
-        const int64_t skip = advance_cols(L, d, block, floor);             \
-        int64_t a = 0;                                                     \
-        for (; skip && a + 4 * N <= block; a += 4 * N) {                   \
-            V t0 = AT(VU, c0 + d + a), t1 = AT(VU, c0 + d + a + N);        \
-            V t2 = AT(VU, c0 + d + a + 2 * N);                             \
-            V t3 = AT(VU, c0 + d + a + 3 * N);                             \
-            for (int64_t i = 1; i < skip; i++) {                           \
-                const double fi = dfp[i], gi = dgp[i];                     \
-                const double *fj = dfp + i + d + a, *gj = dgp + i + d + a; \
-                t0 += AT(VU, gj) * fi + AT(VU, fj) * gi;                   \
-                t1 += AT(VU, gj + N) * fi + AT(VU, fj + N) * gi;           \
-                t2 += AT(VU, gj + 2 * N) * fi + AT(VU, fj + 2 * N) * gi;   \
-                t3 += AT(VU, gj + 3 * N) * fi + AT(VU, fj + 3 * N) * gi;   \
-            }                                                              \
-            AT(VU, s + a) = t0;                                            \
-            AT(VU, s + a + N) = t1;                                        \
-            AT(VU, s + a + 2 * N) = t2;                                    \
-            AT(VU, s + a + 3 * N) = t3;                                    \
-        }                                                                  \
-        if (skip)                                                          \
-            advance_rows(dfp, dgp, c0, d, skip, a, block, s);              \
-        for (int64_t i = skip; i < L; i++) {                               \
+        int64_t next = 0, b0, b1;                                          \
+        window win;                                                        \
+        for (int64_t i = 0; i < L; i++) {                                  \
+            if (!computes(alive, m, d, block, i, &win))                    \
+                continue;                                                  \
             const int64_t rows = L - i < block ? L - i : block;            \
+            const int narrow =                                             \
+                narrow_rows(alive, m, d, i, rows, &win, &b0, &b1);         \
+            const int64_t to = narrow ? i + 1 : i;                         \
+            int64_t a = 0;                                                 \
+            for (; next < to && a + 4 * N <= rows; a += 4 * N) {           \
+                const double *from = next ? s + a : c0 + d + a;            \
+                V t0 = AT(VU, from), t1 = AT(VU, from + N);                \
+                V t2 = AT(VU, from + 2 * N), t3 = AT(VU, from + 3 * N);    \
+                for (int64_t k = next ? next : 1; k < to; k++) {           \
+                    const double fk = dfp[k], gk = dgp[k];                 \
+                    const double *fj = dfp + k + d + a, *gj = dgp + k + d + a; \
+                    t0 += AT(VU, gj) * fk + AT(VU, fj) * gk;               \
+                    t1 += AT(VU, gj + N) * fk + AT(VU, fj + N) * gk;       \
+                    t2 += AT(VU, gj + 2 * N) * fk + AT(VU, fj + 2 * N) * gk; \
+                    t3 += AT(VU, gj + 3 * N) * fk + AT(VU, fj + 3 * N) * gk; \
+                }                                                          \
+                AT(VU, s + a) = t0;                                        \
+                AT(VU, s + a + N) = t1;                                    \
+                AT(VU, s + a + 2 * N) = t2;                                \
+                AT(VU, s + a + 3 * N) = t3;                                \
+            }                                                              \
+            if (next < to)                                                 \
+                advance_rows(dfp, dgp, c0, d, next, to, a, rows, s);       \
+            else if (i == 0)                                               \
+                for (int64_t k = 0; k < rows; k++)                         \
+                    s[k] = c0[d + k];                                      \
+            next = i + 1;                                                  \
+            const int advance = !narrow && i > 0;                          \
             const double fi = dfp[i], gi = dgp[i], ii = invp[i];           \
             const double *fj = dfp + i + d, *gj = dgp + i + d;             \
             const double *ij = invp + i + d;                               \
             double *bj = best + i + d;                                     \
-            if (i == 0)                                                    \
-                for (int64_t k = 0; k < rows; k++)                         \
-                    s[k] = c0[d + k];                                      \
             V r0 = (V){0} - INFINITY, r1 = r0;                             \
             int nan = 0;                                                   \
-            int64_t b = 0;                                                 \
-            for (; b + 2 * N <= rows; b += 2 * N) {                        \
+            int64_t b = b0;                                                \
+            for (; b + 2 * N <= b1; b += 2 * N) {                          \
                 V t0 = AT(VU, s + b), t1 = AT(VU, s + b + N);              \
-                if (i) {                                                   \
+                if (advance) {                                             \
                     t0 += AT(VU, gj + b) * fi + AT(VU, fj + b) * gi;       \
                     t1 += AT(VU, gj + b + N) * fi + AT(VU, fj + b + N) * gi; \
                     AT(VU, s + b) = t0;                                    \
@@ -228,12 +308,13 @@ __attribute__((target("avx512f"))) static inline double hmax8(v8d r)
                 AT(VU, bj + b + N) = max##N(x1, AT(VU, bj + b + N));       \
                 nan |= unord##N(x0, x1);                                   \
             }                                                              \
-            double row = nan ? scalar_rows(fj, gj, ij, fi, gi, ii, 0, 0, b, \
-                                           s, bj, -INFINITY)               \
+            double row = nan ? scalar_rows(fj, gj, ij, fi, gi, ii, 0, b0,  \
+                                           b, s, bj, -INFINITY)            \
                              : hmax##N(max##N(r0, r1));                    \
-            row = scalar_rows(fj, gj, ij, fi, gi, ii, i > 0, b, rows, s,   \
+            row = scalar_rows(fj, gj, ij, fi, gi, ii, advance, b, b1, s,   \
                               bj, row);                                    \
-            best[i] = nan_max(best[i], row);                               \
+            if (!narrow)                                                   \
+                best[i] = nan_max(best[i], row);                           \
         }                                                                  \
     }
 
@@ -263,20 +344,20 @@ const char *mpx_simd(void)
 /* Fast path on the body mpx_simd names. */
 void mpx_block_max(const double *dfp, const double *dgp, const double *invp,
                    const double *c0, int64_t m, int64_t d, int64_t block,
-                   double *s, double *best, int64_t floor)
+                   double *s, double *best, const uint8_t *alive)
 {
 #ifdef HAVE_AVX512
     if (__builtin_cpu_supports("avx512f"))
-        mpx_block_max_avx512(dfp, dgp, invp, c0, m, d, block, s, best, floor);
+        mpx_block_max_avx512(dfp, dgp, invp, c0, m, d, block, s, best, alive);
     else
 #endif
 #if defined(__x86_64__) && defined(__GNUC__)
     if (__builtin_cpu_supports("avx2"))
-        mpx_block_max_avx2(dfp, dgp, invp, c0, m, d, block, s, best, floor);
+        mpx_block_max_avx2(dfp, dgp, invp, c0, m, d, block, s, best, alive);
     else
-        mpx_block_max_sse2(dfp, dgp, invp, c0, m, d, block, s, best, floor);
+        mpx_block_max_sse2(dfp, dgp, invp, c0, m, d, block, s, best, alive);
 #else
-    mpx_block_max_scalar(dfp, dgp, invp, c0, m, d, block, s, best, floor);
+    mpx_block_max_scalar(dfp, dgp, invp, c0, m, d, block, s, best, alive);
 #endif
 }
 

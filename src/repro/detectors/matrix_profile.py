@@ -84,6 +84,20 @@ _DIAG_BLOCK = 128
 # equal neighbours an index names and where an abandoning sweep stops,
 # so those sweeps keep _DIAG_BLOCK
 _FAST_BLOCK = 512
+# a located sweep's drop rule (_Pruning).  Timed on `locate` over the
+# perfbench batch-archive seeds 11 and 21 (2 vCPUs, AVX-512 body,
+# medians of 5 interleaved rounds), one or two candidates re-picked
+# after blocks (1), (1, 4), (1, 8), (1, 4, 16) or (1, 2, 4, 8, 16) all
+# took 0.254-0.272 s, within noise of each other, against 0.40 s for
+# the floor's mask alone; more candidates only cost more: each is one
+# np.correlate, 0.17 ms at n = 9,800.  So two, re-picked once
+_CANDIDATES = 2
+_REPICK_AFTER = (1, 4)
+# a candidate's exact squared distance is lowered by this share: on 70
+# rows of each series of those seeds it differed from the sweep's by at
+# most 3.4e-8 of itself, and a kappa below the sweep's own answer only
+# costs a fallback sweep
+_MARGIN = 1e-5
 _ELEM = np.dtype(float).itemsize
 # columns per tile of the numpy sweep's block buffers (_diagonal_sweep),
 # so its working set is O(block · _CHUNK) on top of the O(n) recurrence
@@ -416,6 +430,92 @@ def _sweep_inputs(
     return dfp, dgp, invp, c0
 
 
+class _Pruning:
+    """A located sweep's drop rule (see :meth:`MatrixProfileDetector.locate`).
+
+    After each block that ``_REPICK_AFTER`` names, the alive rows with
+    the largest running distance, taken non-overlapping, are
+    candidates.  A candidate's exact nearest-neighbour correlation
+    (``np.correlate`` against the series, with :func:`_finalize`'s
+    constant-window rule) is at least the discord's, the smallest among
+    the rows read; ``kappa`` is the smallest of them, its squared
+    distance lowered by the share ``_MARGIN``.  After every block the
+    rows whose running correlation exceeds ``kappa`` leave the mask,
+    and the sweep leaves its last mask in ``alive``.  Where ``kappa``
+    lies decides how many rows go, never the answer: :func:`_certify`
+    checks that.
+    """
+
+    def __init__(self, x, w, exclusion, mean, inv, constant) -> None:
+        self.x, self.w, self.exclusion = x, w, exclusion
+        self.mean, self.inv, self.constant = mean, inv, constant
+        self.kappa = np.inf
+        self.alive: "np.ndarray | None" = None
+
+    def drop(self, blocks: int, best: np.ndarray, alive: np.ndarray) -> None:
+        """After the sweep's ``blocks``-th block: re-pick, then drop."""
+        if blocks in _REPICK_AFTER:
+            running = np.where(
+                alive & ~self.constant & np.isfinite(best), best, np.inf
+            )
+            for _ in range(_CANDIDATES):
+                row = int(np.argmin(running))
+                if running[row] == np.inf:
+                    break
+                self.kappa = min(self.kappa, self._bound(row))
+                running[max(0, row - self.w + 1) : row + self.w] = np.inf
+        if self.kappa < np.inf:
+            alive[best > self.kappa] = False  # a NaN stays
+
+    def _bound(self, row: int) -> float:
+        """``row``'s exact nearest-neighbour correlation ``c``, raised to
+        ``c + _MARGIN·(1 − c)``, which lowers the squared distance
+        ``2w(1 − c)`` by that share (``inf``, no bound, for a NaN)."""
+        x, w, exclusion = self.x, self.w, self.exclusion
+        query = x[row : row + w] - self.mean[row]
+        corr = np.correlate(x, query, mode="valid")
+        corr -= self.mean * query.sum()
+        corr *= self.inv[row] * self.inv
+        lo, hi = max(0, row - exclusion + 1), row + exclusion
+        corr[lo:hi] = -np.inf  # the trivial matches
+        top = float(corr.max())
+        if self.constant[:lo].any() or self.constant[hi:].any():
+            top = max(top, 0.5)
+        if np.isnan(top):
+            return np.inf
+        top = min(max(top, -1.0), 1.0)
+        return top + _MARGIN * (1.0 - top)
+
+
+def _certify(
+    profile: np.ndarray, prune: "_Pruning | None", floor: int, w: int
+) -> "tuple[int, bool]":
+    """A located sweep's ``(rows alive, certified)``.
+
+    A dropped row's running correlation exceeded ``kappa``; its final
+    one does too (the maximum only grows, and :func:`_finalize` only
+    raises it), so by the monotone :func:`_distances` its distance is
+    at most ``D(kappa)``.  When the best finite distance among the rows
+    still alive is strictly greater, no dropped row ties or beats it,
+    and every row alive met all of its pairs in the full sweep's order:
+    the first argmax over the rows read is the full sweep's.  The
+    dropped rows then read ``-inf``, which the lift skips.
+    """
+    alive = None if prune is None else prune.alive
+    if alive is None:  # no mask: the shards' sweep, or numpy's
+        return max(0, profile.size - floor), True
+    kept = int(np.count_nonzero(alive))
+    if kept == profile.size - floor:
+        return kept, True
+    finite = profile[alive]
+    finite = finite[np.isfinite(finite)]
+    bound = _distances(np.array([prune.kappa]), w)[0]
+    if finite.size == 0 or not finite.max() > bound:
+        return kept, False
+    profile[floor:][~alive[floor:]] = -np.inf
+    return kept, True
+
+
 def _check_stop(stop: "threading.Event | None") -> None:
     """Raise :class:`SweepStopped` once an engine's stop flag is set."""
     if stop is not None and stop.is_set():
@@ -633,6 +733,7 @@ def _compiled_sweep(
     inputs=None,
     stop: "threading.Event | None" = None,
     floor: int = 0,
+    prune: "_Pruning | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """:func:`_diagonal_sweep` with each block swept by the C kernel.
 
@@ -645,12 +746,17 @@ def _compiled_sweep(
     ``block``-diagonal blocks.  The block call releases the GIL, so
     shards and engine cells on threads sweep at once.
 
-    ``floor`` is the first subsequence whose entry the caller reads (a
-    located sweep, see :meth:`MatrixProfileDetector.locate`): the fast
-    path only advances the running sums of the columns whose pairs all
-    end below it, so entries below ``floor`` are not a profile, and
-    every entry at or above it keeps its bits.  The running sums live
-    in a 64-byte-aligned array, whole vectors of rows to a cache line.
+    A located sweep (see :meth:`MatrixProfileDetector.locate`) gives
+    the fast path a byte mask, ``alive``, of the entries it still
+    reads: first the rows at or above ``floor``, the first subsequence
+    whose entry the caller reads.  The kernel only advances the running
+    sums of the columns that pair no alive entry, so an entry that is
+    not alive throughout is not a profile entry, and every entry that
+    is keeps its bits.  ``prune`` (a :class:`_Pruning`) drops entries
+    from the mask between blocks, and gets the mask as it ends.  With
+    neither (``floor`` 0), there is no mask and every pair is swept.
+    The running sums live in a 64-byte-aligned array, whole vectors of
+    rows to a cache line.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -673,13 +779,19 @@ def _compiled_sweep(
                 colval.ctypes.data, colarg.ctypes.data)
         kernel = lib.mpx_block_argmax
     else:
-        tail = (sums.ctypes.data, best.ctypes.data, int(floor))
+        alive = None  # every entry: a profile
+        if floor or prune is not None:
+            alive = ws.empty(m, dtype=bool)
+            alive[:floor] = False
+            alive[floor:] = True
+        tail = (sums.ctypes.data, best.ctypes.data,
+                None if alive is None else alive.ctypes.data)
         kernel = lib.mpx_block_max
 
     end = m
     if diag_limit is not None:
         end = min(m, first + block * ((int(diag_limit) + block - 1) // block))
-    for d in range(first, end, step):
+    for blocks, d in enumerate(range(first, end, step), 1):
         _check_stop(stop)
         B = min(step, end - d)
         if tracer is not None:
@@ -689,6 +801,10 @@ def _compiled_sweep(
             tracer.end_span(block_span)
         if abandon is not None and _alive_min(best, exclusion) >= abandon:
             return None
+        if prune is not None:
+            prune.drop(blocks, best, alive)
+    if prune is not None:
+        prune.alive = alive
     return best, bestj, ws.bytes
 
 
@@ -707,13 +823,14 @@ def _sweep(
     inputs=None,
     stop: "threading.Event | None" = None,
     floor: int = 0,
+    prune: "_Pruning | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
     The arguments and the result are :func:`_diagonal_sweep`'s, which
     tiles at its fixed ``_CHUNK`` width; the compiled kernel needs no
-    tiles.  ``floor`` reaches the compiled fast path only (see
-    :func:`_compiled_sweep`); numpy sweeps every pair.
+    tiles.  ``floor`` and ``prune`` reach the compiled fast path only
+    (see :func:`_compiled_sweep`); numpy sweeps every pair.
     """
     options = dict(
         need_indices=need_indices, abandon=abandon, diag_limit=diag_limit,
@@ -723,8 +840,16 @@ def _sweep(
     if lib is None:
         return _diagonal_sweep(x, w, exclusion, mean, inv, **options)
     return _compiled_sweep(
-        lib, x, w, exclusion, mean, inv, floor=floor, **options
+        lib, x, w, exclusion, mean, inv, floor=floor, prune=prune, **options
     )
+
+
+def _distances(corr: np.ndarray, w: int) -> np.ndarray:
+    """Correlations (clipped to [-1, 1] in place) → distances
+    ``sqrt(2w(1 − c))``: monotone in IEEE doubles, a larger correlation
+    never gives a larger distance."""
+    np.clip(corr, -1.0, 1.0, out=corr)
+    return np.sqrt(2.0 * w * (1.0 - corr))
 
 
 def _finalize(
@@ -769,8 +894,7 @@ def _finalize(
             first_valid = np.where(can_lo, 0, ii + exclusion)
             bestj[rows_cn] = first_valid[rows_cn]
     untouched = np.isneginf(best)
-    np.clip(best, -1.0, 1.0, out=best)
-    profile = np.sqrt(2.0 * w * (1.0 - best))
+    profile = _distances(best, w)
     if untouched.any():
         profile[untouched] = np.inf
         if bestj is not None:
@@ -856,10 +980,12 @@ def _entry_sweep(
     abandon: "float | None" = None,
     diag_limit: "int | None" = None,
     floor: int = 0,
+    prune: "_Pruning | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray | None, int, int] | None":
     """The one sweep behind :func:`matrix_profile` and
-    :func:`discord_search`, under their open ``span``.  ``floor`` is a
-    located sweep's (see :func:`_compiled_sweep`).
+    :func:`discord_search`, under their open ``span``.  ``floor`` and
+    ``prune`` are a located sweep's (see :func:`_compiled_sweep`); the
+    shards sweep the floor's mask alone and take no ``prune``.
 
     ``jobs=None`` runs the single sweep.  Otherwise the shard plan of
     :mod:`repro.detectors.parallel` runs on ``jobs`` threads; its
@@ -884,6 +1010,7 @@ def _entry_sweep(
             tracer=tracer if tracer.enabled else None,
             stop=stop,
             floor=floor,
+            prune=prune,
         )
         return None if swept is None else (*swept, 0)
     from .parallel import sharded_sweep
@@ -919,10 +1046,20 @@ def _entry_sweep(
 
 
 def _span_attrs(n: int, w: int, jobs: "int | None", **attrs) -> dict:
-    """An entry point's span attributes; ``jobs`` only when sharded."""
+    """An entry point's span attributes; ``jobs`` only when sharded.
+    ``backend`` is not one: the span sets it once open (see
+    :func:`_set_backend`)."""
     if jobs is not None:
         attrs["jobs"] = jobs
-    return dict(n=n, w=w, **attrs, backend=native.backend())
+    return dict(n=n, w=w, **attrs)
+
+
+def _set_backend(span) -> None:
+    """Name the sweep's backend on an open entry-point ``span``.  Asking
+    loads the kernel, which on an empty cache builds it: inside the
+    span, the build's time is the span's."""
+    if span is not None:
+        span.set(backend=native.backend())
 
 
 def matrix_profile(
@@ -981,9 +1118,11 @@ def _profile(
     approx: float | None,
     floor: int | None = None,
 ) -> MatrixProfileResult:
-    """:func:`matrix_profile`; with ``floor``, a located sweep whose
-    entries below ``floor`` are not the profile's (see
-    :func:`_compiled_sweep`), and which its ``mpx.profile`` span names.
+    """:func:`matrix_profile`; with ``floor``, a located sweep (see
+    :meth:`MatrixProfileDetector.locate`) whose ``mpx.profile`` span
+    names the floor, the rows alive at its end and whether the answer
+    was certified.  Its entries below ``floor`` are not the profile's,
+    and an entry it dropped reads ``-inf``, a distance no pair gives.
     """
     stats, exclusion = _validated(
         values, w, exclusion, stats, jobs=jobs, approx=approx
@@ -996,21 +1135,31 @@ def _profile(
     if floor is not None:
         attrs["floor"] = floor
     with get_tracer().span("mpx.profile", **attrs) as span:
+        _set_backend(span)
         if span is not None and report is not None:
             span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-        best, bestj, workspace, shards = _entry_sweep(
-            stats.shifted,
-            w,
-            exclusion,
-            mean,
-            inv,
-            span,
-            need_indices=with_indices,
-            jobs=jobs,
-            diag_limit=diag_limit,
+        options = dict(
+            need_indices=with_indices, jobs=jobs, diag_limit=diag_limit,
             floor=floor or 0,
         )
+        prune = None
+        if floor is not None and jobs is None:
+            prune = _Pruning(stats.shifted, w, exclusion, mean, inv, constant)
+        best, bestj, workspace, shards = _entry_sweep(
+            stats.shifted, w, exclusion, mean, inv, span, prune=prune,
+            **options,
+        )
         profile, indices = _finalize(best, bestj, w, exclusion, constant)
+        if floor is not None:
+            alive, certified = _certify(profile, prune, floor, w)
+            if not certified:
+                get_registry().counter("mpx_located_fallbacks").inc()
+                best, _, workspace, shards = _entry_sweep(
+                    stats.shifted, w, exclusion, mean, inv, span, **options
+                )
+                profile, _ = _finalize(best, None, w, exclusion, constant)
+            if span is not None:
+                span.set(alive=alive, certified=certified)
 
     registry = get_registry()
     registry.counter("mpx_profiles").inc()
@@ -1061,6 +1210,7 @@ def discord_search(
     jobs = _resolve_jobs(jobs)
     attrs = _span_attrs(stats.n, w, jobs)
     with get_tracer().span("mpx.discord_search", **attrs) as span:
+        _set_backend(span)
         swept = _entry_sweep(
             stats.shifted,
             w,
@@ -1164,7 +1314,13 @@ class MatrixProfileDetector(Detector):
         The protocol masks every point before ``train_len``, and a point
         at or after it takes its score from windows that start at
         ``train_len - w + 1`` or later: the sweep skips every pair of
-        two earlier windows, and the location is the full sweep's.
+        two earlier windows.  A single sweep also drops the rows that
+        can no longer be the discord (:class:`_Pruning`) and stops
+        computing their pairs; the answer stands only when
+        :func:`_certify` proves it the full sweep's, and otherwise the
+        sweep runs again without dropping a row (counted in
+        ``mpx_located_fallbacks``).  Either way the location is the
+        full sweep's.
         """
         self.fit(series.train)
         floor = max(0, series.train_len - self.w + 1)

@@ -132,7 +132,7 @@ def _open(path: Path):
                  "mpx_block_max_avx512"):
         if hasattr(lib, name):
             entry = getattr(lib, name)
-            entry.argtypes = head + [double_p] * 2 + [int64]
+            entry.argtypes = head + [double_p] * 3  # s, best, alive
             entry.restype = None
     lib.mpx_block_argmax.argtypes = head + [double_p] * 5
     lib.mpx_block_argmax.restype = None

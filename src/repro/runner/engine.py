@@ -208,17 +208,21 @@ def _locate_cell(
 
     The cell opens a session of its own on whichever thread runs it: a
     fresh registry, and with ``epoch`` (the caller's tracer's) a tracer
-    on the caller's clock, under an ``engine.locate`` span.  It returns
-    the location, the exported span records and the registry; the
-    caller adopts both in grid order, which is what makes serial and
-    parallel runs trace and count alike (timing fields aside).
+    on the caller's clock, under an ``engine.cell`` span that lasts as
+    long as the cell ran, and in it ``engine.locate``.  It returns the
+    location, the exported span records and the registry; the caller
+    adopts both in grid order, which is what makes serial and parallel
+    runs trace and count alike (timing fields aside).
     """
     spec, series = task
     with tracing_session(enabled=epoch is not None, epoch=epoch) as (
         tracer,
         registry,
     ):
-        with tracer.span("engine.locate"):
+        with tracer.span(
+            "engine.cell", detector=spec.label, series=series.name,
+            cached=False,
+        ), tracer.span("engine.locate"):
             location = int(spec.build().locate(series))
         return location, tracer.export(), registry
 
@@ -312,8 +316,9 @@ class EvalEngine:
         registry.counter("engine_cache_misses").inc(len(pending))
 
         # cells return (location, spans, registry), serial or not, and
-        # the adoption below folds them in under per-cell spans, so
-        # serial and parallel runs export the same tree and metrics
+        # the adoption below folds them in, each under its own
+        # engine.cell span, so serial and parallel runs export the same
+        # tree and metrics
         traced = tracer.enabled
         worker = (
             partial(_locate_cell, epoch=tracer.epoch) if traced else _locate_cell
@@ -341,21 +346,23 @@ class EvalEngine:
             zip(tasks, locations)
         ):
             cached = index not in executed
+            if index in exports:
+                records, cell_registry = exports[index]
+                tracer.adopt(records)
+                registry.merge(cell_registry)
+            # a cached cell's span is its scoring; an executed cell's
+            # came with its records, as long as the cell ran
             cell_span = (
                 tracer.span(
                     "engine.cell",
                     detector=spec.label,
                     series=series.name,
-                    cached=cached,
+                    cached=True,
                 )
-                if traced
+                if traced and cached
                 else nullcontext()
             )
             with cell_span:
-                if index in exports:
-                    records, cell_registry = exports[index]
-                    tracer.adopt(records)
-                    registry.merge(cell_registry)
                 nearest = series.labels.nearest_region(location)
                 cells.append(
                     CellResult(

@@ -714,6 +714,25 @@ class TestTraceFlag:
         )["total_us"]
         assert 0 < locate <= total
 
+    def test_rollup_self_times_sum_to_the_serial_run(
+        self, archive_dir, tmp_path, capsys
+    ):
+        # each engine.cell lasts as long as its cell ran, so a serial
+        # run's self column counts every microsecond once: it sums to
+        # engine.run's total (the cells' time was counted twice when the
+        # cell spans opened only after the cells had run)
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["run", str(archive_dir), "--detectors",
+                     "matrix_profile(w=64),diff", "--jobs", "1",
+                     "--out", str(tmp_path / "out"),
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        from repro.obs import load_trace, rollup
+
+        rows = rollup(load_trace(trace_path)["spans"])
+        total = next(r for r in rows if r["name"] == "engine.run")["total_us"]
+        assert abs(sum(r["self_us"] for r in rows) - total) <= 0.02 * total
+
     def test_stream_trace_records_replay_cells(
         self, archive_dir, tmp_path, capsys
     ):

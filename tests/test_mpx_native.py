@@ -309,8 +309,12 @@ class TestCompiledEqualsNumpy:
             exclusion=exclusion_for(exclusion, w, n - w + 1),
             with_indices=False, jobs=jobs, approx=approx,
         )
-        located = {"compiled": mp._profile(values, w, floor=floor, **options)}
         with pytest.MonkeyPatch.context() as patch:
+            # no candidates, no kappa: the floor's mask alone
+            patch.setattr(mp, "_REPICK_AFTER", ())
+            located = {
+                "compiled": mp._profile(values, w, floor=floor, **options)
+            }
             patch.setattr(native, "load", lambda: None)
             full = matrix_profile(values, w, **options)
             located["numpy"] = mp._profile(values, w, floor=floor, **options)
@@ -323,6 +327,146 @@ class TestCompiledEqualsNumpy:
         detector = MatrixProfileDetector(
             w, options["exclusion"], jobs=jobs, approx=approx
         )
+        assert detector.locate(series) == Detector.locate(detector, series)
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 2**16),
+        st.integers(3, 40),
+        st.integers(0, 1500),
+        st.data(),
+        st.sampled_from(["zero", "one", "half_w", "w"]),
+        st.sampled_from([None, 0.3, 0.75, 1.0]),
+        st.sampled_from([None, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_pruned_sweep_keeps_every_row_alive(
+        self, kind, seed, w, extra, data, exclusion, approx, jobs
+    ):
+        values = family(kind, seed, 2 * w + extra)
+        n = values.size
+        train_len = data.draw(st.integers(0, n), label="train_len")
+        floor = max(0, train_len - w + 1)
+        options = dict(
+            exclusion=exclusion_for(exclusion, w, n - w + 1),
+            with_indices=False, jobs=jobs, approx=approx,
+        )
+        located = {"compiled": mp._profile(values, w, floor=floor, **options)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "load", lambda: None)
+            full = matrix_profile(values, w, **options)
+            located["numpy"] = mp._profile(values, w, floor=floor, **options)
+        expected = full.profile[floor:].view(np.uint64)
+        for result in located.values():
+            # a dropped row reads -inf, a distance no pair gives
+            alive = result.profile[floor:] != -np.inf
+            np.testing.assert_array_equal(
+                result.profile[floor:][alive].view(np.uint64), expected[alive]
+            )
+        series = LabeledSeries("s", values, Labels(n=n), train_len=train_len)
+        detector = MatrixProfileDetector(
+            w, options["exclusion"], jobs=jobs, approx=approx
+        )
+        assert detector.locate(series) == Detector.locate(detector, series)
+
+    def test_each_body_skips_the_columns_no_alive_row_needs(self):
+        # after the first block only row 2900 stays alive.  In the second
+        # block (diagonals 532-1043) it needs columns 1857-2368, so the
+        # columns before them only advance and those after are not
+        # visited: column 1800, which pairs dead row 2500 with its
+        # planted nearest neighbour on diagonal 700, computes nothing,
+        # and a body that ignored the mask would find that neighbour.
+        # Row 2900's own, planted at 1857, is the last row of the first
+        # column it needs: a window one row short would miss it
+        values = family("walk", 3, 3000)
+        w, keep, dead = 20, 2900, 2500
+        values[1800 : 1800 + w] = values[dead : dead + w]
+        values[1857 : 1857 + w] = values[keep : keep + w]
+
+        class KeepOne:
+            alive = None
+            kappa = np.inf
+
+            def drop(self, blocks, best, alive):
+                alive[:] = False
+                alive[keep] = True
+
+        x, mean, inv = sweep_inputs(values, w)
+        full, _, _ = mp._compiled_sweep(
+            native.load(), x, w, w, mean, inv, need_indices=False
+        )
+        located, _, _ = mp._compiled_sweep(
+            native.load(), x, w, w, mean, inv, need_indices=False,
+            prune=KeepOne(),
+        )
+        assert located[keep].view(np.uint64) == full[keep].view(np.uint64)
+        assert located[dead] < full[dead]
+        assert (located <= full).all()
+
+    def test_identical_planted_discords_first_one_wins(self):
+        # two identical spikes in a flat stretch, each in the other's
+        # exclusion zone.  A window that holds a spike away from its
+        # edges pairs only with constant windows (distance sqrt(w)) and
+        # with ramp windows (a correlation below 0.5), so from each
+        # spike fifteen windows tie at sqrt(w) exactly, the largest
+        # distance read.  The ramp at the end matches the one at the
+        # start and is dropped; the first tied window, 3483, must win
+        w, exclusion = 20, 1100
+        values = np.zeros(6000)
+        values[:2000] = np.arange(2000.0)
+        values[5000:] = np.arange(1000.0)
+        values[3500] = values[4500] = 7.0
+        full = matrix_profile(values, w, exclusion, with_indices=False)
+        top = full.profile[2000:].max()
+        assert full.profile[3483] == full.profile[4483] == top == np.sqrt(w)
+        assert (full.profile[2000:3483] < top).all()
+        series = LabeledSeries(
+            "s", values, Labels(n=values.size), train_len=2000 + w - 1
+        )
+        detector = MatrixProfileDetector(w, exclusion)
+        with tracing_session() as (tracer, _registry):
+            location = detector.locate(series)
+            span = next(
+                r for r in tracer.export() if r["name"] == "mpx.profile"
+            )
+        assert location == Detector.locate(detector, series) == 3483
+        assert span["attrs"]["certified"]
+        assert span["attrs"]["alive"] < values.size - w + 1 - 2000
+
+    def test_kappa_above_every_distance_falls_back(self, monkeypatch):
+        # a kappa whose distance is the largest there is drops every row
+        # with a finite correlation, so no row alive can certify: the
+        # floor's mask sweeps again, once, and answers
+        values = family("walk", 9, 3000)
+        series = LabeledSeries("s", values, Labels(n=3000), train_len=1000)
+        detector = MatrixProfileDetector(50)
+        expected = Detector.locate(detector, series)
+        monkeypatch.setattr(mp._Pruning, "_bound", lambda self, row: -1.0)
+        with tracing_session() as (tracer, registry):
+            location = detector.locate(series)
+            span = next(
+                r for r in tracer.export() if r["name"] == "mpx.profile"
+            )
+            fallbacks = registry.counter("mpx_located_fallbacks").value
+        assert location == expected
+        assert fallbacks == 1
+        assert span["attrs"]["certified"] is False
+
+    def test_constant_run_and_nan_in_the_test_region(self):
+        values = family("walk", 4, 4000)
+        values[2600:2900] = values[2600]
+        series = LabeledSeries("s", values, Labels(n=4000), train_len=1500)
+        detector = MatrixProfileDetector(50)
+        with tracing_session() as (tracer, _registry):
+            location = detector.locate(series)
+            span = next(
+                r for r in tracer.export() if r["name"] == "mpx.profile"
+            )
+        assert location == Detector.locate(detector, series)
+        assert span["attrs"]["alive"] < 4000 - 50 + 1 - (1500 - 50 + 1)
+        values = values.copy()
+        values[3100] = np.nan
+        series = LabeledSeries("s", values, Labels(n=4000), train_len=1500)
         assert detector.locate(series) == Detector.locate(detector, series)
 
     def test_each_body_skips_the_pairs_below_the_floor(self):
@@ -553,6 +697,36 @@ class TestLoader:
         assert rebuilt["backend"] == "compiled" and rebuilt["warnings"] == []
         assert path.stat().st_size == size
         assert cache_files(tmp_path) == [library]
+
+    def test_first_use_build_lies_inside_mpx_profile(self, tmp_path):
+        # the first traced sweep on an empty cache compiles the kernel:
+        # that time is the sweep's, under its mpx.profile span, not the
+        # caller's
+        code = (
+            "import json, time\n"
+            "import numpy as np\n"
+            "from repro.detectors import matrix_profile, native\n"
+            "from repro.obs import tracing_session\n"
+            "build = native._compile\n"
+            "times = []\n"
+            "def timed(target):\n"
+            "    times.append(time.perf_counter())\n"
+            "    build(target)\n"
+            "    times.append(time.perf_counter())\n"
+            "native._compile = timed\n"
+            "with tracing_session() as (tracer, _):\n"
+            "    matrix_profile(np.random.default_rng(1).normal(size=400),"
+            " 20, with_indices=False)\n"
+            "[span] = [r for r in tracer.export()"
+            " if r['name'] == 'mpx.profile']\n"
+            "built = [int((t - tracer.epoch) * 1e6) for t in times]\n"
+            "print(json.dumps({'span': span, 'built': built}))\n"
+        )
+        result = run_python(code, tmp_path)
+        span, (started, ended) = result["span"], result["built"]
+        assert span["attrs"]["backend"] == "compiled"
+        assert span["start_us"] <= started < ended
+        assert ended <= span["start_us"] + span["duration_us"]
 
     def test_import_of_the_service_loads_nothing(self, tmp_path):
         code = (
