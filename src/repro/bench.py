@@ -935,7 +935,8 @@ def _run_obs(quick, repeats, w):
 
     Three timings of the same profile: the sweep+finalize pipeline with
     no telemetry calls at all (``bare``, through the same sweep
-    dispatcher, so both sides run one kernel backend), through
+    dispatcher in the same sweep order, so both sides run one kernel
+    backend over the same additions), through
     :func:`matrix_profile` with the shipped *disabled* tracer
     (``disabled`` — the default every untraced run pays), and inside an
     enabled tracing session (``enabled`` — what ``--trace`` costs).
@@ -948,7 +949,9 @@ def _run_obs(quick, repeats, w):
     microbenchmarks give the per-operation prices behind those totals.
     """
     from .detectors import matrix_profile
-    from .detectors.matrix_profile import _finalize, _sweep, _validated
+    from .detectors.matrix_profile import (
+        _finalize, _series_order, _sweep, _sweep_order, _validated,
+    )
     from .detectors.sliding import SlidingStats
     from .obs import MetricsRegistry, Tracer, tracing_session
     from .stats import bootstrap_ci
@@ -961,10 +964,9 @@ def _run_obs(quick, repeats, w):
     def bare():
         s, exclusion = _validated(values, w, None, stats)
         mean, inv, constant = s.kernel_stats(w)
-        best, bestj, _ = _sweep(
-            s.shifted, w, exclusion, mean, inv, need_indices=False
-        )
-        return _finalize(best, bestj, w, exclusion, constant)
+        x, mean, inv = _sweep_order(s.shifted, mean, inv)
+        best, bestj, _ = _sweep(x, w, exclusion, mean, inv, need_indices=False)
+        return _finalize(*_series_order(best, bestj), w, exclusion, constant)
 
     def disabled():
         return matrix_profile(values, w, stats=stats, with_indices=False)

@@ -90,7 +90,9 @@ _FAST_BLOCK = 512
 # after blocks (1), (1, 4), (1, 8), (1, 4, 16) or (1, 2, 4, 8, 16) all
 # took 0.254-0.272 s, within noise of each other, against 0.40 s for
 # the floor's mask alone; more candidates only cost more: each is one
-# np.correlate, 0.17 ms at n = 9,800.  So two, re-picked once
+# np.correlate, 0.17 ms at n = 9,800.  So two, re-picked once.  Swept
+# from the series' end, the pruned `locate` still took 0.21 and 0.15 s
+# against 0.36 and 0.29 s for the prefix mask alone (medians of 7)
 _CANDIDATES = 2
 _REPICK_AFTER = (1, 4)
 # a candidate's exact squared distance is lowered by this share: on 70
@@ -430,23 +432,44 @@ def _sweep_inputs(
     return dfp, dgp, invp, c0
 
 
+def _sweep_order(*arrays: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """Series-order arrays as every sweep reads them: reversed views, no
+    copies.  Sweep row ``k`` is series row ``m − 1 − k``, so each
+    diagonal's running sum starts at the series' last window (see
+    :func:`_entry_sweep`)."""
+    return tuple(array[::-1] for array in arrays)
+
+
+def _series_order(
+    best: np.ndarray, bestj: "np.ndarray | None"
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """A sweep's maxima, and its neighbour indices ``j → m − 1 − j`` (in
+    place), back in series order, as views."""
+    if bestj is not None:
+        np.subtract(bestj.size - 1, bestj, out=bestj)
+        bestj = bestj[::-1]
+    return best[::-1], bestj
+
+
 class _Pruning:
     """A located sweep's drop rule (see :meth:`MatrixProfileDetector.locate`).
 
-    After each block that ``_REPICK_AFTER`` names, the alive rows with
-    the largest running distance, taken non-overlapping, are
-    candidates.  A candidate's exact nearest-neighbour correlation
-    (``np.correlate`` against the series, with :func:`_finalize`'s
-    constant-window rule) is at least the discord's, the smallest among
-    the rows read; ``kappa`` is the smallest of them, its squared
-    distance lowered by the share ``_MARGIN``.  After every block the
-    rows whose running correlation exceeds ``kappa`` leave the mask,
-    and the sweep leaves its last mask in ``alive``.  Where ``kappa``
-    lies decides how many rows go, never the answer: :func:`_certify`
-    checks that.
+    It works in sweep order: ``x``, ``mean``, ``inv`` and ``constant``
+    are :func:`_sweep_order` views, and its rows are the sweep's.  After
+    each block that ``_REPICK_AFTER`` names, the alive rows with the
+    largest running distance, taken non-overlapping, are candidates.  A
+    candidate's exact nearest-neighbour correlation (``np.correlate``
+    against the series, with :func:`_finalize`'s constant-window rule)
+    is at least the discord's, the smallest among the rows read;
+    ``kappa`` is the smallest of them, its squared distance lowered by
+    the share ``_MARGIN``.  After every block the rows whose running
+    correlation exceeds ``kappa`` leave the mask, and the sweep leaves
+    its last mask in ``alive``, which :func:`_entry_sweep` turns back
+    into series order.  Where ``kappa`` lies decides how many rows go,
+    never the answer: :func:`_certify` checks that.
     """
 
-    def __init__(self, x, w, exclusion, mean, inv, constant) -> None:
+    def __init__(self, w, exclusion, x, mean, inv, constant) -> None:
         self.x, self.w, self.exclusion = x, w, exclusion
         self.mean, self.inv, self.constant = mean, inv, constant
         self.kappa = np.inf
@@ -499,7 +522,8 @@ def _certify(
     still alive is strictly greater, no dropped row ties or beats it,
     and every row alive met all of its pairs in the full sweep's order:
     the first argmax over the rows read is the full sweep's.  The
-    dropped rows then read ``-inf``, which the lift skips.
+    dropped rows then read ``-inf``, which the lift skips.  Everything
+    here is in series order, the mask ``prune.alive`` included.
     """
     alive = None if prune is None else prune.alive
     if alive is None:  # no mask: the shards' sweep, or numpy's
@@ -538,6 +562,7 @@ def _diagonal_sweep(
     start: int | None = None,
     inputs=None,
     stop: "threading.Event | None" = None,
+    reads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """mpx diagonal traversal over the (mean-shifted) series ``x``.
 
@@ -582,6 +607,11 @@ def _diagonal_sweep(
     ``stop`` is an engine cell thread's stop flag (see
     :func:`bind_cell_thread`): once it is set, the next block raises
     :class:`SweepStopped` instead of sweeping.
+
+    ``reads`` is a located sweep's (see :func:`_compiled_sweep`): the
+    rows ``[0, reads)`` whose entries the caller reads.  Every pair that
+    touches one of them lies in a column below ``reads``, so each
+    block's column tiles end there, and those rows keep their bits.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -620,8 +650,9 @@ def _diagonal_sweep(
             block_span = tracer.start_span("mpx.block", d=d, rows=B)
         if need_indices:
             colval[:L].fill(-np.inf)
-        for p0 in range(0, L, cw0):
-            p1 = min(p0 + cw0, L)
+        cols = L if reads is None else min(L, reads)
+        for p0 in range(0, cols, cw0):
+            p1 = min(p0 + cw0, cols)
             cw = p1 - p0
             if tracer is not None:
                 chunk_span = tracer.start_span("mpx.chunk", p0=p0, cols=cw)
@@ -732,7 +763,7 @@ def _compiled_sweep(
     start: int | None = None,
     inputs=None,
     stop: "threading.Event | None" = None,
-    floor: int = 0,
+    reads: int | None = None,
     prune: "_Pruning | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """:func:`_diagonal_sweep` with each block swept by the C kernel.
@@ -748,15 +779,19 @@ def _compiled_sweep(
 
     A located sweep (see :meth:`MatrixProfileDetector.locate`) gives
     the fast path a byte mask, ``alive``, of the entries it still
-    reads: first the rows at or above ``floor``, the first subsequence
-    whose entry the caller reads.  The kernel only advances the running
-    sums of the columns that pair no alive entry, so an entry that is
-    not alive throughout is not a profile entry, and every entry that
-    is keeps its bits.  ``prune`` (a :class:`_Pruning`) drops entries
-    from the mask between blocks, and gets the mask as it ends.  With
-    neither (``floor`` 0), there is no mask and every pair is swept.
-    The running sums live in a 64-byte-aligned array, whole vectors of
-    rows to a cache line.
+    reads: first the prefix ``[0, reads)``, the rows whose entries the
+    caller reads (in sweep order the UCR test region leads, see
+    :func:`_entry_sweep`).  The kernel only advances the running sums
+    of the columns that pair no alive entry and does not visit the
+    columns after the last one that computes, which under the prefix
+    is row ``reads − 1``; so the pairs of two rows past it are neither
+    computed nor advanced.  An entry that is not alive throughout is
+    not a profile entry, and every entry that is keeps its bits.
+    ``prune`` (a :class:`_Pruning`) drops entries from the mask between
+    blocks, and gets the mask as it ends.  With neither (``reads``
+    ``None`` or ``m``), there is no mask and every pair is swept.  The
+    running sums live in a 64-byte-aligned array, whole vectors of rows
+    to a cache line.
     """
     m = x.size - w + 1
     first = exclusion if start is None else start
@@ -780,10 +815,9 @@ def _compiled_sweep(
         kernel = lib.mpx_block_argmax
     else:
         alive = None  # every entry: a profile
-        if floor or prune is not None:
-            alive = ws.empty(m, dtype=bool)
-            alive[:floor] = False
-            alive[floor:] = True
+        if (reads is not None and reads < m) or prune is not None:
+            alive = ws.zeros(m, dtype=bool)
+            alive[:reads] = True
         tail = (sums.ctypes.data, best.ctypes.data,
                 None if alive is None else alive.ctypes.data)
         kernel = lib.mpx_block_max
@@ -822,25 +856,25 @@ def _sweep(
     start: int | None = None,
     inputs=None,
     stop: "threading.Event | None" = None,
-    floor: int = 0,
+    reads: int | None = None,
     prune: "_Pruning | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """One diagonal sweep on the compiled kernel, else on numpy.
 
     The arguments and the result are :func:`_diagonal_sweep`'s, which
     tiles at its fixed ``_CHUNK`` width; the compiled kernel needs no
-    tiles.  ``floor`` and ``prune`` reach the compiled fast path only
-    (see :func:`_compiled_sweep`); numpy sweeps every pair.
+    tiles.  Both backends take ``reads``; ``prune`` reaches the
+    compiled fast path only (see :func:`_compiled_sweep`).
     """
     options = dict(
         need_indices=need_indices, abandon=abandon, diag_limit=diag_limit,
-        tracer=tracer, start=start, inputs=inputs, stop=stop,
+        tracer=tracer, start=start, inputs=inputs, stop=stop, reads=reads,
     )
     lib = native.load()
     if lib is None:
         return _diagonal_sweep(x, w, exclusion, mean, inv, **options)
     return _compiled_sweep(
-        lib, x, w, exclusion, mean, inv, floor=floor, prune=prune, **options
+        lib, x, w, exclusion, mean, inv, prune=prune, **options
     )
 
 
@@ -979,13 +1013,23 @@ def _entry_sweep(
     jobs: "int | None",
     abandon: "float | None" = None,
     diag_limit: "int | None" = None,
-    floor: int = 0,
+    reads: "int | None" = None,
     prune: "_Pruning | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray | None, int, int] | None":
     """The one sweep behind :func:`matrix_profile` and
-    :func:`discord_search`, under their open ``span``.  ``floor`` and
-    ``prune`` are a located sweep's (see :func:`_compiled_sweep`); the
-    shards sweep the floor's mask alone and take no ``prune``.
+    :func:`discord_search`, under their open ``span``.
+
+    Every sweep runs on the time-reversed series: it takes the
+    series-order ``x``, ``mean`` and ``inv`` and sweeps their
+    :func:`_sweep_order` views, so each diagonal's running sum starts at
+    the series' last window, and it hands back its maxima and neighbour
+    indices in series order (:func:`_series_order`).  A located sweep's
+    rows ``[0, reads)`` are then the last ``reads`` subsequences, the
+    UCR test region that leads every diagonal, and the training pairs
+    after them are never reached (see :func:`_compiled_sweep`).
+    ``prune`` is a located single sweep's :class:`_Pruning`, built on
+    sweep-order views; its last mask comes back in series order too.
+    The shards sweep the prefix mask alone and take no ``prune``.
 
     ``jobs=None`` runs the single sweep.  Otherwise the shard plan of
     :mod:`repro.detectors.parallel` runs on ``jobs`` threads; its
@@ -997,6 +1041,7 @@ def _entry_sweep(
     """
     tracer = get_tracer()
     stop = _cell_thread.stop
+    x, mean, inv = _sweep_order(x, mean, inv)
     if jobs is None:
         swept = _sweep(
             x,
@@ -1009,10 +1054,15 @@ def _entry_sweep(
             diag_limit=diag_limit,
             tracer=tracer if tracer.enabled else None,
             stop=stop,
-            floor=floor,
+            reads=reads,
             prune=prune,
         )
-        return None if swept is None else (*swept, 0)
+        if swept is None:
+            return None
+        best, bestj, workspace = swept
+        if prune is not None and prune.alive is not None:
+            prune.alive = prune.alive[::-1]
+        return (*_series_order(best, bestj), workspace, 0)
     from .parallel import sharded_sweep
 
     outcome = sharded_sweep(
@@ -1027,7 +1077,7 @@ def _entry_sweep(
         diag_stop=None if diag_limit is None else exclusion + diag_limit,
         tracer=tracer if tracer.enabled else None,
         stop=stop,
-        floor=floor,
+        reads=reads,
     )
     shards = len(outcome.shards)
     if span is not None:
@@ -1042,7 +1092,8 @@ def _entry_sweep(
         abandon is not None and _alive_min(outcome.best, exclusion) >= abandon
     ):
         return None
-    return outcome.best, outcome.bestj, outcome.workspace_bytes, shards
+    best, bestj = _series_order(outcome.best, outcome.bestj)
+    return best, bestj, outcome.workspace_bytes, shards
 
 
 def _span_attrs(n: int, w: int, jobs: "int | None", **attrs) -> dict:
@@ -1123,6 +1174,8 @@ def _profile(
     names the floor, the rows alive at its end and whether the answer
     was certified.  Its entries below ``floor`` are not the profile's,
     and an entry it dropped reads ``-inf``, a distance no pair gives.
+    The entries it reads are the sweep's first ``m − floor`` rows
+    (``reads``, see :func:`_entry_sweep`).
     """
     stats, exclusion = _validated(
         values, w, exclusion, stats, jobs=jobs, approx=approx
@@ -1140,11 +1193,13 @@ def _profile(
             span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
         options = dict(
             need_indices=with_indices, jobs=jobs, diag_limit=diag_limit,
-            floor=floor or 0,
+            reads=None if floor is None else m - floor,
         )
         prune = None
         if floor is not None and jobs is None:
-            prune = _Pruning(stats.shifted, w, exclusion, mean, inv, constant)
+            prune = _Pruning(
+                w, exclusion, *_sweep_order(stats.shifted, mean, inv, constant)
+            )
         best, bestj, workspace, shards = _entry_sweep(
             stats.shifted, w, exclusion, mean, inv, span, prune=prune,
             **options,
@@ -1313,9 +1368,13 @@ class MatrixProfileDetector(Detector):
 
         The protocol masks every point before ``train_len``, and a point
         at or after it takes its score from windows that start at
-        ``train_len - w + 1`` or later: the sweep skips every pair of
-        two earlier windows.  A single sweep also drops the rows that
-        can no longer be the discord (:class:`_Pruning`) and stops
+        ``floor = train_len - w + 1`` or later.  The sweep runs from the
+        series' end (:func:`_entry_sweep`), so those windows are its
+        first ``m - floor`` rows and every diagonal meets them before
+        the training windows: it stops at the last row read, and never
+        computes or advances a pair of two earlier windows, on either
+        backend and in every shard.  A single sweep also drops the rows
+        that can no longer be the discord (:class:`_Pruning`) and stops
         computing their pairs; the answer stands only when
         :func:`_certify` proves it the full sweep's, and otherwise the
         sweep runs again without dropping a row (counted in

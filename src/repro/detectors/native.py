@@ -22,7 +22,7 @@ not load (truncated, say) is rebuilt once.
 When no library can be had — no compiler, a refused directory, a failed
 build — :func:`load` returns ``None``, the kernel falls back to the
 numpy sweep (same results; ``repro run`` over an archive of discord
-detectors is about twenty times slower), and one ``RuntimeWarning`` per
+detectors is about fifty times slower), and one ``RuntimeWarning`` per
 process names the reason.
 """
 
@@ -177,7 +177,7 @@ def load():
                 _library = None
                 warnings.warn(
                     f"compiled mpx kernel unavailable ({exc}); sweeping "
-                    f"with numpy: same results, about twenty times slower",
+                    f"with numpy: same results, about fifty times slower",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -152,7 +152,7 @@ def sharded_sweep(
     diag_stop: "int | None" = None,
     tracer: "Tracer | None" = None,
     stop=None,
-    floor: int = 0,
+    reads: "int | None" = None,
 ) -> ShardOutcome:
     """Sweep every shard of the self-join and merge, in shard order.
 
@@ -163,9 +163,13 @@ def sharded_sweep(
     traces comparable span-for-span.  ``diag_stop`` restricts the sweep
     to separations below it (the anytime mode's leading-diagonal
     window).  ``tracer`` is the caller's enabled tracer, or ``None``:
-    each shard then traces with a tracer on its ``epoch``.  ``floor`` is
-    a located sweep's (see
-    :func:`~repro.detectors.matrix_profile._compiled_sweep`).
+    each shard then traces with a tracer on its ``epoch``.  ``reads`` is
+    a located sweep's prefix mask (see
+    :func:`~repro.detectors.matrix_profile._compiled_sweep`): every
+    shard keeps it, so no shard computes or advances a pair of two rows
+    past it.  The inputs are in sweep order, as
+    :func:`~repro.detectors.matrix_profile._entry_sweep` passes them,
+    and so are the merged maxima.
 
     Every shard checks ``abandon`` against the true ``exclusion``: a
     row whose pairs all lie in other shards keeps its -inf sentinel and
@@ -194,7 +198,7 @@ def sharded_sweep(
             diag_limit=d_hi - d_lo,
             inputs=inputs,
             stop=stop,
-            floor=floor,
+            reads=reads,
         )
         if tracer is None:
             return _sweep(x, w, exclusion, mean, inv, **options), None

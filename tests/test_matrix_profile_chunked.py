@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detectors import SlidingStats, matrix_profile, naive_profile
-from repro.detectors.matrix_profile import _CHUNK, _diagonal_sweep, _finalize
+from repro.detectors.matrix_profile import (
+    _CHUNK,
+    _diagonal_sweep,
+    _finalize,
+    _series_order,
+    _sweep_order,
+)
 
 from kernel_backends import on_numpy
 
@@ -59,14 +65,16 @@ def assert_profiles_match(got, expected, w):
 
 def swept(values, w, exclusion=None, *, chunk, with_indices=True):
     """``(profile, indices, workspace_bytes)`` of one numpy sweep at
-    column width ``chunk``, finalized as :func:`matrix_profile` does."""
+    column width ``chunk``, in the order and finalized as
+    :func:`matrix_profile` does."""
     stats = SlidingStats(values)
     exclusion = w if exclusion is None else exclusion
     mean, inv, constant = stats.kernel_stats(w)
+    x, mean, inv = _sweep_order(stats.shifted, mean, inv)
     best, bestj, workspace = _diagonal_sweep(
-        stats.shifted, w, exclusion, mean, inv,
-        need_indices=with_indices, chunk=chunk,
+        x, w, exclusion, mean, inv, need_indices=with_indices, chunk=chunk
     )
+    best, bestj = _series_order(best, bestj)
     return (*_finalize(best, bestj, w, exclusion, constant), workspace)
 
 

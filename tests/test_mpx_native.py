@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import bench
 from repro.bench import _run_obs
@@ -33,7 +34,7 @@ from repro.detectors.parallel import plan_shards
 from repro.obs import Tracer, tracing_session
 from repro.types import LabeledSeries, Labels
 
-from kernel_backends import on_body
+from kernel_backends import on_body, on_numpy
 
 # the package re-exports the matrix_profile *function* under the
 # submodule's name
@@ -310,7 +311,7 @@ class TestCompiledEqualsNumpy:
             with_indices=False, jobs=jobs, approx=approx,
         )
         with pytest.MonkeyPatch.context() as patch:
-            # no candidates, no kappa: the floor's mask alone
+            # no candidates, no kappa: the prefix mask alone
             patch.setattr(mp, "_REPICK_AFTER", ())
             located = {
                 "compiled": mp._profile(values, w, floor=floor, **options)
@@ -436,7 +437,7 @@ class TestCompiledEqualsNumpy:
     def test_kappa_above_every_distance_falls_back(self, monkeypatch):
         # a kappa whose distance is the largest there is drops every row
         # with a finite correlation, so no row alive can certify: the
-        # floor's mask sweeps again, once, and answers
+        # prefix mask sweeps again, once, and answers
         values = family("walk", 9, 3000)
         series = LabeledSeries("s", values, Labels(n=3000), train_len=1000)
         detector = MatrixProfileDetector(50)
@@ -470,27 +471,32 @@ class TestCompiledEqualsNumpy:
         assert detector.locate(series) == Detector.locate(detector, series)
 
     def test_each_body_skips_the_pairs_below_the_floor(self):
-        # below the floor an entry misses the pairs of the skipped
-        # columns, so it may only fall short of the full sweep's; a body
-        # that ignored the floor would match it everywhere.  Column 1469
-        # of the first block is the first one swept: its last row pairs
-        # 1469 with the floor, planted as that entry's nearest neighbour
+        # in sweep order the rows read are the prefix [0, reads) and the
+        # rows below the floor come after it: such a row misses the
+        # pairs of the columns past reads, so it may only fall short of
+        # the full sweep's; a body that ignored the mask would match it
+        # everywhere.  Column reads - 1 is the last one every block must
+        # sweep: on diagonal 700, in the second block, it pairs the last
+        # row read with its planted nearest neighbour, which a body that
+        # stopped one column short would miss
         values = family("walk", 3, 3000)
-        w, floor = 20, 2000
-        values[1469 : 1469 + w] = values[floor : floor + w]
+        w, reads, d = 20, 1000, 700
+        last = reads - 1
+        values[last + d : last + d + w] = values[last : last + w]
         x, mean, inv = sweep_inputs(values, w)
         full, _, _ = mp._compiled_sweep(
             native.load(), x, w, w, mean, inv, need_indices=False
         )
         located, _, _ = mp._compiled_sweep(
             native.load(), x, w, w, mean, inv, need_indices=False,
-            floor=floor,
+            reads=reads,
         )
+        assert full[last] > 0.999999
         np.testing.assert_array_equal(
-            located[floor:].view(np.uint64), full[floor:].view(np.uint64)
+            located[:reads].view(np.uint64), full[:reads].view(np.uint64)
         )
-        below, swept = located[:floor], full[:floor]
-        assert (below <= swept).all() and (below < swept).any()
+        past, swept = located[reads:], full[reads:]
+        assert (past <= swept).all() and (past < swept).any()
 
     def test_compiled_trace_has_blocks_and_no_chunks(self):
         values = family("walk", 5, 600)
@@ -548,6 +554,51 @@ class TestSimdQuery:
             assert (native.simd() == "avx2") == ("avx2" in flags)
 
 
+class TestNeighbourIndicesInSeriesOrder:
+    """Every sweep runs on the time-reversed series and maps a neighbour
+    index back with ``j → m − 1 − j``: each one must name an admissible
+    pair, in series order, whose own distance is the profile's."""
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 2**16),
+        st.integers(3, 40),
+        st.integers(0, 300),
+        st.sampled_from(["zero", "one", "half_w", "w"]),
+        st.sampled_from([None, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_each_index_names_its_pair(
+        self, kind, seed, w, extra, exclusion, jobs
+    ):
+        values = family(kind, seed, 2 * w + extra)
+        m = values.size - w + 1
+        exclusion = exclusion_for(exclusion, w, m)
+        result = matrix_profile(values, w, exclusion, jobs=jobs)
+        rows = np.flatnonzero(np.isfinite(result.profile))
+        cols = result.indices[rows]
+        assert ((0 <= cols) & (cols < m)).all()
+        assert (np.abs(rows - cols) >= exclusion).all()
+        # the pair's correlation, from its two windows alone, with the
+        # kernel's constant-window conventions
+        stats = SlidingStats(values)
+        constant = stats.kernel_stats(w)[2]
+        windows = sliding_window_view(stats.shifted, w)
+        centred = windows - windows.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(centred, axis=1, keepdims=True)
+        unit = centred / np.where(constant[:, None], 1.0, norms)
+        corr = np.clip(np.einsum("ij,ij->i", unit[rows], unit[cols]), -1, 1)
+        corr[constant[rows] | constant[cols]] = 0.5
+        corr[constant[rows] & constant[cols]] = 1.0
+        got = 1.0 - result.profile[rows] ** 2 / (2.0 * w)
+        np.testing.assert_allclose(got, corr, rtol=0, atol=1e-8)
+
+
+TestNeighbourIndicesInSeriesOrderOnNumpy = on_numpy(
+    TestNeighbourIndicesInSeriesOrder
+)
+
+
 class TestFallbackFixture:
     def test_numpy_backend_fixture_sweeps_with_numpy(self, numpy_backend):
         assert native.backend() == "numpy"
@@ -559,6 +610,28 @@ class TestFallbackFixture:
         assert "mpx.chunk" in names
         profile = next(r for r in records if r["name"] == "mpx.profile")
         assert profile["attrs"]["backend"] == "numpy"
+
+    def test_numpy_located_sweep_opens_no_chunk_past_reads(
+        self, numpy_backend
+    ):
+        # the test region is the sweep's first m - floor rows, so the
+        # numpy sweep's column tiles end there: no mpx.chunk span starts
+        # at or past it, where a full sweep tiles columns 4096 and on
+        values = family("walk", 6, 6000)
+        w, train_len = 50, 5000
+        series = LabeledSeries(
+            "s", values, Labels(n=values.size), train_len=train_len
+        )
+        detector = MatrixProfileDetector(w)
+        reads = (values.size - w + 1) - (train_len - w + 1)
+        with tracing_session() as (tracer, _registry):
+            location = detector.locate(series)
+            chunks = [
+                r["attrs"] for r in tracer.export() if r["name"] == "mpx.chunk"
+            ]
+        assert chunks and all(chunk["p0"] < reads for chunk in chunks)
+        assert max(chunk["p0"] + chunk["cols"] for chunk in chunks) == reads
+        assert location == Detector.locate(detector, series)
 
 
 class TestObsSectionComparesLikeWithLike:
